@@ -2,7 +2,8 @@
 
 Each runner takes a parsed Config plus (out_dir, seed, threads), computes
 its tables, writes CSV files with fixed headers, optionally SVG figures,
-and appends one JSON line per stage to manifest.jsonl carrying the config
+and appends one JSON line per stage to manifest.jsonl carrying its status
+(a failed stage adds the exception class and message), the config
 digest, the seed, wall time and a sha256 per output file. All sampled
 stages draw from block-indexed streams, so the thread count never changes
 an output byte.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,6 +31,7 @@ from .randomness import stream
 
 DEFAULT_COUNT = 65536
 DEFAULT_TOL = 1e-9
+_CSV_CHUNK = 1 << 16  # rows formatted and written at a time
 
 
 def _fmt(v):
@@ -41,17 +44,37 @@ def _fmt(v):
     return str(v)
 
 
-def write_csv(out_dir, name, header, rows):
-    """Write a table and return its sha256; floats use repr for exact
-    round-trips and byte-stable output."""
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _cells(column):
+    """One column chunk as strings, the same strings _fmt gives per cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(_fmt, column)
+
+
+def write_csv(out_dir, name, header, columns):
+    """Write a table given column by column and return its sha256.
+
+    Floats use repr for exact round-trips and byte-stable output. Rows
+    are formatted and written _CSV_CHUNK at a time, and the sha256 is
+    taken from the bytes as they are written.
+    """
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    digest = hashlib.sha256()
+    with open(os.path.join(out_dir, name), "wb") as fh:
+        for lo in range(0, max(n, 1), _CSV_CHUNK):  # one pass writes a bare header
+            w.writerows(zip(*(_cells(c[lo:lo + _CSV_CHUNK]) for c in columns)))
+            data = buf.getvalue().encode("utf-8")
+            buf.seek(0)
+            buf.truncate()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _append_manifest(out_dir, record):
@@ -60,7 +83,7 @@ def _append_manifest(out_dir, record):
 
 
 class _Stage:
-    """Times a stage and logs its outputs to the manifest."""
+    """Times a stage and logs its outputs to the manifest, failed or not."""
 
     def __init__(self, out_dir, name, digest, seed, threads):
         self.out_dir = out_dir
@@ -78,20 +101,20 @@ class _Stage:
         self.outputs[name] = sha
 
     def __exit__(self, exc_type, exc, tb):
+        record = {
+            "stage": self.name,
+            "status": "ok" if exc_type is None else "failed",
+            "config_digest": self.digest,
+            "seed": self.seed,
+            "threads": self.threads,
+            "version": VERSION,
+            "wall_s": round(time.perf_counter() - self.t0, 6),
+            "outputs": self.outputs,
+        }
         if exc_type is not None:
-            return False
-        _append_manifest(
-            self.out_dir,
-            {
-                "stage": self.name,
-                "config_digest": self.digest,
-                "seed": self.seed,
-                "threads": self.threads,
-                "version": VERSION,
-                "wall_s": round(time.perf_counter() - self.t0, 6),
-                "outputs": self.outputs,
-            },
-        )
+            record["error_type"] = exc_type.__name__
+            record["error"] = str(exc)
+        _append_manifest(self.out_dir, record)
         return False
 
 
@@ -106,6 +129,12 @@ def _prologue(cfg, out_dir, seed):
 
 def _point_header(dim):
     return [f"x{i + 1}" for i in range(dim)]
+
+
+def _point_columns(points):
+    """Coordinate columns of a point array: (n,) or (n, d)."""
+    pts = np.asarray(points)
+    return [pts] if pts.ndim == 1 else list(pts.T)
 
 
 def _want_svg(cfg):
@@ -227,7 +256,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
                 out_dir,
                 "cramer.csv",
                 ["s", "kappa", "se"],
-                zip(rep.s_grid, rep.kappa_values, rep.kappa_se),
+                [rep.s_grid, rep.kappa_values, rep.kappa_se],
             ),
         )
         st.add(
@@ -237,22 +266,23 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
                 "cramer_solution.csv",
                 ["alpha", "m_alpha", "s_infinity_lower_bound", "method", "solver_tolerance"],
                 [
-                    (
-                        rep.alpha,
-                        rep.m_alpha,
-                        rep.s_infinity_lower_bound,
-                        rep.method,
-                        rep.solver_tolerance,
-                    )
+                    [rep.alpha],
+                    [rep.m_alpha],
+                    [rep.s_infinity_lower_bound],
+                    [rep.method],
+                    [rep.solver_tolerance],
                 ],
             ),
         )
         if _want_svg(cfg):
-            svgplots.kappa_plot(
-                os.path.join(out_dir, "kappa.svg"),
-                rep.s_grid,
-                rep.kappa_values,
-                rep.alpha,
+            st.add(
+                "kappa.svg",
+                svgplots.kappa_plot(
+                    os.path.join(out_dir, "kappa.svg"),
+                    rep.s_grid,
+                    rep.kappa_values,
+                    rep.alpha,
+                ),
             )
     return {"alpha": rep.alpha, "m_alpha": rep.m_alpha, "report": rep}
 
@@ -274,24 +304,21 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
                 spec, count, tol=tol, master_seed=seed, max_depth=max_depth,
                 x0=x0, threads=threads,
             )
-            pts = np.asarray(batch.samples)
-            cols = pts[:, None] if dim == 1 else pts
-            rows = [
-                tuple(cols[i]) + (int(batch.stop_depths[i]), float(batch.residual_bounds[i]))
-                for i in range(count)
+            columns = _point_columns(batch.samples) + [
+                batch.stop_depths,
+                batch.residual_bounds,
             ]
             header = _point_header(dim) + ["stop_depth", "residual_bound"]
             result = {"samples": batch.samples, "batch": batch}
         elif mode == "forward":
             n = get_int(cfg, "experiment", "n", default=1024)
             pts = np.asarray(chains.forward_endpoints(spec, x0, n, count, seed, threads))
-            cols = pts[:, None] if dim == 1 else pts
-            rows = [tuple(c) for c in cols]
+            columns = _point_columns(pts)
             header = _point_header(dim)
             result = {"samples": pts}
         else:
             raise ConfigError(f"[experiment] sampler must be backward or forward, got {mode!r}")
-        st.add("samples.csv", write_csv(out_dir, "samples.csv", header, rows))
+        st.add("samples.csv", write_csv(out_dir, "samples.csv", header, columns))
     return result
 
 
@@ -313,11 +340,13 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
         )
         st.add(
             "tail_survival.csv",
-            write_csv(out_dir, "tail_survival.csv", ["t", "p_hat", "t_alpha_p"], rep.survival),
+            write_csv(
+                out_dir, "tail_survival.csv", ["t", "p_hat", "t_alpha_p"], zip(*rep.survival)
+            ),
         )
         st.add(
             "hill.csv",
-            write_csv(out_dir, "hill.csv", ["k", "alpha_hat"], rep.hill),
+            write_csv(out_dir, "hill.csv", ["k", "alpha_hat"], zip(*rep.hill)),
         )
         st.add(
             "goldie.csv",
@@ -325,14 +354,23 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
                 out_dir,
                 "goldie.csv",
                 ["C", "se", "alpha", "m_alpha"],
-                [(rep.goldie.constant, rep.goldie.se, rep.alpha, rep.m_alpha)],
+                [[rep.goldie.constant], [rep.goldie.se], [rep.alpha], [rep.m_alpha]],
             ),
         )
         if _want_svg(cfg):
-            svgplots.survival_plot(
-                os.path.join(out_dir, "survival.svg"), rep.survival, alpha, rep.goldie.constant
+            st.add(
+                "survival.svg",
+                svgplots.survival_plot(
+                    os.path.join(out_dir, "survival.svg"),
+                    rep.survival,
+                    alpha,
+                    rep.goldie.constant,
+                ),
             )
-            svgplots.hill_plot(os.path.join(out_dir, "hill.svg"), rep.hill, alpha)
+            st.add(
+                "hill.svg",
+                svgplots.hill_plot(os.path.join(out_dir, "hill.svg"), rep.hill, alpha),
+            )
     return {"report": rep, "samples": batch.samples, "alpha": alpha}
 
 
@@ -380,7 +418,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
                 out_dir,
                 "limit_samples.csv",
                 ["replica", "value"],
-                list(enumerate(norm.tolist())),
+                [np.arange(len(norm)), norm],
             ),
         )
         if params.regime == "eq2":
@@ -391,13 +429,13 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
                     out_dir,
                     "limit_fit.csv",
                     ["statistic", "value"],
-                    [
+                    zip(
                         ("ks_stat", chk.ks_stat),
                         ("ks_critical", chk.ks_critical),
                         ("skewness", chk.skewness),
                         ("excess_kurtosis", chk.excess_kurtosis),
                         ("passed", chk.passed),
-                    ],
+                    ),
                 ),
             )
             fit = None
@@ -412,31 +450,34 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
                     out_dir,
                     "limit_fit.csv",
                     ["statistic", "value"],
-                    [
+                    zip(
                         ("alpha_hat", fit.alpha_hat),
                         ("intercept", fit.intercept),
                         ("window_lo", float(fit.t_values[0])),
                         ("window_hi", float(fit.t_values[-1])),
-                    ],
+                    ),
                 ),
             )
             result_extra = {"fit": fit}
         cf_rows = stable.empirical_cf(norm, t_grid)
         st.add(
             "cf.csv",
-            write_csv(out_dir, "cf.csv", ["t", "v_index", "re", "im", "se"], cf_rows),
+            write_csv(out_dir, "cf.csv", ["t", "v_index", "re", "im", "se"], zip(*cf_rows)),
         )
         if _want_svg(cfg):
             mods = [math.hypot(r[2], r[3]) for r in cf_rows]
-            svgplots.cf_plot(
-                os.path.join(out_dir, "cf.svg"),
-                [r[0] for r in cf_rows],
-                mods,
-                None if fit is None else fit.alpha_hat,
-                None if fit is None else fit.intercept,
+            st.add(
+                "cf.svg",
+                svgplots.cf_plot(
+                    os.path.join(out_dir, "cf.svg"),
+                    [r[0] for r in cf_rows],
+                    mods,
+                    None if fit is None else fit.alpha_hat,
+                    None if fit is None else fit.intercept,
+                ),
             )
             if params.regime == "eq2":
-                svgplots.qq_plot(os.path.join(out_dir, "qq.svg"), norm)
+                st.add("qq.svg", svgplots.qq_plot(os.path.join(out_dir, "qq.svg"), norm))
     return {
         "normalized": norm,
         "params": params,
@@ -461,15 +502,13 @@ def run_support(cfg, out_dir, seed=None, threads=1):
         )
         cov = support.coverage_check(cloud, batch.samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
-        pts = np.asarray(cloud.points)
-        cols = pts[:, None] if dim == 1 else pts
         st.add(
             "support.csv",
             write_csv(
                 out_dir,
                 "support.csv",
                 _point_header(dim) + ["depth"],
-                [tuple(cols[i]) + (int(cloud.depths[i]),) for i in range(len(pts))],
+                _point_columns(cloud.points) + [cloud.depths],
             ),
         )
         st.add(
@@ -478,11 +517,20 @@ def run_support(cfg, out_dir, seed=None, threads=1):
                 out_dir,
                 "support_coverage.csv",
                 ["fraction_covered", "max_distance", "epsilon", "count", "frontier_escape"],
-                [(cov.fraction_covered, cov.max_distance, cov.epsilon, cov.count, frontier)],
+                [
+                    [cov.fraction_covered],
+                    [cov.max_distance],
+                    [cov.epsilon],
+                    [cov.count],
+                    [frontier],
+                ],
             ),
         )
         if _want_svg(cfg) and dim <= 2:
-            svgplots.cloud_plot(os.path.join(out_dir, "cloud.svg"), cloud.points)
+            st.add(
+                "cloud.svg",
+                svgplots.cloud_plot(os.path.join(out_dir, "cloud.svg"), cloud.points),
+            )
     return {"cloud": cloud, "coverage": cov, "frontier": frontier}
 
 
@@ -536,7 +584,7 @@ def run_check(cfg, out_dir, seed=None, threads=1):
                 out_dir,
                 "check.csv",
                 ["name", "value", "se", "passed", "detail"],
-                [(r.name, r.value, r.se, r.passed, r.detail) for r in reports],
+                zip(*[(r.name, r.value, r.se, r.passed, r.detail) for r in reports]),
             ),
         )
     return {"reports": reports, "passed": all(r.passed for r in reports)}

@@ -1,10 +1,13 @@
 """Stationary support geometry for atomic parameter laws.
 
 The support of the stationary law is the closure of the fixed points of
-contracting finite compositions. Enumerating words of atoms
-breadth-first, solving each contracting word's fixed point with a Banach
-certificate, and dissolving duplicates gives a point cloud that is exact
-up to the certificate tolerances.
+contracting finite compositions. Words of atoms are enumerated
+breadth-first, one depth level at a time: a level is an integer matrix
+of atom indices with the running Lipschitz products beside it, the word
+guard is checked once per level, and the fixed points of all its
+contracting words are solved together by Banach iteration, each word
+stopping at its own certificate. Dissolving duplicates gives a point
+cloud that is exact up to the certificate tolerances.
 """
 
 from __future__ import annotations
@@ -85,60 +88,127 @@ def enumerate_fixed_points(
 
     Expansive prefixes are kept (their extensions may contract) until the
     Lipschitz product exceeds `prune_product`; fixed points are only
-    solved for words with product < 1.
+    solved for words with product < 1. Each depth is one word matrix,
+    and the guard counts every word examined up to and including it.
     """
     atoms = [th for th, _ in models.theta_atoms(spec)]
     if not atoms:
         raise PreconditionError("no atoms to enumerate")
-    lips = [float(models.lipschitz_bound(spec, th)) for th in atoms]
-    d = models.point_dim(spec)
+    lips = np.array([float(models.lipschitz_bound(spec, th)) for th in atoms])
+    tables = {
+        name: np.array([th.values[name] for th in atoms], dtype=float)
+        for name in atoms[0].values
+    }
+    k = len(atoms)
 
+    # row w of `words` holds the atom indices of word w, outermost first;
+    # rows stay in breadth-first order (parent order, then atom order)
+    words = np.zeros((1, 0), dtype=np.min_scalar_type(k - 1))
+    prods = np.ones(1)
     points, depths = [], []
-    frontier = [((), 1.0)]
     examined = 0
     for depth in range(1, max_depth + 1):
-        nxt = []
-        for word_idx, prod in frontier:
-            for i, theta in enumerate(atoms):
-                examined += 1
-                if examined > word_guard:
-                    raise CapacityError(
-                        f"word enumeration exceeded the {word_guard} guard at "
-                        f"depth {depth}"
-                    )
-                new_prod = prod * lips[i]
-                new_idx = word_idx + (i,)
-                if new_prod < 1.0:
-                    word = [atoms[j] for j in new_idx]
-                    pt = fixed_point(spec, word, tol=fixpoint_tol)
-                    points.append(np.atleast_1d(np.asarray(pt, dtype=float)))
-                    depths.append(depth)
-                if new_prod <= prune_product:
-                    nxt.append((new_idx, new_prod))
-        frontier = nxt
-        if not frontier:
+        examined += len(words) * k
+        if examined > word_guard:
+            raise CapacityError(
+                f"word enumeration exceeded the {word_guard} guard at depth {depth}"
+            )
+        last = np.tile(np.arange(k, dtype=words.dtype), len(words))
+        words = np.column_stack([np.repeat(words, k, axis=0), last])
+        prods = np.repeat(prods, k) * lips[last]
+        contracting = prods < 1.0
+        if contracting.any():
+            points.append(
+                _fixed_points(
+                    spec, tables, words[contracting], prods[contracting], fixpoint_tol
+                )
+            )
+            depths.append(np.full(len(points[-1]), depth))
+        keep = prods <= prune_product
+        words, prods = words[keep], prods[keep]
+        if not len(words):
             break
 
     if not points:
         raise ConvergenceError(
             f"no contracting word found up to depth {max_depth}"
         )
-    pts = np.vstack(points)
-    deps = np.asarray(depths)
-    keep_pts, keep_deps = [], []
-    for p, dep in zip(pts, deps):
-        if all(np.linalg.norm(p - q) > dedupe_tol for q in keep_pts):
-            keep_pts.append(p)
-            keep_deps.append(dep)
-    cloud_pts = np.vstack(keep_pts)
-    if d == 1:
-        cloud_pts = cloud_pts[:, 0]
+    pts = np.concatenate(points)
+    kept = _dedupe(pts, dedupe_tol)
     return SupportCloud(
-        points=cloud_pts,
-        depths=np.asarray(keep_deps),
+        points=pts[kept],
+        depths=np.concatenate(depths)[kept],
         dedupe_tol=float(dedupe_tol),
         fixpoint_tol=float(fixpoint_tol),
     )
+
+
+def _fixed_points(spec, tables, words, lips, tol):
+    """fixed_point for every row of a word matrix at once, in row order.
+
+    Each word iterates until its own a posteriori Banach bound certifies
+    it and then leaves the active set, so every row gets the iterate the
+    scalar fixed_point would return.
+    """
+    d = models.point_dim(spec)
+    x = np.zeros(len(words) if d == 1 else (len(words), d))
+    threshold = np.full(len(words), math.inf)
+    positive = lips > 0
+    threshold[positive] = tol * (1.0 - lips[positive]) / lips[positive]
+    active = np.arange(len(words))
+    for _ in range(_MAX_BANACH_ITER):
+        cur = x[active]
+        nxt = cur
+        for col in reversed(range(words.shape[1])):
+            idx = words[active, col]
+            theta = models.ThetaDraw(
+                spec.family, {name: tab[idx] for name, tab in tables.items()}
+            )
+            nxt = models.apply(spec, theta, nxt)
+        x[active] = nxt
+        step = models.radius(spec, nxt - cur)
+        active = active[~(step <= threshold[active])]
+        if not len(active):
+            return x
+    raise ConvergenceError(
+        f"fixed-point iteration did not certify within {_MAX_BANACH_ITER} steps "
+        f"(L = {lips[active[0]]:.6g})"
+    )
+
+
+def _dedupe(points, tol):
+    """Indices of the points the greedy rule keeps, in order.
+
+    A point is kept when it lies farther than `tol` (euclidean) from every
+    point kept before it.
+    """
+    p = _as_2d(points)
+    idx = np.arange(len(p))
+    if tol >= 0:
+        # a repeat of an earlier point is within tol of that point, or of
+        # the kept point that removed it, so only first occurrences count
+        _, idx = np.unique(p, axis=0, return_index=True)
+        idx.sort()
+    # the tree only proposes pairs (with a margin for its own rounding);
+    # the norm below decides them exactly as the greedy rule does
+    tree = cKDTree(p[idx])
+    pairs = tree.query_pairs(max(tol * (1.0 + 1e-6), 1e-150), output_type="ndarray")
+    close = np.array(
+        [not np.linalg.norm(p[idx[i]] - p[idx[j]]) > tol for i, j in pairs], dtype=bool
+    )
+    earlier, later = pairs[close].T
+    # settle points in passes: an open point with an earlier kept neighbour
+    # is dropped, one whose earlier neighbours are all dropped is kept; the
+    # first open point always settles, so every pass makes progress
+    n = len(idx)
+    pending = np.bincount(later, minlength=n) > 0
+    kept = ~pending
+    while pending.any():
+        pending &= np.bincount(later, weights=kept[earlier], minlength=n) == 0
+        waiting = np.bincount(later, weights=pending[earlier], minlength=n) > 0
+        kept |= pending & ~waiting
+        pending &= waiting
+    return idx[kept]
 
 
 def _as_2d(points):

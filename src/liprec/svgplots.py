@@ -2,11 +2,13 @@
 
 Nothing here aims at publication quality: fixed canvas, plain axes,
 points and reference curves, enough to eyeball a power law or a CF fit
-without pulling in a plotting stack.
+without pulling in a plotting stack. Every plot function writes one file
+and returns the sha256 of its bytes, for the run manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -131,9 +133,10 @@ def _write(path, body):
         + "\n".join(body)
         + "\n</svg>\n"
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    return path
+    data = doc.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def survival_plot(path, rows, alpha, tail_constant):
@@ -199,7 +202,7 @@ def qq_plot(path, samples):
     return _write(path, body)
 
 
-def cloud_plot(path, points, depths=None):
+def cloud_plot(path, points):
     """Stationary-support point cloud, one or two dimensions."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -187,6 +188,15 @@ def test_cli_capacity_exits_4(tmp_path, capsys):
     text = LETAC_MODEL + "\n[experiment]\nword_guard = 10\nmax_cloud_depth = 20\n"
     path = _write(tmp_path, text)
     assert _run(["support", "--config", path, "--out", tmp_path / "t4"]) == 4
+    # the failed stage still leaves its manifest record
+    lines = (tmp_path / "t4" / "manifest.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    entry = json.loads(lines[0])
+    assert entry["stage"] == "support"
+    assert entry["status"] == "failed"
+    assert entry["error_type"] == "CapacityError"
+    assert entry["error"] == "word enumeration exceeded the 10 guard at depth 3"
+    assert entry["outputs"] == {}
 
 
 def test_cli_cramer_writes_solution(tmp_path, capsys):
@@ -291,14 +301,13 @@ def test_manifest_records_each_stage(tmp_path):
     lines = (out / "manifest.jsonl").read_text().splitlines()
     entry = json.loads(lines[-1])
     assert entry["stage"] == "simulate"
+    assert entry["status"] == "ok"
     assert entry["seed"] == 9
     assert entry["version"] == VERSION
     assert "samples.csv" in entry["outputs"]
     cfg = config.load_config(path)
     assert entry["config_digest"] == config.config_digest(cfg, VERSION)
     digest = entry["outputs"]["samples.csv"]
-    import hashlib
-
     got = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
     assert digest == got
 
@@ -313,3 +322,17 @@ def test_svg_outputs_when_requested(tmp_path):
     for name in ("survival.svg", "hill.svg"):
         text = (out / name).read_text()
         assert text.startswith("<svg") or text.startswith("<?xml")
+
+
+def test_svg_outputs_are_hashed_into_manifest(tmp_path):
+    path = _write(
+        tmp_path,
+        LETAC_MODEL
+        + "\n[experiment]\ncount = 2000\nmax_cloud_depth = 6\n"
+        + "\n[output]\nsvg = true\n",
+    )
+    out = tmp_path / "o"
+    assert _run(["support", "--config", path, "--out", out]) == 0
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    got = hashlib.sha256((out / "cloud.svg").read_bytes()).hexdigest()
+    assert entry["outputs"]["cloud.svg"] == got

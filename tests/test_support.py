@@ -72,16 +72,20 @@ def test_letac_batch_lands_on_cloud(letac_spec, letac_batch_10k):
     assert rep.count == len(letac_batch_10k.samples)
 
 
-def test_extremal_atomic_support():
-    # max(x/4, b) with b in {1, 2}: fixed points are x = b, and both
-    # atoms map {1, 2} into itself, so the support is exactly {1, 2}
-    spec = models.make_model(
+def _atomic_extremal():
+    return models.make_model(
         "extremal",
         laws={
             "a": rnd.constant(0.25),
             "b": rnd.discrete(atoms=(1.0, 2.0), weights=(0.5, 0.5)),
         },
     )
+
+
+def test_extremal_atomic_support():
+    # max(x/4, b) with b in {1, 2}: fixed points are x = b, and both
+    # atoms map {1, 2} into itself, so the support is exactly {1, 2}
+    spec = _atomic_extremal()
     cloud = support.enumerate_fixed_points(spec, max_depth=6)
     assert np.allclose(np.sort(cloud.points), [1.0, 2.0], atol=1e-9)
     batch = stationary_batch(spec, 4096, master_seed=6)
@@ -90,8 +94,9 @@ def test_extremal_atomic_support():
 
 
 def test_word_guard_capacity():
+    # 2 + 4 + ... + 32 = 62 words through depth 5, 126 through depth 6
     spec = _two_atom_affine()
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="exceeded the 100 guard at depth 6$"):
         support.enumerate_fixed_points(spec, max_depth=30, word_guard=100)
 
 
@@ -124,8 +129,8 @@ def test_coverage_check_guards(letac_spec):
         support.coverage_check(cloud, np.zeros(4), epsilon=0.0)
 
 
-def test_two_dimensional_cloud():
-    spec = models.make_model(
+def _two_dimensional_affine():
+    return models.make_model(
         "affine",
         dimension=2,
         laws={
@@ -135,8 +140,99 @@ def test_two_dimensional_cloud():
             "shift_2": rnd.constant(0.0),
         },
     )
+
+
+def test_two_dimensional_cloud():
+    spec = _two_dimensional_affine()
     cloud = support.enumerate_fixed_points(spec, max_depth=5)
     assert cloud.points.shape[1] == 2
     batch = stationary_batch(spec, 2048, master_seed=8)
     rep = support.coverage_check(cloud, batch.samples, epsilon=0.2)
     assert rep.fraction_covered > 0.5  # depth-5 cloud, coarse epsilon
+
+
+def _reference_cloud(spec, max_depth):
+    """The word-at-a-time enumeration: breadth-first words, the scalar
+    fixed_point per contracting word, then the greedy dedupe in order."""
+    atoms = [th for th, _ in models.theta_atoms(spec)]
+    lips = [float(models.lipschitz_bound(spec, th)) for th in atoms]
+    points, depths = [], []
+    frontier = [((), 1.0)]
+    for depth in range(1, max_depth + 1):
+        nxt = []
+        for word, prod in frontier:
+            for i, lip in enumerate(lips):
+                w, p = word + (i,), prod * lip
+                if p < 1.0:
+                    pt = support.fixed_point(spec, [atoms[j] for j in w])
+                    points.append(np.atleast_1d(np.asarray(pt, dtype=float)))
+                    depths.append(depth)
+                if p <= support.PRUNE_PRODUCT:
+                    nxt.append((w, p))
+        frontier = nxt
+    kept = []
+    for p, dep in zip(points, depths):
+        if all(np.linalg.norm(p - q) > support.DEDUPE_TOL for q, _ in kept):
+            kept.append((p, dep))
+    pts = np.vstack([p for p, _ in kept])
+    return (pts[:, 0] if pts.shape[1] == 1 else pts), np.array([d for _, d in kept])
+
+
+def _letac():
+    return models.make_model(
+        "letac",
+        laws={
+            "a": rnd.discrete((1.0 / 3.0, 2.0), (0.75, 0.25)),
+            "b": rnd.constant(0.5),
+            "c": rnd.constant(-1.0),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "make, depth",
+    [
+        (_letac, 10),
+        (_two_atom_affine, 8),
+        (_atomic_extremal, 6),
+        (_two_dimensional_affine, 5),
+        (_two_dimensional_affine, 8),
+    ],
+)
+def test_level_enumeration_matches_word_at_a_time(make, depth):
+    spec = make()
+    cloud = support.enumerate_fixed_points(spec, max_depth=depth)
+    want_points, want_depths = _reference_cloud(spec, depth)
+    assert cloud.points.tobytes() == want_points.tobytes()
+    assert cloud.points.shape == want_points.shape
+    assert np.array_equal(cloud.depths, want_depths)
+
+
+def test_level_enumeration_three_dimensional():
+    # the d = 3 rotation takes a BLAS dot whose rounding depends on the
+    # batch shape, so points agree to a few ulps rather than bit for bit
+    spec = models.make_model(
+        "affine",
+        dimension=3,
+        laws={
+            "scale": rnd.constant(0.5),
+            "angle": rnd.discrete(atoms=(0.3, 2.1), weights=(0.5, 0.5)),
+            "shift_1": rnd.constant(1.0),
+            "shift_2": rnd.constant(0.0),
+            "shift_3": rnd.discrete(atoms=(0.0, 0.5), weights=(0.5, 0.5)),
+        },
+        constants={"axis": (1.0, 2.0, 0.5)},
+    )
+    cloud = support.enumerate_fixed_points(spec, max_depth=3)
+    want_points, want_depths = _reference_cloud(spec, 3)
+    assert np.array_equal(cloud.depths, want_depths)
+    assert np.allclose(cloud.points, want_points, rtol=0.0, atol=1e-13)
+
+
+def test_dedupe_keeps_greedy_survivors():
+    # 0 is kept; 0.6e-8 is within 1e-8 of it and dropped; 1.2e-8 is
+    # within 1e-8 of the dropped point only, so the greedy rule keeps it;
+    # the repeat of 0 and 1.9e-8 fall to the kept points
+    pts = np.array([0.0, 0.6e-8, 1.2e-8, 0.0, 1.9e-8, 5.0])
+    assert support._dedupe(pts, 1e-8).tolist() == [0, 2, 5]
+    assert support._dedupe(pts, -1.0).tolist() == list(range(6))
