@@ -8,6 +8,12 @@ a residual certificate.
 Batches run in fixed blocks, one counter-based stream per block, merged
 by block index: results are a pure function of (spec, master_seed, count)
 no matter how many worker threads execute the blocks.
+
+Draw layout of the backward sampler: every step draws theta for the whole
+block, members that have already stopped included, so member i's step-j
+draw is fixed by the block's stream, the block size, i and j. A member's
+draws therefore depend neither on x0 nor on when the other members stop;
+runs from two seed points, or at two tolerances, see the same thetas.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from . import config as cfgmod
 from . import randomness as rnd
 from ._version import VERSION
 from .config import get_bool, get_float, get_floats, get_int, get_str
-from .errors import AssertionFlagError, ConfigError, PreconditionError
+from .errors import AssertionFlagError, ConfigError, LiprecError, PreconditionError
 from .randomness import stream
 
 DEFAULT_COUNT = 65536
@@ -114,6 +114,8 @@ class _Stage:
         if exc_type is not None:
             record["error_type"] = exc_type.__name__
             record["error"] = str(exc)
+            if isinstance(exc, LiprecError):
+                record["exit_code"] = exc.exit_code  # what the CLI exits with
         _append_manifest(self.out_dir, record)
         return False
 

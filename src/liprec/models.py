@@ -148,7 +148,8 @@ def _rotate(spec, theta, x):
     k = np.asarray(spec.constants["axis"], dtype=float)
     # Rodrigues rotation about the fixed axis
     kx = np.cross(np.broadcast_to(k, x.shape), x)
-    kdot = np.tensordot(x, k, axes=([-1], [0]))
+    # elementwise, not a BLAS dot, so a batch rounds like a single point
+    kdot = x[..., 0] * k[0] + x[..., 1] * k[1] + x[..., 2] * k[2]
     c = c[..., None] if np.ndim(c) else c
     s = s[..., None] if np.ndim(s) else s
     return x * c + kx * s + np.multiply.outer(kdot, k) * (1.0 - c)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import models, tails
 from .errors import ConvergenceError, PreconditionError
@@ -486,6 +485,8 @@ class GaussianCheck:
 
 def gaussian_check(samples, level_critical=_KS_C99):
     """KS distance to the moment-fitted normal plus shape statistics."""
+    from scipy import stats
+
     x = np.asarray(samples, dtype=float)
     sd = x.std()
     if sd == 0:

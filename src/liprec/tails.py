@@ -42,14 +42,21 @@ def survival_curve(samples, t_grid, alpha):
     return rows
 
 
-def hill_estimator(samples, k):
-    """Hill estimate of the tail index from the top k order statistics."""
-    x = np.asarray(samples, dtype=float)
-    n = len(x)
+def _check_rung(k, n):
     if not 1 <= k < n:
         raise PreconditionError(f"hill needs 1 <= k < n, got k={k}, n={n}")
+
+
+def _sorted_top(x, k):
+    """The top k + 1 order statistics of x, ascending."""
+    n = len(x)
     top = np.partition(x, n - k - 1)[n - k - 1 :]
     top.sort()
+    return top
+
+
+def _hill_from_top(top, k):
+    """Hill estimate from the sorted top k + 1 order statistics."""
     cutoff = top[0]
     if cutoff <= 0:
         raise PreconditionError("hill cutoff order statistic is nonpositive")
@@ -60,8 +67,31 @@ def hill_estimator(samples, k):
     return k / total
 
 
+def hill_estimator(samples, k):
+    """Hill estimate of the tail index from the top k order statistics."""
+    x = np.asarray(samples, dtype=float)
+    _check_rung(k, len(x))
+    return _hill_from_top(_sorted_top(x, k), k)
+
+
 def hill_curve(samples, ks):
-    return [(int(k), float(hill_estimator(samples, int(k)))) for k in ks]
+    """Hill ladder [(k, hill_estimator(samples, k)) for k in ks].
+
+    Every rung reads the same top order statistics, so the top of the
+    largest in-range rung is sorted once and each rung takes its top as
+    a slice: the same values, so the same bits, as hill_estimator. An
+    error is raised at the first rung that fails, as rung by rung.
+    """
+    x = np.asarray(samples, dtype=float)
+    n = len(x)
+    ks = [int(k) for k in ks]
+    k_max = max((k for k in ks if 1 <= k < n), default=None)
+    top = None if k_max is None else _sorted_top(x, k_max)
+    ladder = []
+    for k in ks:
+        _check_rung(k, n)
+        ladder.append((k, _hill_from_top(top[-(k + 1) :], k)))
+    return ladder
 
 
 def plateau_window(samples, lo_q=0.99, hi_q=0.9999):

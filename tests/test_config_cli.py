@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import liprec
 from liprec import cli, config
 from liprec._version import VERSION
 from liprec.errors import ConfigError
@@ -36,6 +39,19 @@ kind = lognormal
 params = -0.75, 1.0
 
 [distributions.b]
+kind = constant
+params = 1.0
+"""
+
+AFFINE_ALPHA2_MODEL = """\
+[model]
+family = affine
+
+[distributions.scale]
+kind = lognormal
+params = -1.0, 1.0
+
+[distributions.shift]
 kind = constant
 params = 1.0
 """
@@ -184,6 +200,21 @@ def test_cli_bracket_failure_exits_3(tmp_path, capsys):
     assert "bracket" in capsys.readouterr().err
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of every start-up; only the
+    # alpha = 2 Gaussian check and the QQ plot load it, inside the call
+    src = os.path.dirname(os.path.dirname(liprec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, liprec, liprec.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_capacity_exits_4(tmp_path, capsys):
     text = LETAC_MODEL + "\n[experiment]\nword_guard = 10\nmax_cloud_depth = 20\n"
     path = _write(tmp_path, text)
@@ -196,6 +227,7 @@ def test_cli_capacity_exits_4(tmp_path, capsys):
     assert entry["status"] == "failed"
     assert entry["error_type"] == "CapacityError"
     assert entry["error"] == "word enumeration exceeded the 10 guard at depth 3"
+    assert entry["exit_code"] == 4
     assert entry["outputs"] == {}
 
 
@@ -273,6 +305,28 @@ def test_csv_schemas_limit(tmp_path):
     assert _header(out / "limit_samples.csv") == "replica,value"
     assert _header(out / "limit_fit.csv") == "statistic,value"
     assert _header(out / "cf.csv") == "t,v_index,re,im,se"
+
+
+def test_cli_limit_gaussian_boundary(tmp_path):
+    # alpha = 2: the limit is Gaussian and limit_fit.csv holds the KS and
+    # shape statistics instead of a stable index fit
+    path = _write(
+        tmp_path,
+        AFFINE_ALPHA2_MODEL
+        + "\n[experiment]\nalpha = 2\nn = 256\nreplicas = 2000\ncount = 2000\n"
+        + "\n[output]\nsvg = true\n",
+    )
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", path, "--out", out]) == 0
+    rows = (out / "limit_fit.csv").read_text().splitlines()
+    assert rows[0] == "statistic,value"
+    stats = dict(r.split(",") for r in rows[1:])
+    assert list(stats) == [
+        "ks_stat", "ks_critical", "skewness", "excess_kurtosis", "passed"
+    ]
+    for name in ("ks_stat", "skewness", "excess_kurtosis"):
+        assert np.isfinite(float(stats[name]))
+    assert (out / "qq.svg").read_text().startswith(("<svg", "<?xml"))
 
 
 def test_csv_schemas_support_and_check(tmp_path):

@@ -209,8 +209,8 @@ def test_level_enumeration_matches_word_at_a_time(make, depth):
 
 
 def test_level_enumeration_three_dimensional():
-    # the d = 3 rotation takes a BLAS dot whose rounding depends on the
-    # batch shape, so points agree to a few ulps rather than bit for bit
+    # the d = 3 rotation is elementwise (no BLAS dot), so a batched
+    # level rounds exactly like the word-at-a-time reference
     spec = models.make_model(
         "affine",
         dimension=3,
@@ -226,7 +226,8 @@ def test_level_enumeration_three_dimensional():
     cloud = support.enumerate_fixed_points(spec, max_depth=3)
     want_points, want_depths = _reference_cloud(spec, 3)
     assert np.array_equal(cloud.depths, want_depths)
-    assert np.allclose(cloud.points, want_points, rtol=0.0, atol=1e-13)
+    assert cloud.points.tobytes() == want_points.tobytes()
+    assert cloud.points.shape == want_points.shape
 
 
 def test_dedupe_keeps_greedy_survivors():

@@ -38,6 +38,21 @@ def test_hill_input_guards():
         tails.hill_estimator(np.ones(100), 100)
     with pytest.raises(PreconditionError):
         tails.hill_estimator(np.ones(100), 10)  # ties: zero log-excesses
+    # the ladder raises rung by rung, in the order the rungs are given
+    with pytest.raises(PreconditionError, match="1 <= k < n"):
+        tails.hill_curve(np.ones(100), [0, 10])
+    with pytest.raises(PreconditionError, match="tied samples"):
+        tails.hill_curve(np.ones(100), [10, 100])
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_hill_curve_matches_rung_by_rung(tied):
+    x = _pareto(1.5, 10**5, seed=7)
+    if tied:
+        x = np.floor(x * 4) / 4  # many equal order statistics
+    ks = np.unique(np.geomspace(8, tails.default_hill_k(len(x)), 24).astype(int))
+    ref = [(int(k), tails.hill_estimator(x, int(k))) for k in ks]
+    assert tails.hill_curve(x, ks) == ref  # float == is bit equality here
 
 
 def test_survival_curve_probabilities():
