@@ -51,6 +51,22 @@ class StationaryBatch:
     stop_depths: np.ndarray
     residual_bounds: np.ndarray
     tol: float
+    block_size: int = BLOCK_SIZE
+
+    def draw_counters(self):
+        """Stop-depth mean and max, and theta draws made vs used.
+
+        A block draws theta for all its members until its deepest member
+        stops, so it makes size * max-depth draws; members use their depths.
+        """
+        d = self.stop_depths
+        blocks = (d[lo:lo + self.block_size] for lo in range(0, len(d), self.block_size))
+        return {
+            "stop_depth_mean": float(d.mean()),
+            "stop_depth_max": int(d.max()),
+            "theta_drawn": sum(len(b) * int(b.max()) for b in blocks),
+            "theta_used": int(d.sum()),
+        }
 
 
 def _as_points(spec, x0, count):
@@ -223,7 +239,7 @@ def stationary_batch(
     samples = np.concatenate([p[0] for p in parts])
     depths = np.concatenate([p[1] for p in parts])
     certs = np.concatenate([p[2] for p in parts])
-    return StationaryBatch(samples, depths, certs, tol)
+    return StationaryBatch(samples, depths, certs, tol, block_size)
 
 
 # ---------------------------------------------------------------------------

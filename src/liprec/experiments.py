@@ -4,7 +4,8 @@ Each runner takes a parsed Config plus (out_dir, seed, threads), computes
 its tables, writes CSV files with fixed headers, optionally SVG figures,
 and appends one JSON line per stage to manifest.jsonl carrying its status
 (a failed stage adds the exception class and message), the config
-digest, the seed, wall time and a sha256 per output file. All sampled
+digest, the seed, wall time, a sha256 per output file and, for a stage
+that ran the backward sampler, its stop depths and draws. All sampled
 stages draw from block-indexed streams, so the thread count never changes
 an output byte.
 """
@@ -12,6 +13,7 @@ an output byte.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -31,17 +33,28 @@ from .randomness import stream
 
 DEFAULT_COUNT = 65536
 DEFAULT_TOL = 1e-9
-_CSV_CHUNK = 1 << 16  # rows formatted and written at a time
+# Rows formatted and written at a time. A chunk's row strings are held at
+# once; 1 << 16 rows raised a 4e5-row run's peak RSS by about 7%.
+_CSV_CHUNK = 1 << 13
 
 
 def _fmt(v):
+    """One cell as text. Numbers and bools never need quoting; other text
+    gets csv's minimal quoting (a check detail may hold a comma)."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    return str(v)
+    return _quoted(str(v))
+
+
+def _quoted(text):
+    """`text` as csv.writer writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty last field and the newline
 
 
 def _cells(column):
@@ -53,6 +66,15 @@ def _cells(column):
     return map(_fmt, column)
 
 
+def _csv_text(header, columns):
+    """The table's text: the header line, then _CSV_CHUNK rows at a time."""
+    n = len(columns[0]) if columns else 0
+    yield ",".join(map(_fmt, header)) + "\n"
+    for lo in range(0, n, _CSV_CHUNK):
+        rows = zip(*(_cells(c[lo:lo + _CSV_CHUNK]) for c in columns))
+        yield "\n".join(map(",".join, rows)) + "\n"
+
+
 def write_csv(out_dir, name, header, columns):
     """Write a table given column by column and return its sha256.
 
@@ -60,18 +82,10 @@ def write_csv(out_dir, name, header, columns):
     are formatted and written _CSV_CHUNK at a time, and the sha256 is
     taken from the bytes as they are written.
     """
-    columns = list(columns)
-    n = len(columns[0]) if columns else 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
     digest = hashlib.sha256()
     with open(os.path.join(out_dir, name), "wb") as fh:
-        for lo in range(0, max(n, 1), _CSV_CHUNK):  # one pass writes a bare header
-            w.writerows(zip(*(_cells(c[lo:lo + _CSV_CHUNK]) for c in columns)))
-            data = buf.getvalue().encode("utf-8")
-            buf.seek(0)
-            buf.truncate()
+        for text in _csv_text(header, list(columns)):
+            data = text.encode("utf-8")
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
@@ -92,6 +106,7 @@ class _Stage:
         self.seed = seed
         self.threads = threads
         self.outputs = {}
+        self.backward = None
 
     def __enter__(self):
         self.t0 = time.perf_counter()
@@ -99,6 +114,10 @@ class _Stage:
 
     def add(self, name, sha):
         self.outputs[name] = sha
+
+    def add_backward(self, batch):
+        """Record the stage's backward batch: stop depths, theta drawn vs used."""
+        self.backward = batch.draw_counters()
 
     def __exit__(self, exc_type, exc, tb):
         record = {
@@ -111,6 +130,8 @@ class _Stage:
             "wall_s": round(time.perf_counter() - self.t0, 6),
             "outputs": self.outputs,
         }
+        if self.backward is not None:
+            record["backward"] = self.backward
         if exc_type is not None:
             record["error_type"] = exc_type.__name__
             record["error"] = str(exc)
@@ -202,10 +223,11 @@ def _require_nonarithmetic(cfg, spec):
         )
 
 
-def _require_linearity(cfg, spec, samples):
+def _require_linearity(cfg, spec, pilot):
+    """Gate on the pilot's support; `pilot()` is drawn only when checked."""
     if spec.family == "affine" or models.point_dim(spec) > 1:
         return
-    x = np.asarray(samples)
+    x = np.asarray(pilot())
     if (x > 0).any() and (x < 0).any():
         if not get_bool(cfg, "assertions", "linear_on_support"):
             raise AssertionFlagError(
@@ -306,6 +328,7 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
                 spec, count, tol=tol, master_seed=seed, max_depth=max_depth,
                 x0=x0, threads=threads,
             )
+            st.add_backward(batch)
             columns = _point_columns(batch.samples) + [
                 batch.stop_depths,
                 batch.residual_bounds,
@@ -336,6 +359,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
         batch = chains.stationary_batch(
             spec, count, tol=tol, master_seed=seed, threads=threads
         )
+        st.add_backward(batch)
         rep = tails.tail_report(
             spec, batch.samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
@@ -388,18 +412,25 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     center_text = get_str(cfg, "experiment", "center", default="auto")
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
-        pilot = chains.stationary_batch(
-            spec, count, tol=tol, master_seed=seed, threads=threads
-        )
-        _require_linearity(cfg, spec, pilot.samples)
+
+        @functools.cache
+        def pilot():
+            # drawn on first use: a closed-form center needs no pilot
+            batch = chains.stationary_batch(
+                spec, count, tol=tol, master_seed=seed, threads=threads
+            )
+            st.add_backward(batch)
+            return batch.samples
+
+        _require_linearity(cfg, spec, pilot)
         params0 = stable.limit_params(alpha)
         center = 0.0
         if params0.regime in ("mid", "eq2"):
             if center_text == "auto":
                 closed = _closed_center(spec)
-                center = float(pilot.samples.mean()) if closed is None else closed
+                center = float(pilot().mean()) if closed is None else closed
             elif center_text == "stationary_mean":
-                center = float(pilot.samples.mean())
+                center = float(pilot().mean())
             else:
                 try:
                     center = float(center_text)
@@ -412,7 +443,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         sums = chains.birkhoff_sums(
             spec, models.zero_point(spec), n, replicas, seed, threads=threads
         )
-        xi_value = stable.xi(1.0 / n, pilot.samples) if params.regime == "eq1" else None
+        xi_value = stable.xi(1.0 / n, pilot()) if params.regime == "eq1" else None
         norm = stable.normalize_birkhoff(sums, n, params, xi_value)
         st.add(
             "limit_samples.csv",
@@ -484,7 +515,6 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         "normalized": norm,
         "params": params,
         "alpha": alpha,
-        "pilot": pilot.samples,
         **result_extra,
     }
 
@@ -502,6 +532,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
         batch = chains.stationary_batch(
             spec, count, tol=tol, master_seed=seed, threads=threads
         )
+        st.add_backward(batch)
         cov = support.coverage_check(cloud, batch.samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
         st.add(
@@ -547,6 +578,7 @@ def run_check(cfg, out_dir, seed=None, threads=1):
         batch = chains.stationary_batch(
             spec, count, tol=tol, master_seed=seed, threads=threads
         )
+        st.add_backward(batch)
         reports.append(cramer.check_cancellation(spec, batch.samples, 256, rng))
         radii = models.radius(spec, np.asarray(batch.samples))
         x_hi = float(np.quantile(radii, 0.9)) + 1.0

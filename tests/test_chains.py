@@ -50,6 +50,29 @@ def test_backward_insensitive_to_seed_point(bench_spec):
     assert np.max(np.abs(a.samples - b.samples)) <= 2e-9 * 10.0 + 1e-15
 
 
+def test_draw_counters_count_the_draws_made(bench_spec, monkeypatch):
+    # every step draws theta for the whole block until its deepest member
+    # stops; the counters derive that from the stop depths alone
+    sizes = []
+    real = models.sample_theta
+
+    def counting(spec, rng, size=None):
+        sizes.append(size)
+        return real(spec, rng, size)
+
+    monkeypatch.setattr(models, "sample_theta", counting)
+    batch = chains.stationary_batch(bench_spec, 2500, master_seed=5, block_size=1024)
+    got = batch.draw_counters()
+    assert got == {
+        "stop_depth_mean": float(batch.stop_depths.mean()),
+        "stop_depth_max": int(batch.stop_depths.max()),
+        "theta_drawn": sum(sizes),
+        "theta_used": int(batch.stop_depths.sum()),
+    }
+    assert got["theta_used"] < got["theta_drawn"]
+    assert sorted(set(sizes)) == [452, 1024]
+
+
 def test_thread_count_cannot_change_bytes(bench_spec):
     count = 40_000  # spans three blocks
     one = chains.stationary_batch(bench_spec, count, master_seed=7, threads=1)

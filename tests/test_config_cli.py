@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import liprec
-from liprec import cli, config
+from liprec import chains, cli, config, experiments
 from liprec._version import VERSION
 from liprec.errors import ConfigError
 
@@ -54,6 +56,23 @@ params = -1.0, 1.0
 [distributions.shift]
 kind = constant
 params = 1.0
+"""
+
+TWO_SIDED_LETAC_MODEL = """\
+[model]
+family = letac
+
+[distributions.a]
+kind = lognormal
+params = -0.75, 1.0
+
+[distributions.b]
+kind = constant
+params = 0.0
+
+[distributions.c]
+kind = normal
+params = 0.0, 1.0
 """
 
 
@@ -329,6 +348,39 @@ def test_cli_limit_gaussian_boundary(tmp_path):
     assert (out / "qq.svg").read_text().startswith(("<svg", "<?xml"))
 
 
+def test_cli_limit_closed_center_draws_no_pilot(tmp_path, monkeypatch):
+    # an affine model with a closed-form mean reads no backward pilot
+    def refuse(*args, **kwargs):
+        raise AssertionError("stationary_batch called")
+
+    monkeypatch.setattr(chains, "stationary_batch", refuse)
+    path = _write(
+        tmp_path, AFFINE_ALPHA2_MODEL + "\n[experiment]\nn = 256\nreplicas = 2000\n"
+    )
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", path, "--out", out]) == 0
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["status"] == "ok"
+    assert "backward" not in entry
+
+
+def test_cli_limit_two_sided_support_needs_linearity_flag(tmp_path, capsys):
+    # letac maps are not linear on a two-sided support: the pilot that
+    # shows it is still drawn, and its counters reach the manifest
+    path = _write(
+        tmp_path,
+        TWO_SIDED_LETAC_MODEL
+        + "\n[experiment]\nalpha = 1.5\nn = 64\nreplicas = 2000\ncount = 2000\n",
+    )
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", path, "--out", out]) == 5
+    assert "linear_on_support" in capsys.readouterr().err
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["status"] == "failed"
+    assert entry["error_type"] == "AssertionFlagError"
+    assert entry["backward"]["theta_used"] >= 2000
+
+
 def test_csv_schemas_support_and_check(tmp_path):
     path = _write(
         tmp_path,
@@ -364,6 +416,40 @@ def test_manifest_records_each_stage(tmp_path):
     digest = entry["outputs"]["samples.csv"]
     got = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
     assert digest == got
+    # one block: it draws 300 thetas per step down to the deepest member
+    depths = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 1]
+    assert entry["backward"] == {
+        "stop_depth_mean": float(depths.mean()),
+        "stop_depth_max": int(depths.max()),
+        "theta_drawn": 300 * int(depths.max()),
+        "theta_used": int(depths.sum()),
+    }
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # numeric cells are joined directly; text keeps csv's minimal quoting
+    n = experiments._CSV_CHUNK + 3  # crosses a chunk boundary
+    rng = np.random.default_rng(0)
+    floats = rng.standard_normal(n) * 1e5
+    ints = rng.integers(-5, 5, n)
+    pool = ("a, b", True, 1.5, 'say "hi"', 7, "", "two\nlines", False)
+    mixed = [pool[i % len(pool)] for i in range(n)]
+
+    def ref_cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(v) if isinstance(v, float) else str(v)
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["x", "k", "note"])
+    w.writerows(zip(map(repr, floats.tolist()), map(str, ints.tolist()), map(ref_cell, mixed)))
+    want = buf.getvalue().encode("utf-8")
+    sha = experiments.write_csv(tmp_path, "t.csv", ["x", "k", "note"], [floats, ints, mixed])
+    assert (tmp_path / "t.csv").read_bytes() == want
+    assert sha == hashlib.sha256(want).hexdigest()
+    experiments.write_csv(tmp_path, "empty.csv", ["x", "k"], [np.array([]), []])
+    assert (tmp_path / "empty.csv").read_bytes() == b"x,k\n"
 
 
 def test_svg_outputs_when_requested(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,3 +122,36 @@ def test_sample_shapes_and_support(rng):
     assert np.all(y == 4.0)
     z = rnd.sample(rnd.discrete((1.0, 5.0), (0.9, 0.1)), rng, 2000)
     assert set(np.unique(z)) <= {1.0, 5.0}
+
+
+def test_lognormal_draws_exp_of_the_stream_normals():
+    # exp(mu + sigma z) of the normals rng.lognormal would draw, through
+    # numpy's vector exp: the stream ends where rng.lognormal leaves it
+    mu, sigma, n = -0.75, 1.0, 100_000
+    got_rng, z_rng, ref_rng = (rnd.stream(41, 0, "lognormal") for _ in range(3))
+    got = rnd.sample(rnd.lognormal(mu, sigma), got_rng, n)
+    z = z_rng.standard_normal(n)
+    assert np.array_equal(got, np.exp(mu + sigma * z))
+    ref = ref_rng.lognormal(mu, sigma, n)
+    assert np.abs(got.view(np.int64) - ref.view(np.int64)).max() <= 1  # ulps
+    assert got_rng.random() == z_rng.random() == ref_rng.random()
+
+
+def test_lognormal_scalar_draws_equal_batch_draws():
+    dist = rnd.lognormal(0.3, 0.7)
+    one_rng, batch_rng = rnd.stream(42, 0, "lognormal"), rnd.stream(42, 0, "lognormal")
+    scalars = [rnd.sample(dist, one_rng) for _ in range(257)]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == rnd.sample(dist, batch_rng, 257).tolist()
+
+
+def test_lognormal_overflow_is_inf_without_warning():
+    dist = rnd.lognormal(700.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = rnd.sample(dist, rnd.stream(43, 0, "lognormal"), 1000)
+        first_inf = int(np.argmax(np.isinf(x)))
+        g = rnd.stream(43, 0, "lognormal")
+        scalars = [rnd.sample(dist, g) for _ in range(first_inf + 1)]
+    assert np.isinf(x).any() and not np.isnan(x).any()
+    assert scalars[-1] == math.inf
