@@ -14,6 +14,9 @@ block, members that have already stopped included, so member i's step-j
 draw is fixed by the block's stream, the block size, i and j. A member's
 draws therefore depend neither on x0 nor on when the other members stop;
 runs from two seed points, or at two tolerances, see the same thetas.
+Only the draw spans the whole block: the stop rule runs on the members
+still running, and only their thetas are stored and replayed, so that
+work and memory scale with the draws used, not the draws made.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ BLOCK_SIZE = 16384
 
 _Q_CAP = 0.95  # contraction-rate clip for the oscillation envelope
 _R_ENVELOPE = 1e9  # hard cap on the oscillation envelope
-_STORAGE_CAP = 1 << 27  # stored draw scalars per block, memory guard
+# Memory guard: draw scalars made per block (step * size * params). The
+# storage keeps only the live members' thetas, so this count is an upper
+# bound on what is stored.
+_STORAGE_CAP = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,9 @@ class StationaryBatch:
 
         A block draws theta for all its members until its deepest member
         stops, so it makes size * max-depth draws; members use their depths.
+        Only the draws follow `theta_drawn`: the stop rule, the stored
+        draws and the replay cover the live members, so they follow
+        `theta_used`.
         """
         d = self.stop_depths
         blocks = (d[lo:lo + self.block_size] for lo in range(0, len(d), self.block_size))
@@ -75,12 +84,6 @@ def _as_points(spec, x0, count):
     if d == 1:
         return np.broadcast_to(x0, (count,)).copy()
     return np.broadcast_to(x0, (count, d)).copy()
-
-
-def _where_points(spec, mask, a, b):
-    if models.point_dim(spec) == 1:
-        return np.where(mask, a, b)
-    return np.where(mask[:, None], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +156,21 @@ def forward_endpoints(spec, x0, n, count, master_seed, threads=1, block_size=BLO
 
 
 def _backward_block(spec, x0, tol, max_depth, rng, count):
-    """Certified backward samples for one block; returns (points, depths, bounds)."""
-    x0_pts = _as_points(spec, x0, count)
-    log_prod = np.zeros(count)
-    osc_max = np.zeros(count)
+    """Certified backward samples for one block; returns (points, depths, bounds).
+
+    Only the theta draw spans the whole block. The stop rule, the stored
+    draws and the replay run on `live`, the ascending indices of the
+    members still running, and on the arrays kept beside it.
+    """
+    # every row is x0 until the replay, which runs in place, so the leading
+    # rows serve as the live members' x0
+    z = _as_points(spec, x0, count)
     depth = np.zeros(count, dtype=np.int64)
     cert = np.full(count, np.inf)
-    draws = []
-    active = np.ones(count, dtype=bool)
+    live = np.arange(count)
+    log_prod = np.zeros(count)
+    osc_max = np.zeros(count)
+    steps = []  # (live, their thetas) per step: all the replay reads
     n_param = len(models.required_params(spec.family, spec.dimension))
 
     step = 0
@@ -172,33 +182,38 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
                 "or the block size"
             )
         theta = models.sample_theta(spec, rng, count)
-        draws.append(theta)
+        theta = models.ThetaDraw(theta.family, {k: v[live] for k, v in theta.values.items()})
+        steps.append((live, theta))
+        x0_live = z[: len(live)]
         lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
-        osc = models.radius(spec, models.apply(spec, theta, x0_pts) - x0_pts)
+        osc = models.radius(spec, models.apply(spec, theta, x0_live) - x0_live)
         with np.errstate(divide="ignore"):
             log_prod += np.log(lip)
         np.maximum(osc_max, osc, out=osc_max)
         q = np.minimum(np.exp(log_prod / step), _Q_CAP)
         envelope = np.minimum(osc_max / (1.0 - q), _R_ENVELOPE)
         bound = np.exp(log_prod) * envelope
-        newly = active & (bound < tol)
-        depth[newly] = step
-        cert[newly] = bound[newly]
-        active &= ~newly
-        if not active.any():
-            break
-    if active.any():
-        worst = float(np.min(np.exp(log_prod[active])))
+        stop = bound < tol
+        if stop.any():
+            done = live[stop]
+            depth[done] = step
+            cert[done] = bound[stop]
+            keep = ~stop
+            live, log_prod, osc_max = live[keep], log_prod[keep], osc_max[keep]
+            if not len(live):
+                break
+    if len(live):
+        worst = float(np.min(np.exp(log_prod)))
         raise ConvergenceError(
             f"backward iteration hit max_depth={max_depth} with running "
             f"bound still {worst:.3e} * envelope >= tol={tol}"
         )
 
-    # replay innermost-first: member i uses draws 1..depth[i]
-    z = x0_pts.copy()
-    for j in range(len(draws) - 1, -1, -1):
-        y = models.apply(spec, draws[j], z)
-        z = _where_points(spec, depth >= j + 1, y, z)
+    # replay innermost-first: member i uses draws 1..depth[i], that is the
+    # steps whose live set holds i; popping frees the newest storage first
+    while steps:
+        idx, theta = steps.pop()
+        z[idx] = models.apply(spec, theta, z[idx])
     return z, depth, cert
 
 
@@ -231,14 +246,21 @@ def stationary_batch(
     if x0 is None:
         x0 = models.zero_point(spec)
 
+    d = models.point_dim(spec)
+    samples = np.empty((count,) if d == 1 else (count, d))
+    depths = np.empty(count, dtype=np.int64)
+    certs = np.empty(count)
+
+    # each block writes its slice as it finishes, so no block's outputs
+    # stay alive on its worker thread's heap until a final concatenation
     def worker(block, size):
         rng = stream(master_seed, block, "stationary")
-        return _backward_block(spec, x0, tol, max_depth, rng, size)
+        part = slice(block * block_size, block * block_size + size)
+        samples[part], depths[part], certs[part] = _backward_block(
+            spec, x0, tol, max_depth, rng, size
+        )
 
-    parts = _run_blocks(worker, count, block_size, threads)
-    samples = np.concatenate([p[0] for p in parts])
-    depths = np.concatenate([p[1] for p in parts])
-    certs = np.concatenate([p[2] for p in parts])
+    _run_blocks(worker, count, block_size, threads)
     return StationaryBatch(samples, depths, certs, tol, block_size)
 
 

@@ -317,10 +317,7 @@ def c_alpha(
 
     # inner part: directions weighted by sigma masses
     dirs, masses = tails.direction_masses(samples, alpha, tail_constant, dim=dim)
-    if dim == 1:
-        dir_pts = np.asarray(dirs, dtype=float)
-    else:
-        dir_pts = np.asarray(dirs, dtype=float)
+    dir_pts = np.asarray(dirs, dtype=float)
     phis = kernel.phi_draws(dir_pts, inner_reps, rng_phi)  # (reps, m[, d])
     a_dir = _dot(v, dir_pts, dim)  # (m,)
     b = _dot(v, phis, dim)  # (reps, m)

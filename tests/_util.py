@@ -2,6 +2,12 @@
 
 import math
 
+import numpy as np
+
+from liprec import chains, models
+from liprec.errors import CapacityError, ConvergenceError
+from liprec.randomness import stream
+
 KS_C99 = 1.6276236115189503  # sqrt(-ln(0.005)/2)
 
 
@@ -11,3 +17,81 @@ def ks_critical_one(n, c=KS_C99):
 
 def ks_critical_two(n, m, c=KS_C99):
     return c * math.sqrt((n + m) / (n * m))
+
+
+# ---------------------------------------------------------------------------
+# whole-block backward sampler: the reference for chains._backward_block
+
+
+def _where_points(spec, mask, a, b):
+    if models.point_dim(spec) == 1:
+        return np.where(mask, a, b)
+    return np.where(mask[:, None], a, b)
+
+
+def reference_backward_block(spec, x0, tol, max_depth, rng, count):
+    """The backward block with every step on every member; same outputs.
+
+    The stop rule runs on the whole block under a mask, every full draw is
+    stored, and the replay applies each draw to all members and keeps the
+    result with `where` for those still running at that step.
+    """
+    x0_pts = chains._as_points(spec, x0, count)
+    log_prod = np.zeros(count)
+    osc_max = np.zeros(count)
+    depth = np.zeros(count, dtype=np.int64)
+    cert = np.full(count, np.inf)
+    draws = []
+    active = np.ones(count, dtype=bool)
+    n_param = len(models.required_params(spec.family, spec.dimension))
+
+    step = 0
+    while step < max_depth:
+        step += 1
+        if step * count * n_param > chains._STORAGE_CAP:
+            raise CapacityError(
+                "backward draw storage guard tripped; lower max_depth, tol "
+                "or the block size"
+            )
+        theta = models.sample_theta(spec, rng, count)
+        draws.append(theta)
+        lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
+        osc = models.radius(spec, models.apply(spec, theta, x0_pts) - x0_pts)
+        with np.errstate(divide="ignore"):
+            log_prod += np.log(lip)
+        np.maximum(osc_max, osc, out=osc_max)
+        q = np.minimum(np.exp(log_prod / step), chains._Q_CAP)
+        envelope = np.minimum(osc_max / (1.0 - q), chains._R_ENVELOPE)
+        bound = np.exp(log_prod) * envelope
+        newly = active & (bound < tol)
+        depth[newly] = step
+        cert[newly] = bound[newly]
+        active &= ~newly
+        if not active.any():
+            break
+    if active.any():
+        worst = float(np.min(np.exp(log_prod[active])))
+        raise ConvergenceError(
+            f"backward iteration hit max_depth={max_depth} with running "
+            f"bound still {worst:.3e} * envelope >= tol={tol}"
+        )
+
+    z = x0_pts.copy()
+    for j in range(len(draws) - 1, -1, -1):
+        y = models.apply(spec, draws[j], z)
+        z = _where_points(spec, depth >= j + 1, y, z)
+    return z, depth, cert
+
+
+def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=None):
+    """(samples, depths, bounds) of chains.stationary_batch, block by block."""
+    if x0 is None:
+        x0 = models.zero_point(spec)
+    parts = [
+        reference_backward_block(
+            spec, x0, tol, chains.DEFAULT_MAX_DEPTH, stream(master_seed, b, "stationary"),
+            min(block_size, count - lo),
+        )
+        for b, lo in enumerate(range(0, count, block_size))
+    ]
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))

@@ -3,10 +3,66 @@ import pytest
 from scipy import stats
 
 from liprec import chains, models, randomness as rnd
-from liprec.errors import ConvergenceError, PreconditionError
+from liprec.errors import CapacityError, ConvergenceError, PreconditionError
 from liprec.randomness import stream
 
-from _util import ks_critical_two
+from _util import ks_critical_two, reference_backward_block, reference_stationary_batch
+
+
+def _oracle_models():
+    """Every family, plus affine in d = 2 and d = 3 (off-axis rotation)."""
+    return {
+        "affine": models.make_model(
+            "affine",
+            laws={"scale": rnd.lognormal(-0.6, 0.7), "shift": rnd.normal(0.3, 1.0)},
+        ),
+        "letac": models.make_model(
+            "letac",
+            laws={
+                "a": rnd.lognormal(-0.8, 0.5),
+                "b": rnd.uniform(0.0, 0.5),
+                "c": rnd.normal(0.0, 0.5),
+            },
+        ),
+        "sqrt_quadratic": models.make_model(
+            "sqrt_quadratic",
+            laws={
+                "a": rnd.uniform(0.2, 0.7),
+                "b": rnd.uniform(-0.2, 0.2),
+                "c": rnd.uniform(0.5, 1.0),
+            },
+        ),
+        "arch1": models.make_model(
+            "arch1",
+            laws={"a": rnd.normal(0.0, 0.6)},
+            constants={"gamma": 0.3, "beta": 0.8, "lambda": 0.25},
+        ),
+        "affine_d2": models.make_model(
+            "affine",
+            dimension=2,
+            laws={
+                "scale": rnd.lognormal(-0.7, 0.4),
+                "angle": rnd.uniform(-1.0, 1.0),
+                "shift_1": rnd.normal(1.0, 0.5),
+                "shift_2": rnd.constant(0.0),
+            },
+        ),
+        "affine_d3": models.make_model(
+            "affine",
+            dimension=3,
+            laws={
+                "scale": rnd.lognormal(-0.7, 0.4),
+                "angle": rnd.uniform(-3.0, 3.0),
+                "shift_1": rnd.constant(1.0),
+                "shift_2": rnd.normal(0.0, 0.5),
+                "shift_3": rnd.discrete((0.0, 0.5), (0.5, 0.5)),
+            },
+            constants={"axis": (1.0, 2.0, 0.5)},
+        ),
+    }
+
+
+ORACLE_MODELS = _oracle_models()
 
 
 def test_forward_chain_shapes_and_prefix_sums(bench_spec):
@@ -93,8 +149,70 @@ def test_block_boundary_is_seed_stable(bench_spec):
 
 
 def test_backward_depth_guard(bench_spec):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as ref:
+        reference_backward_block(bench_spec, 0.0, 1e-300, 5, stream(0, 0, "stationary"), 64)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"max_depth=5 with running bound still \d\.\d{3}e[+-]\d+ \* envelope >= tol=1e-300$",
+    ) as got:
         chains.stationary_batch(bench_spec, 64, tol=1e-300, max_depth=5)
+    # the worst running bound is taken over the same still-running members
+    assert str(got.value) == str(ref.value)
+
+
+def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypatch):
+    # 64 members, 2 parameters: a cap of 640 trips on step 6, before any
+    # member of this block stops at tol 1e-9
+    monkeypatch.setattr(chains, "_STORAGE_CAP", 640)
+    sizes = []
+    real = models.sample_theta
+
+    def counting(spec, rng, size=None):
+        sizes.append(size)
+        return real(spec, rng, size)
+
+    monkeypatch.setattr(models, "sample_theta", counting)
+    with pytest.raises(CapacityError) as ref:
+        reference_backward_block(bench_spec, 0.0, 1e-9, 100, stream(0, 0, "stationary"), 64)
+    ref_sizes, sizes[:] = list(sizes), []
+    with pytest.raises(CapacityError) as got:
+        chains.stationary_batch(bench_spec, 64, tol=1e-9, max_depth=100)
+    assert str(got.value) == str(ref.value)
+    assert sizes == ref_sizes == [64] * 5
+
+
+def _seed_point(spec):
+    x0 = np.linspace(0.7, -0.4, models.point_dim(spec))
+    return float(x0[0]) if x0.size == 1 else x0
+
+
+@pytest.mark.parametrize("from_zero", [True, False])
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("name", ["extremal", "letac_atomic", *ORACLE_MODELS])
+def test_backward_block_matches_whole_block_reference(name, tol, from_zero, bench_spec, letac_spec):
+    # the live-set sampler must give the whole-block sampler's bytes; 2500
+    # members in blocks of 1024 leave a partial last block of 452
+    spec = {"extremal": bench_spec, "letac_atomic": letac_spec, **ORACLE_MODELS}[name]
+    x0 = None if from_zero else _seed_point(spec)
+    batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024)
+    samples, depths, bounds = reference_stationary_batch(spec, 2500, tol, 19, 1024, x0=x0)
+    assert batch.samples.tobytes() == samples.tobytes()
+    assert np.array_equal(batch.stop_depths, depths)
+    assert batch.residual_bounds.tobytes() == bounds.tobytes()
+    assert len(set(depths.tolist())) > 1  # members stop at different steps
+
+
+@pytest.mark.parametrize("name", ["extremal", *ORACLE_MODELS])
+def test_backward_sample_matches_whole_block_reference(name, bench_spec):
+    spec = bench_spec if name == "extremal" else ORACLE_MODELS[name]
+    x0 = _seed_point(spec)
+    for seed in range(4):
+        point, depth, bound = chains.backward_sample(spec, x0, tol=1e-12, rng=stream(seed, 0, "one"))
+        pts, depths, bounds = reference_backward_block(
+            spec, x0, 1e-12, chains.DEFAULT_MAX_DEPTH, stream(seed, 0, "one"), 1
+        )
+        assert np.asarray(point).tobytes() == pts[0].tobytes()
+        assert (depth, bound) == (depths[0], bounds[0])
 
 
 def test_stationary_batch_rejects_empty(bench_spec):
