@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -138,6 +140,22 @@ def test_thread_count_cannot_change_bytes(bench_spec):
     s1 = chains.birkhoff_sums(bench_spec, 0.0, 32, count, master_seed=7, threads=1)
     s4 = chains.birkhoff_sums(bench_spec, 0.0, 32, count, master_seed=7, threads=4)
     assert s1.tobytes() == s4.tobytes()
+
+
+def test_blocks_write_disjoint_slices_under_thread_switching(bench_spec):
+    # every block writes its own slice of the shared outputs; with many
+    # small blocks, more threads than cores and frequent switches, a lost
+    # or misplaced write would break equality with the serial run
+    one = chains.stationary_batch(bench_spec, 5000, master_seed=3, block_size=64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = chains.stationary_batch(bench_spec, 5000, master_seed=3, threads=8, block_size=64)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many.samples.tobytes() == one.samples.tobytes()
+    assert many.stop_depths.tobytes() == one.stop_depths.tobytes()
+    assert many.residual_bounds.tobytes() == one.residual_bounds.tobytes()
 
 
 def test_block_boundary_is_seed_stable(bench_spec):
