@@ -179,9 +179,10 @@ def test_backward_depth_guard(bench_spec):
 
 
 def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypatch):
-    # 64 members, 2 parameters: a cap of 640 trips on step 6, before any
-    # member of this block stops at tol 1e-9
-    monkeypatch.setattr(chains, "_STORAGE_CAP", 640)
+    # 64 members, 2 parameters: a cap of 29 * 128 trips on step 30, when 25
+    # members still run (the deepest stops at 46), so the guard must count
+    # the draws made, not the compacted storage
+    monkeypatch.setattr(chains, "_STORAGE_CAP", 29 * 128)
     sizes = []
     real = models.sample_theta
 
@@ -196,7 +197,7 @@ def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypa
     with pytest.raises(CapacityError) as got:
         chains.stationary_batch(bench_spec, 64, tol=1e-9, max_depth=100)
     assert str(got.value) == str(ref.value)
-    assert sizes == ref_sizes == [64] * 5
+    assert sizes == ref_sizes == [64] * 29
 
 
 def _seed_point(spec):
