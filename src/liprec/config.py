@@ -13,13 +13,15 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
-from . import models
+from . import cramer, models
 from .errors import ConfigError
 from .randomness import DistributionSpec
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _TOP_SECTIONS = ("model", "experiment", "output", "assertions")
+# [experiment] keys that take one of a fixed set of words, checked on parsing
+_CHOICES = {"mode": cramer.MODES, "sampler": ("backward", "forward")}
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,11 @@ def parse_config(text, path="<config>"):
         if key in current:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         current[key] = ConfigValue(value, lineno)
+    for key, choices in _CHOICES.items():
+        cv = cfg.experiment.get(key)
+        if cv is not None and cv.text not in choices:
+            why = f"expected one of {', '.join(choices)}, got {cv.text!r}"
+            _fail(cfg, "experiment", key, cv, why)
     return cfg
 
 

@@ -19,47 +19,68 @@ from .errors import BracketError, MomentDivergenceError, PreconditionError
 
 CLOSED_FORM_TOL = 1e-6
 MONTE_CARLO_TOL = 1e-3
+MODES = ("auto", "closed_form", "monte_carlo")
 
 
-def _closed_kappa(m_law, s):
-    return rnd.abs_moment(m_law, s)
+@dataclass(frozen=True)
+class _Moments:
+    """E|M|^s and E|M|^s log|M| with their se: from the closed-form `law`,
+    or from the |M| draws `x` (se 0 for the closed form)."""
+
+    law: object = None
+    x: object = None
+
+    def __call__(self, s, log=False):
+        if self.x is None:
+            return (rnd.abs_log_moment if log else rnd.abs_moment)(self.law, s), 0.0
+        # A non-finite mean comes back as (inf, inf): divergence beyond the
+        # finite-moment range is a signal, not a crash.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            p = self.x**s
+            if log:
+                p = np.where(self.x > 0, p * np.log(self.x), 0.0)
+            if not np.all(np.isfinite(p)):
+                return math.inf, math.inf
+            m = float(p.mean())
+            if not math.isfinite(m):
+                return math.inf, math.inf
+            return m, float(p.std() / math.sqrt(len(p)))
+
+    def m_alpha(self, alpha):
+        value, se = self(alpha, log=True)
+        if value <= 0:
+            raise PreconditionError(
+                f"m_alpha = {value:.6g} <= 0: alpha is not a valid Cramér exponent "
+                "for this law"
+            )
+        return value, se
+
+
+def _moments(m_law, mode, rng, n_samples):
+    """The law's moments under `mode`: closed form, or one |M| sample drawn now."""
+    if mode not in MODES:
+        raise PreconditionError(f"unknown moment mode {mode!r}")
+    if mode != "monte_carlo" and rnd.abs_moment(m_law, 1.0) is not None:
+        return _Moments(law=m_law)
+    if mode == "closed_form":
+        raise PreconditionError(f"no closed-form moments for kind {m_law.kind!r}")
+    if rng is None:
+        raise PreconditionError("monte carlo moments need a stream")
+    return _Moments(x=np.abs(rnd.sample(m_law, rng, n_samples)))
 
 
 def kappa(m_law, s, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
     """E|M|^s -> (value, standard_error). se is 0 for closed forms.
 
-    A non-finite Monte Carlo mean is returned as (inf, inf): divergence
-    beyond the finite-moment range is a signal, not a crash.
+    A non-finite Monte Carlo mean is returned as (inf, inf).
     """
-    if mode not in ("auto", "closed_form", "monte_carlo"):
-        raise PreconditionError(f"unknown kappa mode {mode!r}")
-    closed = _closed_kappa(m_law, s) if mode != "monte_carlo" else None
-    if closed is not None:
-        return closed, 0.0
-    if mode == "closed_form":
-        raise PreconditionError(f"no closed-form moments for kind {m_law.kind!r}")
-    if rng is None:
-        raise PreconditionError("monte carlo kappa needs a stream")
-    return rnd.mc_abs_moment(m_law, s, rng, n_samples)
+    return _moments(m_law, mode, rng, n_samples)(s)
 
 
 def kappa_curve(m_law, s_grid, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
     """Rows (s, kappa, se) over the grid, sharing one sample set in MC mode."""
-    s_grid = [float(s) for s in s_grid]
-    if mode != "monte_carlo" and all(_closed_kappa(m_law, s) is not None for s in s_grid):
-        return [(s, _closed_kappa(m_law, s), 0.0) for s in s_grid]
-    if rng is None:
-        raise PreconditionError("monte carlo kappa curve needs a stream")
-    x = np.abs(rnd.sample(m_law, rng, n_samples))
-    rows = []
-    for s in s_grid:
-        with np.errstate(over="ignore"):
-            p = x**s
-        if not np.all(np.isfinite(p)):
-            rows.append((s, math.inf, math.inf))
-        else:
-            rows.append((s, float(p.mean()), float(p.std() / math.sqrt(len(p)))))
-    return rows
+    moments = _moments(m_law, mode, rng, n_samples)
+    return [(float(s), *moments(float(s))) for s in s_grid]
 
 
 def solve_cramer(
@@ -79,28 +100,12 @@ def solve_cramer(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise PreconditionError("bracket must satisfy 0 < lo < hi")
+    moments = _moments(m_law, mode, rng, n_samples)
+    if tol is None:
+        tol = CLOSED_FORM_TOL if moments.x is None else MONTE_CARLO_TOL
 
-    closed = mode != "monte_carlo" and _closed_kappa(m_law, 1.0) is not None
-    if mode == "closed_form" and not closed:
-        raise PreconditionError(f"no closed-form moments for kind {m_law.kind!r}")
-    if closed:
-        def kap(s):
-            return _closed_kappa(m_law, s)
-
-        tol = CLOSED_FORM_TOL if tol is None else tol
-    else:
-        if rng is None:
-            raise PreconditionError("monte carlo solve needs a stream")
-        x = np.abs(rnd.sample(m_law, rng, n_samples))
-        logx = np.where(x > 0, np.log(np.maximum(x, 1e-300)), -np.inf)
-
-        def kap(s):
-            with np.errstate(over="ignore"):
-                p = np.exp(s * logx)
-            m = float(np.mean(p))
-            return m if math.isfinite(m) else math.inf
-
-        tol = MONTE_CARLO_TOL if tol is None else tol
+    def kap(s):
+        return moments(s)[0]
 
     k_hi = kap(hi)
     if not math.isfinite(k_hi):
@@ -123,28 +128,7 @@ def solve_cramer(
 
 def m_alpha(m_law, alpha, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
     """(E(|M|^alpha log|M|), se); must be positive at the Cramér root."""
-    if mode not in ("auto", "closed_form", "monte_carlo"):
-        raise PreconditionError(f"unknown m_alpha mode {mode!r}")
-    value = se = None
-    if mode != "monte_carlo":
-        closed = rnd.abs_log_moment(m_law, alpha)
-        if closed is not None:
-            value, se = closed, 0.0
-        elif mode == "closed_form":
-            raise PreconditionError(f"no closed-form moments for kind {m_law.kind!r}")
-    if value is None:
-        if rng is None:
-            raise PreconditionError("monte carlo m_alpha needs a stream")
-        x = np.abs(rnd.sample(m_law, rng, n_samples))
-        term = np.where(x > 0, x**alpha * np.log(np.maximum(x, 1e-300)), 0.0)
-        value = float(term.mean())
-        se = float(term.std() / math.sqrt(len(term)))
-    if value <= 0:
-        raise PreconditionError(
-            f"m_alpha = {value:.6g} <= 0: alpha is not a valid Cramér exponent "
-            "for this law"
-        )
-    return value, se
+    return _moments(m_law, mode, rng, n_samples).m_alpha(alpha)
 
 
 def s_infinity_probe(m_law, rng=None, n_samples=10**5, max_rungs=24):
@@ -154,14 +138,12 @@ def s_infinity_probe(m_law, rng=None, n_samples=10**5, max_rungs=24):
     Monte Carlo mode climbs s = 1, 2, 4, ... until overflow or a relative
     standard error above 50%, and reports the last reliable rung.
     """
-    if _closed_kappa(m_law, 1.0) is not None:
+    if rnd.abs_moment(m_law, 1.0) is not None:
         return math.inf
-    if rng is None:
-        raise PreconditionError("monte carlo probe needs a stream")
     last_good = 0.0
     s = 1.0
     for _ in range(max_rungs):
-        value, se = rnd.mc_abs_moment(m_law, s, rng, n_samples)
+        value, se = _moments(m_law, "monte_carlo", rng, n_samples)(s)
         if not math.isfinite(value) or se > 0.5 * value:
             break
         last_good = s
@@ -245,11 +227,7 @@ def nontriviality_probe(
     """
     rows = []
     for s in s_grid:
-        num = rnd.abs_moment(n_law, s)
-        if num is None:
-            if rng is None:
-                raise PreconditionError("probe needs a stream for sampled laws")
-            num, _ = rnd.mc_abs_moment(n_law, s, rng, n_samples)
+        num, _ = kappa(n_law, s, rng=rng, n_samples=n_samples)
         den, _ = kappa(m_law, s, rng=rng, n_samples=n_samples)
         ratio = num / den
         rows.append((float(s), float(ratio), float(ratio ** (1.0 / s))))
@@ -285,11 +263,10 @@ def cramer_report(
     n_samples=rnd.DEFAULT_MC_SAMPLES,
 ):
     """Solve the Cramér problem and bundle curve, root and diagnostics."""
-    closed = mode != "monte_carlo" and _closed_kappa(m_law, 1.0) is not None
-    method = "closed_form" if closed else "monte_carlo"
+    grid = _moments(m_law, mode, rnd.stream(master_seed, 0, "kappa-grid"), n_samples)
+    closed = grid.x is None
     solver_tol = tol if tol is not None else (CLOSED_FORM_TOL if closed else MONTE_CARLO_TOL)
-    grid_rng = None if closed else rnd.stream(master_seed, 0, "kappa-grid")
-    curve = kappa_curve(m_law, s_grid, mode=mode, rng=grid_rng, n_samples=n_samples)
+    curve = [grid(float(s)) for s in s_grid]
     alpha = solve_cramer(
         m_law, bracket, tol=solver_tol, mode=mode,
         rng=rnd.stream(master_seed, 0, "cramer-root"), n_samples=n_samples,
@@ -298,17 +275,15 @@ def cramer_report(
         m_law, alpha, mode=mode, rng=rnd.stream(master_seed, 0, "m-alpha"),
         n_samples=n_samples,
     )
-    s_inf = s_infinity_probe(
-        m_law, rng=None if closed else rnd.stream(master_seed, 0, "s-infinity")
-    )
+    s_inf = s_infinity_probe(m_law, rng=rnd.stream(master_seed, 0, "s-infinity"))
     return CramerReport(
         s_grid=tuple(float(s) for s in s_grid),
-        kappa_values=tuple(r[1] for r in curve),
-        kappa_se=tuple(r[2] for r in curve),
+        kappa_values=tuple(r[0] for r in curve),
+        kappa_se=tuple(r[1] for r in curve),
         alpha=float(alpha),
         m_alpha=float(ma),
         m_alpha_se=float(ma_se),
         s_infinity_lower_bound=float(s_inf),
-        method=method,
+        method="closed_form" if closed else "monte_carlo",
         solver_tolerance=float(solver_tol),
     )

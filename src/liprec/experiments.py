@@ -28,7 +28,7 @@ from . import config as cfgmod
 from . import randomness as rnd
 from ._version import VERSION
 from .config import get_bool, get_float, get_floats, get_int, get_str
-from .errors import AssertionFlagError, ConfigError, LiprecError, PreconditionError
+from .errors import AssertionFlagError, ConfigError, LiprecError
 from .randomness import stream
 
 DEFAULT_COUNT = 65536
@@ -112,8 +112,12 @@ class _Stage:
         self.t0 = time.perf_counter()
         return self
 
-    def add(self, name, sha):
-        self.outputs[name] = sha
+    def csv(self, name, header, columns):
+        self.outputs[name] = write_csv(self.out_dir, name, header, columns)
+
+    def svg(self, name, plot, *args):
+        """Write `plot(path, *args)` and record the sha256 it returns."""
+        self.outputs[name] = plot(os.path.join(self.out_dir, name), *args)
 
     def add_backward(self, batch):
         """Record the stage's backward batch: stop depths, theta drawn vs used."""
@@ -164,6 +168,15 @@ def _want_svg(cfg):
     return get_bool(cfg, "output", "svg", default=False)
 
 
+def _get_floats_exact(cfg, key, length, default=None):
+    """[experiment] `key` as exactly `length` numbers, or `default` if absent."""
+    values = get_floats(cfg, "experiment", key, default=default)
+    if values is not None and len(values) != length:
+        why = f"expected {length} number(s), got {len(values)}"
+        cfgmod._fail(cfg, "experiment", key, cfg.experiment[key], why)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # alpha resolution and assertion gates shared by tail and limit runs
 
@@ -179,7 +192,7 @@ def _resolve_alpha(cfg, spec, seed):
             raise ConfigError(
                 "no representable scale law for this model; set alpha explicitly"
             )
-        bracket = get_floats(cfg, "experiment", "bracket", default=(0.05, 8.0))
+        bracket = _get_floats_exact(cfg, "bracket", 2, default=(0.05, 8.0))
         alpha = cramer.solve_cramer(
             m_law,
             bracket,
@@ -202,12 +215,8 @@ def _resolve_alpha(cfg, spec, seed):
         )
     else:
         th = models.sample_theta(spec, stream(seed, 0, "m-alpha"), n_samples)
-        m = np.asarray(models.m_scale(spec, th), dtype=float)
-        pos = m[m > 0]
-        vals = pos**alpha * np.log(pos)
-        m_al = float(vals.mean())
-        if not m_al > 0:
-            raise PreconditionError("sampled E M^alpha log M is not positive")
+        draws = np.asarray(models.m_scale(spec, th), dtype=float)
+        m_al, _ = cramer._Moments(x=draws).m_alpha(alpha)
     return float(alpha), float(m_al), method
 
 
@@ -257,7 +266,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
     m_law = models.linear_scale_law(spec)
     if m_law is None:
         raise ConfigError("no representable scale law; the moment curve needs one")
-    bracket = get_floats(cfg, "experiment", "bracket", default=(0.05, 8.0))
+    bracket = _get_floats_exact(cfg, "bracket", 2, default=(0.05, 8.0))
     s_grid = get_floats(cfg, "experiment", "s_grid", default=None)
     if s_grid is None:
         s_grid = tuple(np.linspace(bracket[0], bracket[1], 25))
@@ -274,40 +283,20 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
             master_seed=seed,
             n_samples=n_samples,
         )
-        st.add(
-            "cramer.csv",
-            write_csv(
-                out_dir,
-                "cramer.csv",
-                ["s", "kappa", "se"],
-                [rep.s_grid, rep.kappa_values, rep.kappa_se],
-            ),
-        )
-        st.add(
+        st.csv("cramer.csv", ["s", "kappa", "se"], [rep.s_grid, rep.kappa_values, rep.kappa_se])
+        st.csv(
             "cramer_solution.csv",
-            write_csv(
-                out_dir,
-                "cramer_solution.csv",
-                ["alpha", "m_alpha", "s_infinity_lower_bound", "method", "solver_tolerance"],
-                [
-                    [rep.alpha],
-                    [rep.m_alpha],
-                    [rep.s_infinity_lower_bound],
-                    [rep.method],
-                    [rep.solver_tolerance],
-                ],
-            ),
+            ["alpha", "m_alpha", "s_infinity_lower_bound", "method", "solver_tolerance"],
+            [
+                [rep.alpha],
+                [rep.m_alpha],
+                [rep.s_infinity_lower_bound],
+                [rep.method],
+                [rep.solver_tolerance],
+            ],
         )
         if _want_svg(cfg):
-            st.add(
-                "kappa.svg",
-                svgplots.kappa_plot(
-                    os.path.join(out_dir, "kappa.svg"),
-                    rep.s_grid,
-                    rep.kappa_values,
-                    rep.alpha,
-                ),
-            )
+            st.svg("kappa.svg", svgplots.kappa_plot, rep.s_grid, rep.kappa_values, rep.alpha)
     return {"alpha": rep.alpha, "m_alpha": rep.m_alpha, "report": rep}
 
 
@@ -317,8 +306,8 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
     tol = get_float(cfg, "experiment", "tol", default=DEFAULT_TOL)
     max_depth = get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
     mode = get_str(cfg, "experiment", "sampler", default="backward")
-    x0_cfg = get_floats(cfg, "experiment", "x0", default=None)
     dim = models.point_dim(spec)
+    x0_cfg = _get_floats_exact(cfg, "x0", dim)
     x0 = models.zero_point(spec) if x0_cfg is None else (
         float(x0_cfg[0]) if dim == 1 else np.asarray(x0_cfg, dtype=float)
     )
@@ -335,15 +324,13 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
             ]
             header = _point_header(dim) + ["stop_depth", "residual_bound"]
             result = {"samples": batch.samples, "batch": batch}
-        elif mode == "forward":
+        else:
             n = get_int(cfg, "experiment", "n", default=1024)
             pts = np.asarray(chains.forward_endpoints(spec, x0, n, count, seed, threads))
             columns = _point_columns(pts)
             header = _point_header(dim)
             result = {"samples": pts}
-        else:
-            raise ConfigError(f"[experiment] sampler must be backward or forward, got {mode!r}")
-        st.add("samples.csv", write_csv(out_dir, "samples.csv", header, columns))
+        st.csv("samples.csv", header, columns)
     return result
 
 
@@ -364,39 +351,18 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
             spec, batch.samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
         )
-        st.add(
-            "tail_survival.csv",
-            write_csv(
-                out_dir, "tail_survival.csv", ["t", "p_hat", "t_alpha_p"], zip(*rep.survival)
-            ),
-        )
-        st.add(
-            "hill.csv",
-            write_csv(out_dir, "hill.csv", ["k", "alpha_hat"], zip(*rep.hill)),
-        )
-        st.add(
+        st.csv("tail_survival.csv", ["t", "p_hat", "t_alpha_p"], zip(*rep.survival))
+        st.csv("hill.csv", ["k", "alpha_hat"], zip(*rep.hill))
+        st.csv(
             "goldie.csv",
-            write_csv(
-                out_dir,
-                "goldie.csv",
-                ["C", "se", "alpha", "m_alpha"],
-                [[rep.goldie.constant], [rep.goldie.se], [rep.alpha], [rep.m_alpha]],
-            ),
+            ["C", "se", "alpha", "m_alpha"],
+            [[rep.goldie.constant], [rep.goldie.se], [rep.alpha], [rep.m_alpha]],
         )
         if _want_svg(cfg):
-            st.add(
-                "survival.svg",
-                svgplots.survival_plot(
-                    os.path.join(out_dir, "survival.svg"),
-                    rep.survival,
-                    alpha,
-                    rep.goldie.constant,
-                ),
+            st.svg(
+                "survival.svg", svgplots.survival_plot, rep.survival, alpha, rep.goldie.constant
             )
-            st.add(
-                "hill.svg",
-                svgplots.hill_plot(os.path.join(out_dir, "hill.svg"), rep.hill, alpha),
-            )
+            st.svg("hill.svg", svgplots.hill_plot, rep.hill, alpha)
     return {"report": rep, "samples": batch.samples, "alpha": alpha}
 
 
@@ -445,72 +411,42 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         )
         xi_value = stable.xi(1.0 / n, pilot()) if params.regime == "eq1" else None
         norm = stable.normalize_birkhoff(sums, n, params, xi_value)
-        st.add(
-            "limit_samples.csv",
-            write_csv(
-                out_dir,
-                "limit_samples.csv",
-                ["replica", "value"],
-                [np.arange(len(norm)), norm],
-            ),
-        )
+        st.csv("limit_samples.csv", ["replica", "value"], [np.arange(len(norm)), norm])
         if params.regime == "eq2":
             chk = stable.gaussian_check(norm)
-            st.add(
-                "limit_fit.csv",
-                write_csv(
-                    out_dir,
-                    "limit_fit.csv",
-                    ["statistic", "value"],
-                    zip(
-                        ("ks_stat", chk.ks_stat),
-                        ("ks_critical", chk.ks_critical),
-                        ("skewness", chk.skewness),
-                        ("excess_kurtosis", chk.excess_kurtosis),
-                        ("passed", chk.passed),
-                    ),
-                ),
-            )
             fit = None
-            t_grid = stable.stable_index_fit(norm).t_values
+            fit_rows = [
+                ("ks_stat", chk.ks_stat),
+                ("ks_critical", chk.ks_critical),
+                ("skewness", chk.skewness),
+                ("excess_kurtosis", chk.excess_kurtosis),
+                ("passed", chk.passed),
+            ]
             result_extra = {"gaussian": chk}
         else:
             fit = stable.stable_index_fit(norm)
-            t_grid = fit.t_values
-            st.add(
-                "limit_fit.csv",
-                write_csv(
-                    out_dir,
-                    "limit_fit.csv",
-                    ["statistic", "value"],
-                    zip(
-                        ("alpha_hat", fit.alpha_hat),
-                        ("intercept", fit.intercept),
-                        ("window_lo", float(fit.t_values[0])),
-                        ("window_hi", float(fit.t_values[-1])),
-                    ),
-                ),
-            )
+            fit_rows = [
+                ("alpha_hat", fit.alpha_hat),
+                ("intercept", fit.intercept),
+                ("window_lo", float(fit.t_values[0])),
+                ("window_hi", float(fit.t_values[-1])),
+            ]
             result_extra = {"fit": fit}
+        st.csv("limit_fit.csv", ["statistic", "value"], zip(*fit_rows))
+        t_grid = (stable.stable_index_fit(norm) if fit is None else fit).t_values
         cf_rows = stable.empirical_cf(norm, t_grid)
-        st.add(
-            "cf.csv",
-            write_csv(out_dir, "cf.csv", ["t", "v_index", "re", "im", "se"], zip(*cf_rows)),
-        )
+        st.csv("cf.csv", ["t", "v_index", "re", "im", "se"], zip(*cf_rows))
         if _want_svg(cfg):
-            mods = [math.hypot(r[2], r[3]) for r in cf_rows]
-            st.add(
+            st.svg(
                 "cf.svg",
-                svgplots.cf_plot(
-                    os.path.join(out_dir, "cf.svg"),
-                    [r[0] for r in cf_rows],
-                    mods,
-                    None if fit is None else fit.alpha_hat,
-                    None if fit is None else fit.intercept,
-                ),
+                svgplots.cf_plot,
+                [r[0] for r in cf_rows],
+                [math.hypot(r[2], r[3]) for r in cf_rows],
+                None if fit is None else fit.alpha_hat,
+                None if fit is None else fit.intercept,
             )
             if params.regime == "eq2":
-                st.add("qq.svg", svgplots.qq_plot(os.path.join(out_dir, "qq.svg"), norm))
+                st.svg("qq.svg", svgplots.qq_plot, norm)
     return {
         "normalized": norm,
         "params": params,
@@ -535,35 +471,24 @@ def run_support(cfg, out_dir, seed=None, threads=1):
         st.add_backward(batch)
         cov = support.coverage_check(cloud, batch.samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
-        st.add(
+        st.csv(
             "support.csv",
-            write_csv(
-                out_dir,
-                "support.csv",
-                _point_header(dim) + ["depth"],
-                _point_columns(cloud.points) + [cloud.depths],
-            ),
+            _point_header(dim) + ["depth"],
+            _point_columns(cloud.points) + [cloud.depths],
         )
-        st.add(
+        st.csv(
             "support_coverage.csv",
-            write_csv(
-                out_dir,
-                "support_coverage.csv",
-                ["fraction_covered", "max_distance", "epsilon", "count", "frontier_escape"],
-                [
-                    [cov.fraction_covered],
-                    [cov.max_distance],
-                    [cov.epsilon],
-                    [cov.count],
-                    [frontier],
-                ],
-            ),
+            ["fraction_covered", "max_distance", "epsilon", "count", "frontier_escape"],
+            [
+                [cov.fraction_covered],
+                [cov.max_distance],
+                [cov.epsilon],
+                [cov.count],
+                [frontier],
+            ],
         )
         if _want_svg(cfg) and dim <= 2:
-            st.add(
-                "cloud.svg",
-                svgplots.cloud_plot(os.path.join(out_dir, "cloud.svg"), cloud.points),
-            )
+            st.svg("cloud.svg", svgplots.cloud_plot, cloud.points)
     return {"cloud": cloud, "coverage": cov, "frontier": frontier}
 
 
@@ -612,14 +537,10 @@ def run_check(cfg, out_dir, seed=None, threads=1):
                     detail="atom count; -1 means continuous",
                 )
             )
-        st.add(
+        st.csv(
             "check.csv",
-            write_csv(
-                out_dir,
-                "check.csv",
-                ["name", "value", "se", "passed", "detail"],
-                zip(*[(r.name, r.value, r.se, r.passed, r.detail) for r in reports]),
-            ),
+            ["name", "value", "se", "passed", "detail"],
+            zip(*[(r.name, r.value, r.se, r.passed, r.detail) for r in reports]),
         )
     return {"reports": reports, "passed": all(r.passed for r in reports)}
 

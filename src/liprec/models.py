@@ -155,6 +155,17 @@ def _rotate(spec, theta, x):
     return x * c + kx * s + np.multiply.outer(kdot, k) * (1.0 - c)
 
 
+def _affine_linear(spec, theta, x):
+    """scale * R x for an affine draw: its linear part applied to x."""
+    rx = _rotate(spec, theta, x)
+    if spec.dimension == 1:
+        return theta.values["scale"] * rx
+    scale = np.asarray(theta.values["scale"], dtype=float)
+    if scale.ndim:
+        scale = scale[..., None]
+    return scale * rx
+
+
 def _shift_vector(spec, theta):
     d = spec.dimension
     if d == 1:
@@ -246,13 +257,8 @@ def apply_dilated(spec, theta, x, t):
     v = theta.values
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     if fam == "affine":
-        rx = _rotate(spec, theta, x)
-        if spec.dimension == 1:
-            return v["scale"] * rx + t * v["shift"]
-        scale = np.asarray(v["scale"], dtype=float)
-        if scale.ndim:
-            scale = scale[..., None]
-        return scale * rx + t * _shift_vector(spec, theta)
+        shift = v["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
+        return _affine_linear(spec, theta, x) + t * shift
     if fam == "extremal":
         return np.maximum(v["a"] * x, t * v["b"])
     if fam == "letac":
@@ -273,19 +279,11 @@ def limit_map(spec, theta, x):
     fam = spec.family
     v = theta.values
     if fam == "affine":
-        rx = _rotate(spec, theta, x)
-        if spec.dimension == 1:
-            return v["scale"] * rx
-        scale = np.asarray(v["scale"], dtype=float)
-        if scale.ndim:
-            scale = scale[..., None]
-        return scale * rx
+        return _affine_linear(spec, theta, x)
     if fam == "extremal":
         return np.maximum(v["a"] * x, 0.0)
     if fam == "letac":
         return v["a"] * np.maximum(x, 0.0)
-    if fam == "sqrt_quadratic":
-        return np.sqrt(v["a"]) * np.abs(x)
     return m_scale(spec, theta) * np.abs(x)
 
 
@@ -306,9 +304,8 @@ def m_scale(spec, theta):
 
 def linear_apply(spec, theta, x):
     """M_theta x: the linear part applied to x (signed, rotated)."""
-    fam = spec.family
-    if fam == "affine":
-        return limit_map(spec, theta, x)
+    if spec.family == "affine":
+        return _affine_linear(spec, theta, x)
     return m_scale(spec, theta) * np.asarray(x, dtype=float)
 
 
@@ -332,36 +329,25 @@ def linear_part(spec, theta):
 
 
 def lipschitz_bound(spec, theta):
-    fam = spec.family
-    v = theta.values
-    if fam == "affine":
-        return v["scale"]
-    if fam in ("extremal", "letac"):
-        return v["a"]
-    if fam == "sqrt_quadratic":
-        return np.sqrt(v["a"])
+    if spec.family != "arch1":
+        return m_scale(spec, theta)
     g = spec.constants["gamma"]
     lam = spec.constants["lambda"]
-    return g + math.sqrt(lam) * np.abs(v["a"])
+    return g + math.sqrt(lam) * np.abs(theta.values["a"])
 
 
 def cancellation_bound(spec, theta):
     """Bound on |psi_theta(x) - M_theta x| over the stationary support."""
     fam = spec.family
     v = theta.values
-    if fam == "affine":
-        return radius(spec, _shift_vector(spec, theta))
     if fam == "extremal":
         return 2.0 * np.abs(v["b"])
-    if fam == "letac":
-        return v["a"] * v["b"] + np.abs(v["c"])
     if fam == "sqrt_quadratic":
         a, b, c = v["a"], v["b"], v["c"]
         vmin = c - b * b / (4.0 * a)
         floor = np.where(np.asarray(b) >= 0, np.sqrt(c), c / np.sqrt(vmin))
         return np.abs(b) / np.sqrt(a) + floor
-    beta = spec.constants["beta"]
-    return math.sqrt(beta) * np.abs(v["a"])
+    return smoothness_bound(spec, theta)
 
 
 def smoothness_bound(spec, theta):

@@ -204,24 +204,6 @@ def abs_log_moment(dist, s):
     return None
 
 
-def mc_abs_moment(dist, s, rng, n=DEFAULT_MC_SAMPLES):
-    """Monte Carlo E|X|^s -> (estimate, standard error).
-
-    Overflow is reported as (inf, inf), never raised: callers treat a
-    non-finite value as a divergence signal.
-    """
-    x = np.abs(sample(dist, rng, size=n))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p = x**s
-    if not np.all(np.isfinite(p)):
-        return math.inf, math.inf
-    m = float(np.mean(p))
-    se = float(np.std(p) / math.sqrt(n))
-    if not math.isfinite(m):
-        return math.inf, math.inf
-    return m, se
-
-
 # ---------------------------------------------------------------------------
 # law transforms (None when the result leaves the algebra)
 

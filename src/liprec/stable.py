@@ -50,6 +50,15 @@ def _radius(x, dim):
     return np.abs(x) if dim == 1 else np.linalg.norm(x, axis=-1)
 
 
+def _panels(quad_points=_GAUSS_NODES):
+    """(nodes, weights) of Gauss quadrature on each dyadic panel
+    [2^-k-1, 2^-k] of (2^-41, 1], largest panel first."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    for k in range(_PANEL_MIN_EXP):
+        lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
+        yield 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
+
+
 # ---------------------------------------------------------------------------
 # the phi series and its kernel
 
@@ -227,12 +236,8 @@ def tau(t, samples, alpha, tail_constant, dim=1, quad_points=_GAUSS_NODES):
         raise PreconditionError("tau estimator implemented for dim = 1")
 
     dirs, masses = tails.direction_masses(samples, 1.0, tail_constant, dim=1)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     inner = 0.0
-    for k in range(_PANEL_MIN_EXP):
-        lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-        r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        wq = 0.5 * (hi - lo) * weights
+    for r, wq in _panels(quad_points):
         radial = (1.0 / (1.0 + t * t * r * r) - 1.0 / (1.0 + r * r)) * r ** (-1.0)
         inner += float(np.sum(wq * radial))
     drift = float(sum(m_ * w_ for w_, m_ in zip(dirs, masses)))  # sum sigma_w * w
@@ -322,14 +327,10 @@ def c_alpha(
     a_dir = _dot(v, dir_pts, dim)  # (m,)
     b = _dot(v, phis, dim)  # (reps, m)
 
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     groups = np.array_split(np.arange(inner_reps), se_groups)
     group_totals = np.zeros(se_groups, dtype=complex)
-    inner_total = 0.0 + 0.0j
-    for k in range(_PANEL_MIN_EXP):
-        lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-        r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)  # (q,)
-        wq = 0.5 * (hi - lo) * weights * r ** (-alpha - 1.0)
+    for r, w in _panels():
+        wq = w * r ** (-alpha - 1.0)
         # e_facts: (reps, m, q); mean over reps gives h at radius r
         phase = b[:, :, None] * r[None, None, :]
         base = _cexpm1(a_dir[:, None] * r[None, :])  # (m, q)
@@ -337,8 +338,10 @@ def c_alpha(
         for gi, idxs in enumerate(groups):
             hg = np.exp(1j * phase[idxs]).mean(axis=0)  # (m, q)
             group_totals[gi] += np.einsum("m,mq,q->", masses, base * hg - corr_vals, wq)
-        hg_all = np.exp(1j * phase).mean(axis=0)
-        inner_total += np.einsum("m,mq,q->", masses, base * hg_all - corr_vals, wq)
+    # h over all reps is the size-weighted mean of the group means, and the
+    # integrand is affine in h, so the total is that mean of group totals
+    sizes = np.array([len(idxs) for idxs in groups])
+    inner_total = complex(np.dot(sizes, group_totals) / inner_reps)
     inner_se = float(
         math.sqrt(
             (group_totals.real.var(ddof=1) + group_totals.imag.var(ddof=1))

@@ -95,3 +95,67 @@ def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=Non
         for b, lo in enumerate(range(0, count, block_size))
     ]
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# sampled moments in plain numpy: the reference for the cramer moment path
+
+
+def _abs_draws(law, rng, n):
+    """|X| for n draws of a uniform or lognormal law, as randomness.sample draws them."""
+    if law.kind == "uniform":
+        return np.abs(rng.uniform(law.params[0], law.params[1], n))
+    mu, sigma = law.params
+    return np.exp(mu + sigma * rng.standard_normal(n))
+
+
+def _mean_se(p):
+    return float(p.mean()), float(p.std() / math.sqrt(len(p)))
+
+
+def reference_cramer_report(law, s_grid, bracket, master_seed, n_samples, tol=1e-3):
+    """(kappa values, kappa se, alpha, m_alpha, m_alpha se, s_infinity) of the
+    sampled cramer_report, each from its own stream, with every moment finite."""
+    x = _abs_draws(law, stream(master_seed, 0, "kappa-grid"), n_samples)
+    curve = [_mean_se(x**s) for s in s_grid]
+
+    x = _abs_draws(law, stream(master_seed, 0, "cramer-root"), n_samples)
+    lo, hi = bracket
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if float((x**mid).mean()) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = 0.5 * (lo + hi)
+
+    x = _abs_draws(law, stream(master_seed, 0, "m-alpha"), n_samples)
+    m_alpha, m_alpha_se = _mean_se(x**alpha * np.log(x))
+
+    if law.kind != "uniform":
+        return (
+            tuple(c[0] for c in curve), tuple(c[1] for c in curve),
+            alpha, m_alpha, m_alpha_se, math.inf,  # closed-form law: every moment finite
+        )
+    rng = stream(master_seed, 0, "s-infinity")
+    s_inf, s = 0.0, 1.0
+    for _ in range(24):
+        with np.errstate(over="ignore"):
+            p = _abs_draws(law, rng, 10**5) ** s
+            if not np.all(np.isfinite(p)):
+                break
+            value, se = _mean_se(p)
+        if not math.isfinite(value) or se > 0.5 * value:
+            break
+        s_inf, s = s, 2.0 * s
+    return (
+        tuple(c[0] for c in curve), tuple(c[1] for c in curve),
+        alpha, m_alpha, m_alpha_se, s_inf,
+    )
+
+
+def reference_arch1_m_alpha(gamma, lam, sd, alpha, master_seed, n_samples):
+    """E M^alpha log M for arch1 with a ~ normal(0, sd): M = |gamma + sqrt(lam) a|."""
+    a = stream(master_seed, 0, "m-alpha").normal(0.0, sd, n_samples)
+    m = np.abs(gamma + math.sqrt(lam) * a)
+    return float((m**alpha * np.log(m)).mean())

@@ -76,6 +76,29 @@ params = 0.0, 1.0
 """
 
 
+AFFINE_2D_MODEL = """\
+[model]
+family = affine
+dimension = 2
+
+[distributions.scale]
+kind = constant
+params = 0.5
+
+[distributions.angle]
+kind = constant
+params = 1.0
+
+[distributions.shift_1]
+kind = constant
+params = 1.0
+
+[distributions.shift_2]
+kind = constant
+params = 0.0
+"""
+
+
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -107,6 +130,8 @@ def test_parse_sections_and_comments(tmp_path):
         ("[model]\nfamily letac\n", ":2: expected key = value"),
         ("[distributions.BAD]\n", ":1: bad section header"),
         ("[distributions.a.b]\n", ":1: bad parameter name"),
+        ("[experiment]\nseed = 1\nmode = montecarlo\n", ":3: [experiment] mode: expected one of"),
+        ("[experiment]\nsampler = fwd\n", ":2: [experiment] sampler: expected one of"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, needle):
@@ -217,6 +242,38 @@ def test_cli_bracket_failure_exits_3(tmp_path, capsys):
     path = _write(tmp_path, text)
     assert _run(["cramer", "--config", path, "--out", tmp_path / "t3"]) == 3
     assert "bracket" in capsys.readouterr().err
+
+
+def test_cli_mode_typo_fails_before_any_output(tmp_path, capsys):
+    text = BENCH_MODEL + "\n[experiment]\nmode = montecarlo\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "typo"
+    assert _run(["cramer", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:13: [experiment] mode: expected one of" in err
+    assert "'montecarlo'" in err
+    assert not (out / "cramer.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, model, setting",
+    [
+        ("cramer", BENCH_MODEL, "bracket = 1.0"),
+        ("tail", BENCH_MODEL, "bracket = 1.0"),
+        ("limit", BENCH_MODEL, "bracket = 1.0"),
+        ("cramer", BENCH_MODEL, "bracket = 0.5, 3.0, 4.0"),
+        ("simulate", BENCH_MODEL, "x0 ="),
+        ("simulate", BENCH_MODEL, "x0 = 1, 2"),
+        ("simulate", AFFINE_2D_MODEL, "x0 = 1"),
+    ],
+)
+def test_cli_wrong_length_vector_exits_2(tmp_path, capsys, verb, model, setting):
+    text = model + "\n[experiment]\nn = 64\nreplicas = 64\ncount = 64\n" + setting + "\n"
+    path = _write(tmp_path, text)
+    line = text.splitlines().index(setting) + 1
+    key = setting.split()[0]
+    assert _run([verb, "--config", path, "--out", tmp_path / "o"]) == 2
+    assert f"{path}:{line}: [experiment] {key}: expected" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from _util import reference_arch1_m_alpha, reference_cramer_report
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liprec import cramer, models, randomness as rnd
+from liprec import config, cramer, experiments, models, randomness as rnd
 from liprec.chains import stationary_batch
 from liprec.errors import BracketError, MomentDivergenceError, PreconditionError
 from liprec.randomness import stream
@@ -113,6 +114,49 @@ def test_s_infinity_probe():
     # once the empirical moment turns unreliable
     got = cramer.s_infinity_probe(rnd.normal(0.0, 1.0), rng=stream(31, 0, "probe"))
     assert 1.0 <= got < math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_s_infinity_probe_raises_no_warning():
+    # at s = 1024 every draw of |M| ~ uniform(0.2, 1.6) is finite but its
+    # square overflows: the se must not warn while the ladder stops
+    law = rnd.uniform(0.2, 1.6)
+    got = cramer.s_infinity_probe(law, rng=stream(3, 0, "s-infinity"))
+    assert 1.0 <= got < math.inf
+
+
+@pytest.mark.parametrize(
+    "law, mode",
+    [(rnd.uniform(0.2, 1.6), "auto"), (BENCH_LAW, "monte_carlo")],
+    ids=["uniform", "lognormal-monte-carlo"],
+)
+def test_sampled_report_matches_plain_numpy(law, mode):
+    s_grid = (0.25, 0.5, 1.0, 1.5, 2.0)
+    rep = cramer.cramer_report(
+        law, s_grid, (0.05, 8.0), mode=mode, master_seed=3, n_samples=200_000
+    )
+    assert rep.method == "monte_carlo"
+    got = (
+        rep.kappa_values, rep.kappa_se, rep.alpha,
+        rep.m_alpha, rep.m_alpha_se, rep.s_infinity_lower_bound,
+    )
+    assert got == reference_cramer_report(law, s_grid, (0.05, 8.0), 3, 200_000)
+
+
+def test_resolve_alpha_sampled_m_alpha_matches_plain_numpy():
+    # arch1 with a ~ normal has no representable |M| law, so m_alpha is
+    # sampled from theta draws
+    text = (
+        "[model]\nfamily = arch1\ngamma = 0.1\nbeta = 1.0\nlambda = 1.0\n"
+        "[distributions.a]\nkind = normal\nparams = 0.0, 1.0\n"
+        "[experiment]\nalpha = 1.5\nmc_samples = 200000\n"
+    )
+    cfg = config.parse_config(text)
+    spec = config.build_model(cfg)
+    assert models.linear_scale_law(spec) is None
+    alpha, m_al, method = experiments._resolve_alpha(cfg, spec, 3)
+    assert (alpha, method) == (1.5, "given")
+    assert m_al == reference_arch1_m_alpha(0.1, 1.0, 1.0, 1.5, 3, 200_000)
 
 
 def test_checks_pass_on_benchmark(bench_spec, rng):

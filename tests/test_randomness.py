@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liprec import randomness as rnd
+from liprec import cramer, randomness as rnd
 from liprec.errors import ConfigError
 
 
@@ -58,7 +58,7 @@ def test_moment_absent_for_unbounded_kinds():
 
 def test_mc_moment_helper_matches_closed():
     dist = rnd.lognormal(0.2, 0.5)
-    val, se = rnd.mc_abs_moment(dist, 1.3, rnd.stream(3, 0, "m"), 400_000)
+    val, se = cramer.kappa(dist, 1.3, "monte_carlo", rnd.stream(3, 0, "m"), 400_000)
     assert abs(val - rnd.abs_moment(dist, 1.3)) <= 4 * se
 
 
