@@ -178,8 +178,9 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
         step += 1
         if step * count * n_param > _STORAGE_CAP:
             raise CapacityError(
-                "backward draw storage guard tripped; lower max_depth, tol "
-                "or the block size"
+                "backward draw storage guard tripped; lower [experiment] count "
+                f"below {count}, the block size, or raise tol so the chains "
+                "stop sooner"
             )
         theta = models.sample_theta(spec, rng, count)
         theta = models.ThetaDraw(theta.family, {k: v[live] for k, v in theta.values.items()})

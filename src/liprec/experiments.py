@@ -4,10 +4,10 @@ Each runner takes a parsed Config plus (out_dir, seed, threads), computes
 its tables, writes CSV files with fixed headers, optionally SVG figures,
 and appends one JSON line per stage to manifest.jsonl carrying its status
 (a failed stage adds the exception class and message), the config
-digest, the seed, wall time, a sha256 per output file and, for a stage
-that ran the backward sampler, its stop depths and draws. All sampled
-stages draw from block-indexed streams, so the thread count never changes
-an output byte.
+digest, the seed, numpy's version and SIMD dispatch, wall time, a sha256
+per output file and, for a stage that ran the backward sampler, its stop
+depths and draws. All sampled stages draw from block-indexed streams, so
+the thread count never changes an output byte.
 """
 
 from __future__ import annotations
@@ -91,6 +91,24 @@ def write_csv(out_dir, name, header, columns):
     return digest.hexdigest()
 
 
+def _numpy_build():
+    """numpy's version and the SIMD targets it dispatches to on this CPU.
+
+    numpy picks kernels such as its vector `exp` by CPU at run time, so
+    these explain a last-bit difference between two machines' outputs.
+    The extension module is loaded with numpy itself.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "version": np.__version__,
+        "simd_baseline": list(umath.__cpu_baseline__),
+        "simd_found": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+    }
+
+
 def _append_manifest(out_dir, record):
     with open(os.path.join(out_dir, "manifest.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -131,6 +149,7 @@ class _Stage:
             "seed": self.seed,
             "threads": self.threads,
             "version": VERSION,
+            "numpy": _numpy_build(),
             "wall_s": round(time.perf_counter() - self.t0, 6),
             "outputs": self.outputs,
         }

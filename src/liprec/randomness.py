@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random lazily; every verb draws from these streams,
+# so it is imported with the package rather than in the middle of a run
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import ConfigError, PreconditionError
 
@@ -104,10 +107,10 @@ def stream(master_seed, replica=0, purpose=""):
     """
     if master_seed < 0 or replica < 0:
         raise PreconditionError("seed and replica index must be nonnegative")
-    ss = np.random.SeedSequence(
+    ss = SeedSequence(
         entropy=int(master_seed), spawn_key=(int(replica), _purpose_tag(purpose))
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return Generator(Philox(ss))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ guard is checked once per level, and the fixed points of all its
 contracting words are solved together by Banach iteration, each word
 stopping at its own certificate. Dissolving duplicates gives a point
 cloud that is exact up to the certificate tolerances.
+
+Neighbour searches (dedupe pairs, coverage and frontier distances) sort
+a 1-d cloud and find each point's neighbours with `searchsorted`, which
+gives the kd-tree's answers without scipy. A cloud in d >= 2 uses
+scipy's kd-tree, imported on first use, so only those runs load
+scipy.spatial.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import models
 from .errors import CapacityError, ConvergenceError, PreconditionError
@@ -189,10 +194,9 @@ def _dedupe(points, tol):
         # the kept point that removed it, so only first occurrences count
         _, idx = np.unique(p, axis=0, return_index=True)
         idx.sort()
-    # the tree only proposes pairs (with a margin for its own rounding);
+    # the search only proposes pairs (with a margin for its own rounding);
     # the norm below decides them exactly as the greedy rule does
-    tree = cKDTree(p[idx])
-    pairs = tree.query_pairs(max(tol * (1.0 + 1e-6), 1e-150), output_type="ndarray")
+    pairs = _pairs_within(p[idx], max(tol * (1.0 + 1e-6), 1e-150))
     close = np.array(
         [not np.linalg.norm(p[idx[i]] - p[idx[j]]) > tol for i, j in pairs], dtype=bool
     )
@@ -216,12 +220,55 @@ def _as_2d(points):
     return p[:, None] if p.ndim == 1 else p
 
 
+def _pairs_within(points, r):
+    """Index pairs (i, j), i < j, of the points at most r apart.
+
+    In 1-d each point pairs with its later sorted neighbours up to x + r.
+    That finds every pair whose exact difference is at most r; a rounded
+    difference can undershoot the exact one by half an ulp, which is why
+    _dedupe searches with a margin.
+    """
+    p = _as_2d(points)
+    if p.shape[1] > 1:
+        from scipy.spatial import cKDTree
+
+        return cKDTree(p).query_pairs(r, output_type="ndarray")
+    order = np.argsort(p[:, 0], kind="stable")
+    s = p[order, 0]
+    n = len(s)
+    # sorted position a pairs with the count[a] positions after it
+    count = np.searchsorted(s, s + r, side="right") - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = order[a], order[b]
+    return np.column_stack([np.minimum(i, j), np.maximum(i, j)])
+
+
+def _nearest_distance(points, samples):
+    """Euclidean distance from each sample to its nearest point.
+
+    In 1-d the nearest point is a sorted neighbour on either side and the
+    distance is |x - p|, as the kd-tree gives it except below about
+    1.5e-154, where the tree's squared distance underflows.
+    """
+    p, x = _as_2d(points), _as_2d(samples)
+    if p.shape[1] > 1:
+        from scipy.spatial import cKDTree
+
+        return cKDTree(p).query(x, k=1)[0]
+    s = np.sort(p[:, 0])
+    x = x[:, 0]
+    pos = np.searchsorted(s, x)
+    left = s[np.maximum(pos - 1, 0)]
+    right = s[np.minimum(pos, len(s) - 1)]
+    return np.minimum(np.abs(x - left), np.abs(right - x))
+
+
 def coverage_check(cloud, samples, epsilon):
     """Fraction of samples within epsilon of the cloud, and the worst gap."""
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
-    tree = cKDTree(_as_2d(cloud.points))
-    dist, _ = tree.query(_as_2d(samples), k=1)
+    dist = _nearest_distance(cloud.points, samples)
     return CoverageReport(
         fraction_covered=float(np.mean(dist <= epsilon)),
         max_distance=float(dist.max()),
@@ -237,16 +284,11 @@ def closure_frontier(spec, cloud):
     drives this fraction to zero; it is the convergence diagnostic for
     enumerate_fixed_points.
     """
-    atoms = [th for th, _ in models.theta_atoms(spec)]
-    pts = _as_2d(cloud.points)
-    d = pts.shape[1]
-    tree = cKDTree(pts)
-    escaped = 0
-    total = 0
-    for theta in atoms:
-        x = pts[:, 0] if d == 1 else pts
-        img = _as_2d(models.apply(spec, theta, x))
-        dist, _ = tree.query(img, k=1)
-        escaped += int(np.sum(dist > cloud.dedupe_tol))
-        total += len(dist)
-    return escaped / total if total else 0.0
+    images = [
+        _as_2d(models.apply(spec, theta, cloud.points))
+        for theta, _ in models.theta_atoms(spec)
+    ]
+    if not images:
+        return 0.0
+    dist = _nearest_distance(cloud.points, np.concatenate(images))
+    return int(np.sum(dist > cloud.dedupe_tol)) / len(dist)

@@ -19,6 +19,8 @@ from .errors import PreconditionError
 from .randomness import stream
 
 MOM_BLOCKS = 32
+# Samples per chunk of the pairwise tail-constant terms (goldie_constant)
+_GOLDIE_CHUNK = 1 << 16
 
 
 def default_hill_k(n):
@@ -147,9 +149,16 @@ def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0, purpose=
     x = np.asarray(batch_samples)
     n = len(x)
     theta = models.sample_theta(spec, stream(master_seed, 0, purpose), n)
-    lhs = models.radius(spec, models.apply(spec, theta, x)) ** alpha
-    rhs = models.radius(spec, models.linear_apply(spec, theta, x)) ** alpha
-    d = (lhs - rhs) / (alpha * m_alpha)
+    # d is filled a chunk at a time, so the maps' temporaries stay small
+    # beside the full-length draw; every element is computed as on the
+    # whole batch, with the same operations
+    d = np.empty(n)
+    for lo in range(0, n, _GOLDIE_CHUNK):
+        part = slice(lo, lo + _GOLDIE_CHUNK)
+        th = models.ThetaDraw(theta.family, {k: v[part] for k, v in theta.values.items()})
+        lhs = models.radius(spec, models.apply(spec, th, x[part])) ** alpha
+        rhs = models.radius(spec, models.linear_apply(spec, th, x[part])) ** alpha
+        d[part] = (lhs - rhs) / (alpha * m_alpha)
     value = float(d.mean())
     se, block_means = _mom_se(d)
     spread = np.abs(block_means - np.median(block_means))

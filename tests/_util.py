@@ -50,8 +50,9 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count):
         step += 1
         if step * count * n_param > chains._STORAGE_CAP:
             raise CapacityError(
-                "backward draw storage guard tripped; lower max_depth, tol "
-                "or the block size"
+                "backward draw storage guard tripped; lower [experiment] count "
+                f"below {count}, the block size, or raise tol so the chains "
+                "stop sooner"
             )
         theta = models.sample_theta(spec, rng, count)
         draws.append(theta)

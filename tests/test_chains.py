@@ -197,6 +197,11 @@ def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypa
     with pytest.raises(CapacityError) as got:
         chains.stationary_batch(bench_spec, 64, tol=1e-9, max_depth=100)
     assert str(got.value) == str(ref.value)
+    # the remedies are keys a config can set: count for the block, and tol
+    assert str(got.value).endswith(
+        "lower [experiment] count below 64, the block size, or raise tol so "
+        "the chains stop sooner"
+    )
     assert sizes == ref_sizes == [64] * 29
 
 

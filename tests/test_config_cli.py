@@ -276,19 +276,35 @@ def test_cli_wrong_length_vector_exits_2(tmp_path, capsys, verb, model, setting)
     assert f"{path}:{line}: [experiment] {key}: expected" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of every start-up; only the
-    # alpha = 2 Gaussian check and the QQ plot load it, inside the call
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def _python(code):
+    """Run `code` in a fresh interpreter that imports this liprec; stdout."""
     src = os.path.dirname(os.path.dirname(liprec.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, liprec, liprec.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats and scipy.spatial costs most of a start-up;
+    # the alpha = 2 Gaussian check, the QQ plot and a d >= 2 support cloud
+    # load them, inside the call
+    assert _python("import sys, liprec, liprec.cli; " + _SCIPY_LOADED) == "[]"
+
+
+def test_one_dimensional_support_run_leaves_scipy_unloaded(tmp_path):
+    # a 1-d cloud's neighbour searches sort instead of building a kd-tree
+    path = _write(tmp_path, LETAC_MODEL + "\n[experiment]\ncount = 500\n")
+    args = ["support", "--config", str(path), "--out", str(tmp_path / "o")]
+    code = f"import sys; from liprec import cli; print(cli.main({args!r})); " + _SCIPY_LOADED
+    assert _python(code).splitlines()[-2:] == ["0", "[]"]
 
 
 def test_cli_capacity_exits_4(tmp_path, capsys):
@@ -467,6 +483,9 @@ def test_manifest_records_each_stage(tmp_path):
     assert entry["status"] == "ok"
     assert entry["seed"] == 9
     assert entry["version"] == VERSION
+    assert entry["numpy"]["version"] == np.__version__
+    assert set(entry["numpy"]) == {"version", "simd_baseline", "simd_found"}
+    assert all(isinstance(f, str) for f in entry["numpy"]["simd_found"])
     assert "samples.csv" in entry["outputs"]
     cfg = config.load_config(path)
     assert entry["config_digest"] == config.config_digest(cfg, VERSION)

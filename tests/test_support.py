@@ -237,3 +237,120 @@ def test_dedupe_keeps_greedy_survivors():
     pts = np.array([0.0, 0.6e-8, 1.2e-8, 0.0, 1.9e-8, 5.0])
     assert support._dedupe(pts, 1e-8).tolist() == [0, 2, 5]
     assert support._dedupe(pts, -1.0).tolist() == list(range(6))
+
+
+# ---------------------------------------------------------------------------
+# 1-d neighbour search against scipy's kd-tree, the d >= 2 path
+
+
+def _tree_pairs_within(points, r):
+    from scipy.spatial import cKDTree
+
+    return cKDTree(support._as_2d(points)).query_pairs(r, output_type="ndarray")
+
+
+def _tree_nearest_distance(points, samples):
+    from scipy.spatial import cKDTree
+
+    return cKDTree(support._as_2d(points)).query(support._as_2d(samples), k=1)[0]
+
+
+def _pair_set(pairs):
+    return set(map(tuple, np.asarray(pairs).tolist()))
+
+
+@pytest.mark.parametrize(
+    "points, r",
+    [
+        # eighths: exact differences, many repeats, r between two spacings
+        (np.random.default_rng(1).integers(-20, 20, 300) / 8.0, 0.3),
+        (np.random.default_rng(2).normal(size=2000), 1e-3),
+        (np.array([0.7]), 1.0),
+        (np.array([2.0, 2.0, 2.0, -1.0]), 1e-150),  # the negative-tol radius
+    ],
+)
+def test_pairs_within_matches_kd_tree(points, r):
+    got = support._pairs_within(points, r)
+    assert got.shape[1] == 2 and np.all(got[:, 0] < got[:, 1])
+    assert len(got) == len(_pair_set(got))
+    assert _pair_set(got) == _pair_set(_tree_pairs_within(points, r))
+
+
+def test_dedupe_pairs_at_tol_and_inside_margin(monkeypatch):
+    # binary-exact points: 0 -> tol is exactly tol apart (a duplicate by the
+    # norm test); 3 tol -> 4 tol + tol/2**21 lies inside the search's 1e-6
+    # margin, so it is proposed but the norm keeps both
+    tol = 2.0**-20
+    pts = np.array([0.0, tol, 3 * tol, 4 * tol + tol * 2.0**-21, 0.0, 9 * tol])
+    r = tol * (1.0 + 1e-6)
+    proposed = _pair_set(support._pairs_within(pts, r))
+    assert {(0, 1), (2, 3), (0, 4), (1, 4)} <= proposed
+    assert proposed == _pair_set(_tree_pairs_within(pts, r))
+    assert support._dedupe(pts, tol).tolist() == [0, 2, 3, 5]
+    assert support._dedupe(pts, -1.0).tolist() == list(range(6))
+    # these two differ by just over 1e-8 but their rounded difference is
+    # 1e-8, so the norm calls them duplicates; only the margin finds them
+    pair = np.array([2.742167937922779e-09, 1.274216793792278e-08])
+    assert pair[1] - pair[0] == 1e-8 and pair[1] > pair[0] + 1e-8
+    assert support._dedupe(pair, 1e-8).tolist() == [0]
+    monkeypatch.setattr(support, "_pairs_within", _tree_pairs_within)
+    assert support._dedupe(pts, tol).tolist() == [0, 2, 3, 5]
+    assert support._dedupe(pts, -1.0).tolist() == list(range(6))
+    assert support._dedupe(pair, 1e-8).tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        np.array([0.25]),
+        np.array([0.5, 0.5, 0.0, 1.0, 1.0, 0.5]),
+        np.random.default_rng(3).uniform(0.0, 1.0, 500),
+    ],
+)
+def test_nearest_distance_matches_kd_tree(cloud):
+    # samples on both sides of the cloud's range, on its points and between
+    samples = np.concatenate(
+        [np.random.default_rng(4).uniform(-3.0, 4.0, 4000), cloud, [-1e150, 1e150]]
+    )
+    got = support._nearest_distance(cloud, samples)
+    assert got.dtype == np.float64 and got.shape == samples.shape
+    assert got.tobytes() == _tree_nearest_distance(cloud, samples).tobytes()
+
+
+def test_nearest_distance_beyond_tree_range():
+    # the tree squares distances, so below about 1.5e-154 it loses them
+    # (to 0 below about 1e-162) and above about 1.3e154 it overflows to
+    # inf; the sorted neighbours give |x - p| throughout
+    cloud = np.array([0.0, 1.0])
+    x = np.array([1e-160, -3e-170, 2e-155, 5e-324, 1e-100, -1e300])
+    got = support._nearest_distance(cloud, x)
+    assert np.array_equal(got, np.abs(x))
+    tree = _tree_nearest_distance(cloud, x)
+    assert tree[1] == 0.0 and tree[4] == got[4] and tree[5] == np.inf
+
+
+def test_public_neighbour_searches_match_kd_tree(monkeypatch):
+    rng = np.random.default_rng(5)
+    spec = _two_atom_affine()
+    clouds = [
+        # clustered around the dedupe tolerance, with exact repeats
+        rng.integers(0, 300, 2000) * 7e-9 + rng.choice([0.0, 3e-9], 2000),
+        rng.uniform(0.0, 1.0, 1000),
+        np.round(rng.uniform(0.0, 1.0, 1000), 3),
+    ]
+    samples = rng.uniform(-0.5, 1.5, 5000)
+
+    def results():
+        out = []
+        for pts in clouds:
+            cloud = support.SupportCloud(pts, np.ones(len(pts), int), 1e-3, 1e-10)
+            out.append(support._dedupe(pts, support.DEDUPE_TOL).tolist())
+            out.append(support._dedupe(pts, 1e-3).tolist())
+            out.append(support.coverage_check(cloud, samples, 1e-3))
+            out.append(support.closure_frontier(spec, cloud))
+        return out
+
+    got = results()
+    monkeypatch.setattr(support, "_pairs_within", _tree_pairs_within)
+    monkeypatch.setattr(support, "_nearest_distance", _tree_nearest_distance)
+    assert got == results()

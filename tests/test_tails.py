@@ -105,6 +105,21 @@ def test_goldie_scale_equivariance(bench_spec, bench_batch_1m):
     assert abs(ratio / c**ALPHA_BENCH - 1.0) < 0.2
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_goldie_chunks_match_whole_batch(bench_spec, monkeypatch, alpha):
+    # the terms are filled a chunk at a time; a ragged last chunk must
+    # leave every term as the whole-batch expression computes it
+    x = stationary_batch(bench_spec, 4567, master_seed=9).samples
+    theta = models.sample_theta(bench_spec, stream(3, 0, "goldie"), len(x))
+    lhs = models.radius(bench_spec, models.apply(bench_spec, theta, x)) ** alpha
+    rhs = models.radius(bench_spec, models.linear_apply(bench_spec, theta, x)) ** alpha
+    d = (lhs - rhs) / (alpha * M_ALPHA_BENCH)
+    monkeypatch.setattr(tails, "_GOLDIE_CHUNK", 1000)
+    est = tails.goldie_constant(bench_spec, x, alpha, M_ALPHA_BENCH, master_seed=3)
+    assert est.constant == float(d.mean())
+    assert est.se == tails._mom_se(d)[0]
+
+
 def test_goldie_vanishes_for_pure_scale():
     # shift identically zero: psi(x) = Mx exactly, so every pair cancels
     spec = models.make_model(
