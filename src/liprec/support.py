@@ -233,7 +233,7 @@ def _pairs_within(points, r):
         from scipy.spatial import cKDTree
 
         return cKDTree(p).query_pairs(r, output_type="ndarray")
-    order = np.argsort(p[:, 0], kind="stable")
+    order = np.argsort(p[:, 0])
     s = p[order, 0]
     n = len(s)
     # sorted position a pairs with the count[a] positions after it
