@@ -7,7 +7,7 @@ regimes, all from explicit, reproducible estimators.
 """
 
 from ._version import VERSION as __version__
-from .chains import StationaryBatch, birkhoff_sums, forward_chain, stationary_batch
+from .chains import StationaryBatch, birkhoff_sums, stationary_batch
 from .cramer import cramer_report, kappa, m_alpha, solve_cramer
 from .errors import (
     AssertionFlagError,
@@ -34,11 +34,9 @@ from .stable import (
     c_alpha,
     c_two,
     gaussian_check,
-    h_v,
     lambda_functional,
     limit_params,
     normalize_birkhoff,
-    phi_series_sample,
     sample_stable_symmetric,
     stable_index_fit,
 )
@@ -76,10 +74,8 @@ __all__ = [
     "direction_masses",
     "discrete",
     "enumerate_fixed_points",
-    "forward_chain",
     "gaussian_check",
     "goldie_constant",
-    "h_v",
     "hill_estimator",
     "kappa",
     "lambda_functional",
@@ -91,7 +87,6 @@ __all__ = [
     "moment_upper_bound",
     "normal",
     "normalize_birkhoff",
-    "phi_series_sample",
     "sample_stable_symmetric",
     "solve_cramer",
     "stable_index_fit",

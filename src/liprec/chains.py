@@ -21,7 +21,6 @@ work and memory scale with the draws used, not the draws made.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,14 +40,6 @@ _R_ENVELOPE = 1e9  # hard cap on the oscillation envelope
 # storage keeps only the live members' thetas, so this count is an upper
 # bound on what is stored.
 _STORAGE_CAP = 1 << 27
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Forward path: states[k] = X_k, partial_sums[k] = X_1 + ... + X_k."""
-
-    states: np.ndarray
-    partial_sums: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,25 +79,6 @@ def _as_points(spec, x0, count):
 
 # ---------------------------------------------------------------------------
 # forward iteration
-
-
-def forward_chain(spec, x0, n, rng):
-    """Iterate X_k = psi_{theta_k}(X_{k-1}); returns the full path."""
-    d = models.point_dim(spec)
-    shape = (n + 1,) if d == 1 else (n + 1, d)
-    states = np.empty(shape)
-    sums = np.empty(shape)
-    x = np.asarray(x0, dtype=float) if d > 1 else float(x0)
-    states[0] = x
-    sums[0] = 0.0
-    running = np.zeros(d) if d > 1 else 0.0
-    for k in range(1, n + 1):
-        theta = models.sample_theta(spec, rng)
-        x = models.apply(spec, theta, x)
-        running = running + x
-        states[k] = x
-        sums[k] = running
-    return Trajectory(states, sums)
 
 
 def _forward_block(spec, x0, n, rng, count, want_sums):
@@ -218,15 +190,6 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     return z, depth, cert
 
 
-def backward_sample(spec, x0, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH, rng=None):
-    """One backward iterate: returns (point, depth, residual_bound)."""
-    if rng is None:
-        raise PreconditionError("backward_sample needs an explicit stream")
-    pts, depths, certs = _backward_block(spec, x0, tol, max_depth, rng, 1)
-    point = pts[0] if models.point_dim(spec) > 1 else float(pts[0])
-    return point, int(depths[0]), float(certs[0])
-
-
 def stationary_batch(
     spec,
     count,
@@ -263,13 +226,3 @@ def stationary_batch(
 
     _run_blocks(worker, count, block_size, threads)
     return StationaryBatch(samples, depths, certs, tol, block_size)
-
-
-# ---------------------------------------------------------------------------
-# paired redraws used by tail functionals
-
-
-def paired_theta(spec, batch_size, master_seed, purpose="pairs"):
-    """Fresh theta draws independent of (and sized to) a stationary batch."""
-    rng = stream(master_seed, 0, purpose)
-    return models.sample_theta(spec, rng, batch_size)

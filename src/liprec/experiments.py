@@ -5,9 +5,10 @@ its tables, writes CSV files with fixed headers, optionally SVG figures,
 and appends one JSON line per stage to manifest.jsonl carrying its status
 (a failed stage adds the exception class and message), the config
 digest, the seed, numpy's version and SIMD dispatch, wall time, a sha256
-per output file and, for a stage that ran the backward sampler, its stop
-depths and draws. All sampled stages draw from block-indexed streams, so
-the thread count never changes an output byte.
+per output file, for a stage that ran the backward sampler its stop
+depths and draws, and for `tail` the report's flags. All sampled stages
+draw from block-indexed streams, so the thread count never changes an
+output byte.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class _Stage:
         self.seed = seed
         self.threads = threads
         self.outputs = {}
-        self.backward = None
+        self.extra = {}  # further manifest entries, such as "backward"
 
     def __enter__(self):
         self.t0 = time.perf_counter()
@@ -139,7 +140,7 @@ class _Stage:
 
     def add_backward(self, batch):
         """Record the stage's backward batch: stop depths, theta drawn vs used."""
-        self.backward = batch.draw_counters()
+        self.extra["backward"] = batch.draw_counters()
 
     def __exit__(self, exc_type, exc, tb):
         record = {
@@ -152,9 +153,8 @@ class _Stage:
             "numpy": _numpy_build(),
             "wall_s": round(time.perf_counter() - self.t0, 6),
             "outputs": self.outputs,
+            **self.extra,
         }
-        if self.backward is not None:
-            record["backward"] = self.backward
         if exc_type is not None:
             record["error_type"] = exc_type.__name__
             record["error"] = str(exc)
@@ -370,6 +370,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
             spec, batch.samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
         )
+        st.extra["tail"] = {"flags": list(rep.flags)}
         st.csv("tail_survival.csv", ["t", "p_hat", "t_alpha_p"], zip(*rep.survival))
         st.csv("hill.csv", ["k", "alpha_hat"], zip(*rep.hill))
         st.csv(
@@ -431,9 +432,11 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         xi_value = stable.xi(1.0 / n, pilot()) if params.regime == "eq1" else None
         norm = stable.normalize_birkhoff(sums, n, params, xi_value)
         st.csv("limit_samples.csv", ["replica", "value"], [np.arange(len(norm)), norm])
+        # the fit's window is the CF grid in both regimes
+        fit = stable.stable_index_fit(norm)
         if params.regime == "eq2":
             chk = stable.gaussian_check(norm)
-            fit = None
+            shown = (None, None)  # a Gaussian limit gets no fitted line
             fit_rows = [
                 ("ks_stat", chk.ks_stat),
                 ("ks_critical", chk.ks_critical),
@@ -443,7 +446,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
             ]
             result_extra = {"gaussian": chk}
         else:
-            fit = stable.stable_index_fit(norm)
+            shown = (fit.alpha_hat, fit.intercept)
             fit_rows = [
                 ("alpha_hat", fit.alpha_hat),
                 ("intercept", fit.intercept),
@@ -452,8 +455,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
             ]
             result_extra = {"fit": fit}
         st.csv("limit_fit.csv", ["statistic", "value"], zip(*fit_rows))
-        t_grid = (stable.stable_index_fit(norm) if fit is None else fit).t_values
-        cf_rows = stable.empirical_cf(norm, t_grid)
+        cf_rows = stable.empirical_cf(norm, fit.t_values)
         st.csv("cf.csv", ["t", "v_index", "re", "im", "se"], zip(*cf_rows))
         if _want_svg(cfg):
             st.svg(
@@ -461,8 +463,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
                 svgplots.cf_plot,
                 [r[0] for r in cf_rows],
                 [math.hypot(r[2], r[3]) for r in cf_rows],
-                None if fit is None else fit.alpha_hat,
-                None if fit is None else fit.intercept,
+                *shown,
             )
             if params.regime == "eq2":
                 st.svg("qq.svg", svgplots.qq_plot, norm)

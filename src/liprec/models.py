@@ -45,21 +45,6 @@ class ThetaDraw:
     family: str
     values: dict
 
-    def size(self):
-        for v in self.values.values():
-            a = np.asarray(v)
-            if a.ndim:
-                return a.shape[0]
-        return None
-
-
-@dataclass(frozen=True)
-class LinearPart:
-    """Similarity decomposition scale * rotation of the linearization."""
-
-    scale: object
-    rotation: object
-
 
 def required_params(family, dimension=1):
     if family == "affine":
@@ -307,21 +292,6 @@ def linear_apply(spec, theta, x):
     if spec.family == "affine":
         return _affine_linear(spec, theta, x)
     return m_scale(spec, theta) * np.asarray(x, dtype=float)
-
-
-def linear_part(spec, theta):
-    """(scale, rotation) of the linearization; rotation is 1.0 in 1-d."""
-    if spec.family == "affine" and spec.dimension >= 2:
-        d = spec.dimension
-        eye = np.eye(d)
-        ang = np.asarray(theta.values["angle"], dtype=float)
-        base = np.broadcast_to(eye, ang.shape + (d, d)) if ang.ndim else eye
-        cols = [limit_map(spec, theta, base[..., i]) for i in range(d)]
-        rot = np.stack(cols, axis=-1)
-        scale = np.asarray(theta.values["scale"], dtype=float)
-        rot = rot / (scale[..., None, None] if scale.ndim else scale)
-        return LinearPart(scale, rot)
-    return LinearPart(m_scale(spec, theta), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ measure of the stationary law. Its ingredients:
 
 * phi(x) = sum_k limit-map compositions applied to x (a.s. convergent
   series, positively homogeneous in x),
-* h_v(x) = E exp(i <v, phi(x)>), the series' characteristic kernel,
+* h(v, x) = E exp(i <v, phi(x)>), the series' characteristic kernel,
 * Lambda functionals estimated by small-g rescaling of stationary
   samples, split at radius 1: the outer part is a plain Monte Carlo
   average, the inner part a deterministic radial quadrature against the
@@ -94,27 +94,6 @@ def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None, max_terms=PHI_MAX_TERMS
     return total
 
 
-def phi_series_sample(spec, x, trunc_tol=1e-8, rng=None):
-    """Single realization of the phi series at x."""
-    d = models.point_dim(spec)
-    xs = np.asarray([x], dtype=float) if d == 1 else np.asarray(x, dtype=float)[None, :]
-    out = phi_series_batch(spec, xs, trunc_tol, rng)
-    return float(out[0]) if d == 1 else out[0]
-
-
-def h_v(spec, x, v, mc_reps=512, trunc_tol=1e-8, rng=None):
-    """(E exp(i <v, phi(x)>) estimate, standard error)."""
-    d = models.point_dim(spec)
-    if d == 1:
-        xs = np.full(mc_reps, float(x))
-    else:
-        xs = np.tile(np.asarray(x, dtype=float), (mc_reps, 1))
-    phis = phi_series_batch(spec, xs, trunc_tol, rng)
-    vals = np.exp(1j * _dot(v, phis, d))
-    se = math.sqrt((vals.real.var() + vals.imag.var()) / mc_reps)
-    return complex(vals.mean()), se
-
-
 class ModelKernel:
     """Adapters feeding a model's phi series into the C_alpha integrator."""
 
@@ -124,7 +103,7 @@ class ModelKernel:
         self.trunc_tol = trunc_tol
 
     def h_values(self, pts, v, reps, rng):
-        """Inner-MC estimate of h_v at each point; pts shape (m,) or (m, d)."""
+        """Inner-MC estimate of h(v, .) at each point; pts shape (m,) or (m, d)."""
         pts = np.asarray(pts, dtype=float)
         m = pts.shape[0]
         xs = np.repeat(pts, reps, axis=0)
@@ -167,7 +146,9 @@ def lambda_functional(f, samples, g, alpha, zero_radius=None, dim=1):
 
     f must vanish on a ball around the origin and the caller must declare
     its radius: the rescaling trick only converges for such test
-    functions, so an undeclared radius is a precondition violation.
+    functions, so an undeclared radius is a precondition violation. f is
+    called once, on the rescaled points beyond that radius, and gives one
+    value per point; every other point counts as 0.
     """
     if zero_radius is None or zero_radius <= 0:
         raise PreconditionError(
@@ -175,11 +156,11 @@ def lambda_functional(f, samples, g, alpha, zero_radius=None, dim=1):
         )
     if g <= 0:
         raise PreconditionError("scale g must be positive")
-    x = np.asarray(samples)
-    y = g * x
-    vals = np.asarray(f(y))
-    r = _radius(y, dim)
-    vals = np.where(r > zero_radius, vals, 0.0)
+    y = g * np.asarray(samples)
+    beyond = _radius(y, dim) > zero_radius
+    fy = np.asarray(f(y[beyond]))
+    vals = np.zeros(len(y), dtype=np.result_type(fy, 0.0))
+    vals[beyond] = fy
     scale = g ** (-alpha)
     n = len(vals)
     if np.iscomplexobj(vals):
@@ -222,19 +203,16 @@ def tau(t, samples, alpha, tail_constant, dim=1, quad_points=_GAUSS_NODES):
         raise PreconditionError("tau is only defined in the alpha = 1 regime")
     if t <= 0:
         raise PreconditionError("tau needs t > 0")
-
-    def f(y):
-        r2 = _radius(y, dim) ** 2
-        w = 1.0 / (1.0 + t * t * r2) - 1.0 / (1.0 + r2)
-        return y * (w if dim == 1 else w[:, None])
-
-    if dim == 1:
-        outer, se, agreed = lambda_functional_scheduled(
-            f, samples, (0.04, 0.02), 1.0, zero_radius=1.0, dim=1
-        )
-    else:
+    if dim != 1:
         raise PreconditionError("tau estimator implemented for dim = 1")
 
+    def f(y):
+        r2 = np.abs(y) ** 2
+        return y * (1.0 / (1.0 + t * t * r2) - 1.0 / (1.0 + r2))
+
+    outer, se, agreed = lambda_functional_scheduled(
+        f, samples, (0.04, 0.02), 1.0, zero_radius=1.0
+    )
     dirs, masses = tails.direction_masses(samples, 1.0, tail_constant, dim=1)
     inner = 0.0
     for r, wq in _panels(quad_points):
@@ -283,10 +261,12 @@ def c_alpha(
 ):
     """Characteristic exponent C_alpha(v) for alpha in (0, 2).
 
-    Outer part (radius > 1): rescaled stationary samples with an inner
-    Monte Carlo h at each surviving point. Inner part (radius <= 1):
-    dyadic-panel Gauss quadrature of the polar integrand per direction,
-    with one common set of phi draws rescaled across radii.
+    Outer part (radius > 1): lambda_functional_scheduled of the integrand,
+    with an inner Monte Carlo h at each rescaled point beyond radius 1; a
+    schedule of fewer than two scales is a precondition violation. Inner
+    part (radius <= 1): dyadic-panel Gauss quadrature of the polar
+    integrand per direction, with one common set of phi draws rescaled
+    across radii.
     """
     if not 0 < alpha < 2:
         raise PreconditionError("c_alpha covers 0 < alpha < 2; use c_two at 2")
@@ -294,31 +274,14 @@ def c_alpha(
     rng_h = stream(master_seed, 0, "c-alpha-h")
     rng_phi = stream(master_seed, 0, "c-alpha-phi")
 
-    # outer part over the g schedule
-    x = np.asarray(samples)
-    n = len(x)
-    gs = sorted(g_schedule, reverse=True)
-    outer_vals, outer_ses = [], []
-    for g in gs:
-        y = g * x
-        r = _radius(y, dim)
-        mask = r > 1.0
-        pts = y[mask]
-        contrib = np.zeros(n, dtype=complex)
-        if pts.shape[0]:
-            hvals = kernel.h_values(pts, v, outer_reps, rng_h)
-            a = _dot(v, pts, dim)
-            contrib[mask] = _cexpm1(a) * hvals - corr(a, _radius(pts, dim) ** 2)
-        scale = g ** (-alpha)
-        est = scale * complex(contrib.mean())
-        se = scale * math.sqrt((contrib.real.var() + contrib.imag.var()) / n)
-        outer_vals.append(est)
-        outer_ses.append(se)
-    outer = outer_vals[-1]
-    outer_se = outer_ses[-1]
-    agreed = abs(outer_vals[-1] - outer_vals[-2]) <= 3.0 * (
-        outer_ses[-1] + outer_ses[-2]
-    ) + 1e-12
+    def outer_integrand(pts):
+        a = _dot(v, pts, dim)
+        hvals = kernel.h_values(pts, v, outer_reps, rng_h)
+        return _cexpm1(a) * hvals - corr(a, _radius(pts, dim) ** 2)
+
+    outer, outer_se, agreed = lambda_functional_scheduled(
+        outer_integrand, samples, g_schedule, alpha, zero_radius=1.0, dim=dim
+    )
 
     # inner part: directions weighted by sigma masses
     dirs, masses = tails.direction_masses(samples, alpha, tail_constant, dim=dim)

@@ -49,38 +49,6 @@ class CoverageReport:
     count: int
 
 
-def compose(spec, word, x):
-    """Apply the composition word[0] o word[1] o ... o word[-1] to x."""
-    for theta in reversed(word):
-        x = models.apply(spec, theta, x)
-    return x
-
-
-def fixed_point(spec, word, x0=None, tol=FIXPOINT_TOL, max_iter=_MAX_BANACH_ITER):
-    """Fixed point of a contracting composition, within tol (certified).
-
-    Stops when the step shrinks below tol * (1 - L) / L, the a posteriori
-    Banach bound for the composition's Lipschitz product L.
-    """
-    if not word:
-        raise PreconditionError("empty composition word")
-    lip = math.prod(float(models.lipschitz_bound(spec, th)) for th in word)
-    if not lip < 1.0:
-        raise PreconditionError(f"composition is not contracting (L = {lip:.6g})")
-    x = models.zero_point(spec) if x0 is None else x0
-    threshold = tol * (1.0 - lip) / lip if lip > 0 else math.inf
-    for _ in range(max_iter):
-        nxt = compose(spec, word, x)
-        step = float(models.radius(spec, nxt - x))
-        x = nxt
-        if step <= threshold:
-            return x
-    raise ConvergenceError(
-        f"fixed-point iteration did not certify within {max_iter} steps "
-        f"(L = {lip:.6g})"
-    )
-
-
 def enumerate_fixed_points(
     spec,
     max_depth,
@@ -149,11 +117,11 @@ def enumerate_fixed_points(
 
 
 def _fixed_points(spec, tables, words, lips, tol):
-    """fixed_point for every row of a word matrix at once, in row order.
+    """Fixed points of the compositions in the rows of a word matrix.
 
-    Each word iterates until its own a posteriori Banach bound certifies
-    it and then leaves the active set, so every row gets the iterate the
-    scalar fixed_point would return.
+    Banach iteration from 0 for every row at once, in row order: a word
+    stops once its step shrinks below tol * (1 - L) / L, the a posteriori
+    bound for its Lipschitz product L, and then leaves the active set.
     """
     d = models.point_dim(spec)
     x = np.zeros(len(words) if d == 1 else (len(words), d))

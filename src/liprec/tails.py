@@ -19,8 +19,8 @@ from .errors import PreconditionError
 from .randomness import stream
 
 MOM_BLOCKS = 32
-# Samples per chunk of the pairwise tail-constant terms (goldie_constant)
-_GOLDIE_CHUNK = 1 << 16
+# Samples per chunk of the paired differences (_paired_gap)
+_PAIR_CHUNK = 1 << 16
 
 
 def default_hill_k(n):
@@ -142,23 +142,31 @@ class GoldieEstimate:
     se_unreliable: bool = False
 
 
+def _paired_gap(spec, theta, x, s):
+    """|psi_theta(x)|^s - |M_theta x|^s, one term per (theta, x) pair.
+
+    The terms are filled a chunk at a time, so the maps' temporaries stay
+    small beside the full-length draw; every term is computed as on the
+    whole batch, with the same operations.
+    """
+    d = np.empty(len(x))
+    for lo in range(0, len(x), _PAIR_CHUNK):
+        part = slice(lo, lo + _PAIR_CHUNK)
+        th = models.ThetaDraw(theta.family, {k: v[part] for k, v in theta.values.items()})
+        lhs = models.radius(spec, models.apply(spec, th, x[part])) ** s
+        rhs = models.radius(spec, models.linear_apply(spec, th, x[part])) ** s
+        d[part] = lhs - rhs
+    return d
+
+
 def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0, purpose="goldie"):
     """Pairwise estimator of the tail constant; returns a GoldieEstimate."""
     if alpha <= 0 or m_alpha <= 0:
         raise PreconditionError("goldie_constant needs alpha > 0 and m_alpha > 0")
     x = np.asarray(batch_samples)
-    n = len(x)
-    theta = models.sample_theta(spec, stream(master_seed, 0, purpose), n)
-    # d is filled a chunk at a time, so the maps' temporaries stay small
-    # beside the full-length draw; every element is computed as on the
-    # whole batch, with the same operations
-    d = np.empty(n)
-    for lo in range(0, n, _GOLDIE_CHUNK):
-        part = slice(lo, lo + _GOLDIE_CHUNK)
-        th = models.ThetaDraw(theta.family, {k: v[part] for k, v in theta.values.items()})
-        lhs = models.radius(spec, models.apply(spec, th, x[part])) ** alpha
-        rhs = models.radius(spec, models.linear_apply(spec, th, x[part])) ** alpha
-        d[part] = (lhs - rhs) / (alpha * m_alpha)
+    theta = models.sample_theta(spec, stream(master_seed, 0, purpose), len(x))
+    d = _paired_gap(spec, theta, x, alpha)
+    d /= alpha * m_alpha
     value = float(d.mean())
     se, block_means = _mom_se(d)
     spread = np.abs(block_means - np.median(block_means))
@@ -234,13 +242,7 @@ def moment_identity_residual(spec, s, batch_samples, kappa_s, master_seed=0):
     x = np.asarray(batch_samples)
     n = len(x)
     theta = models.sample_theta(spec, stream(master_seed, 0, "identity"), n)
-    r = models.radius(spec, x)
-    lhs = r**s * (1.0 - kappa_s)
-    rhs = (
-        models.radius(spec, models.apply(spec, theta, x)) ** s
-        - models.radius(spec, models.linear_apply(spec, theta, x)) ** s
-    )
-    diff = lhs - rhs
+    diff = models.radius(spec, x) ** s * (1.0 - kappa_s) - _paired_gap(spec, theta, x, s)
     se = float(diff.std() / math.sqrt(n))
     mean = float(diff.mean())
     z = abs(mean) / se if se > 0 else math.inf if mean else 0.0

@@ -1,11 +1,12 @@
 """Shared numeric helpers for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from liprec import chains, models
-from liprec.errors import CapacityError, ConvergenceError
+from liprec import chains, models, support
+from liprec.errors import CapacityError, ConvergenceError, PreconditionError
 from liprec.randomness import stream
 
 KS_C99 = 1.6276236115189503  # sqrt(-ln(0.005)/2)
@@ -17,6 +18,73 @@ def ks_critical_one(n, c=KS_C99):
 
 def ks_critical_two(n, m, c=KS_C99):
     return c * math.sqrt((n + m) / (n * m))
+
+
+# ---------------------------------------------------------------------------
+# one scalar forward chain: the reference for chains.birkhoff_sums
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Forward path: states[k] = X_k, partial_sums[k] = X_1 + ... + X_k."""
+
+    states: np.ndarray
+    partial_sums: np.ndarray
+
+
+def forward_chain(spec, x0, n, rng):
+    """Iterate X_k = psi_{theta_k}(X_{k-1}) one scalar draw at a time."""
+    d = models.point_dim(spec)
+    shape = (n + 1,) if d == 1 else (n + 1, d)
+    states = np.empty(shape)
+    sums = np.empty(shape)
+    x = np.asarray(x0, dtype=float) if d > 1 else float(x0)
+    states[0] = x
+    sums[0] = 0.0
+    running = np.zeros(d) if d > 1 else 0.0
+    for k in range(1, n + 1):
+        theta = models.sample_theta(spec, rng)
+        x = models.apply(spec, theta, x)
+        running = running + x
+        states[k] = x
+        sums[k] = running
+    return Trajectory(states, sums)
+
+
+# ---------------------------------------------------------------------------
+# one word at a time: the reference for support's batched fixed points
+
+
+def compose(spec, word, x):
+    """Apply the composition word[0] o word[1] o ... o word[-1] to x."""
+    for theta in reversed(word):
+        x = models.apply(spec, theta, x)
+    return x
+
+
+def fixed_point(spec, word, x0=None, tol=support.FIXPOINT_TOL, max_iter=support._MAX_BANACH_ITER):
+    """Fixed point of a contracting composition, within tol (certified).
+
+    Stops when the step shrinks below tol * (1 - L) / L, the a posteriori
+    Banach bound for the composition's Lipschitz product L.
+    """
+    if not word:
+        raise PreconditionError("empty composition word")
+    lip = math.prod(float(models.lipschitz_bound(spec, th)) for th in word)
+    if not lip < 1.0:
+        raise PreconditionError(f"composition is not contracting (L = {lip:.6g})")
+    x = models.zero_point(spec) if x0 is None else x0
+    threshold = tol * (1.0 - lip) / lip if lip > 0 else math.inf
+    for _ in range(max_iter):
+        nxt = compose(spec, word, x)
+        step = float(models.radius(spec, nxt - x))
+        x = nxt
+        if step <= threshold:
+            return x
+    raise ConvergenceError(
+        f"fixed-point iteration did not certify within {max_iter} steps "
+        f"(L = {lip:.6g})"
+    )
 
 
 # ---------------------------------------------------------------------------

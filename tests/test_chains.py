@@ -8,7 +8,12 @@ from liprec import chains, models, randomness as rnd
 from liprec.errors import CapacityError, ConvergenceError, PreconditionError
 from liprec.randomness import stream
 
-from _util import ks_critical_two, reference_backward_block, reference_stationary_batch
+from _util import (
+    forward_chain,
+    ks_critical_two,
+    reference_backward_block,
+    reference_stationary_batch,
+)
 
 
 def _oracle_models():
@@ -69,7 +74,7 @@ ORACLE_MODELS = _oracle_models()
 
 def test_forward_chain_shapes_and_prefix_sums(bench_spec):
     g = stream(11, 0, "traj")
-    traj = chains.forward_chain(bench_spec, 0.7, 64, g)
+    traj = forward_chain(bench_spec, 0.7, 64, g)
     assert traj.states.shape == (65,)
     assert traj.partial_sums.shape == (65,)
     assert traj.partial_sums[0] == 0.0
@@ -230,25 +235,21 @@ def test_backward_block_matches_whole_block_reference(name, tol, from_zero, benc
 def test_backward_sample_matches_whole_block_reference(name, bench_spec):
     spec = bench_spec if name == "extremal" else ORACLE_MODELS[name]
     x0 = _seed_point(spec)
+    # a one-member block: the single backward sample
     for seed in range(4):
-        point, depth, bound = chains.backward_sample(spec, x0, tol=1e-12, rng=stream(seed, 0, "one"))
-        pts, depths, bounds = reference_backward_block(
+        got = chains._backward_block(
             spec, x0, 1e-12, chains.DEFAULT_MAX_DEPTH, stream(seed, 0, "one"), 1
         )
-        assert np.asarray(point).tobytes() == pts[0].tobytes()
-        assert (depth, bound) == (depths[0], bounds[0])
+        want = reference_backward_block(
+            spec, x0, 1e-12, chains.DEFAULT_MAX_DEPTH, stream(seed, 0, "one"), 1
+        )
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[1][0], got[2][0]) == (want[1][0], want[2][0])
 
 
 def test_stationary_batch_rejects_empty(bench_spec):
     with pytest.raises(PreconditionError):
         chains.stationary_batch(bench_spec, 0)
-
-
-def test_backward_sample_needs_stream(bench_spec):
-    with pytest.raises(PreconditionError):
-        chains.backward_sample(bench_spec, 0.0)
-    x, depth, cert = chains.backward_sample(bench_spec, 0.0, rng=stream(3, 0, "one"))
-    assert np.isfinite(x) and depth >= 1 and cert <= 1e-9
 
 
 def test_affine_d2_batch_shape():
@@ -292,12 +293,12 @@ def test_birkhoff_sums_match_trajectory(bench_spec):
     n = 25
     sums = chains.birkhoff_sums(bench_spec, 0.3, n, 1, master_seed=47, threads=1)
     g = stream(47, 0, "birkhoff")
-    traj = chains.forward_chain(bench_spec, 0.3, n, g)
+    traj = forward_chain(bench_spec, 0.3, n, g)
     assert sums[0] == traj.partial_sums[n]
 
 
 def test_paired_theta_independent_of_batch(bench_spec):
-    th = chains.paired_theta(bench_spec, 4096, master_seed=7)
+    th = models.sample_theta(bench_spec, stream(7, 0, "pairs"), 4096)
     batch = chains.stationary_batch(bench_spec, 4096, master_seed=7)
     r = np.corrcoef(th.values["a"], batch.samples)[0, 1]
     assert abs(r) < 0.05

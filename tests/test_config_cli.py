@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import liprec
-from liprec import chains, cli, config, experiments
+from liprec import chains, cli, config, experiments, tails
 from liprec._version import VERSION
 from liprec.errors import ConfigError
 
@@ -500,6 +501,36 @@ def test_manifest_records_each_stage(tmp_path):
         "theta_drawn": 300 * int(depths.max()),
         "theta_used": int(depths.sum()),
     }
+
+
+def test_tail_manifest_records_report_flags(tmp_path, monkeypatch, capsys):
+    # the notes the CLI prints for a tail report also reach its record
+    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 2000\n")
+    assert _run(["tail", "--config", path, "--out", tmp_path / "o"]) == 0
+    entry = json.loads((tmp_path / "o" / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["tail"] == {"flags": []}
+    real = tails.goldie_constant
+
+    def flagged(*args, **kwargs):
+        est = real(*args, **kwargs)
+        return dataclasses.replace(est, constant=-est.constant, se_unreliable=True)
+
+    monkeypatch.setattr(tails, "goldie_constant", flagged)
+    capsys.readouterr()
+    assert _run(["tail", "--config", path, "--out", tmp_path / "f"]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    assert notes == ["note: se unreliable", "note: nonpositive tail constant"]
+    entry = json.loads((tmp_path / "f" / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["tail"] == {"flags": ["se unreliable", "nonpositive tail constant"]}
+
+
+def test_public_names_resolve():
+    # every exported name exists, so a star import succeeds
+    for name in liprec.__all__:
+        assert hasattr(liprec, name), name
+    namespace = {}
+    exec("from liprec import *", namespace)
+    assert set(liprec.__all__) <= set(namespace)
 
 
 def test_write_csv_matches_csv_writer(tmp_path):

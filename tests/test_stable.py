@@ -25,10 +25,16 @@ def _pareto(alpha, size, seed, x_m=1.0):
 # the h kernel and the phi series
 
 
+def _h(spec, x, reps, rng):
+    """(E exp(i phi(x)) estimate, se) from `reps` phi draws at the point x."""
+    vals = np.exp(1j * stable.phi_series_batch(spec, np.full(reps, float(x)), rng=rng))
+    return complex(vals.mean()), math.sqrt((vals.real.var() + vals.imag.var()) / reps)
+
+
 def test_h_modulus_bounded(bench_spec, bench_batch_100k, rng):
     pts = bench_batch_100k.samples[:5]
     for x in pts:
-        val, se = stable.h_v(bench_spec, x, 1.0, mc_reps=512, rng=rng)
+        val, se = _h(bench_spec, x, 512, rng)
         assert abs(val) <= 1.0 + 3 * se
 
 
@@ -39,8 +45,8 @@ def test_h_holder_continuity(bench_spec, rng):
     kappa_delta = math.exp(-0.75 * delta + 0.5 * delta**2)
     lip = 2.0 / (1.0 - kappa_delta)
     x, y = 1.0, 1.2
-    hx, se_x = stable.h_v(bench_spec, x, 1.0, mc_reps=4096, rng=stream(1, 0, "hx"))
-    hy, se_y = stable.h_v(bench_spec, y, 1.0, mc_reps=4096, rng=stream(1, 0, "hy"))
+    hx, se_x = _h(bench_spec, x, 4096, stream(1, 0, "hx"))
+    hy, se_y = _h(bench_spec, y, 4096, stream(1, 0, "hy"))
     assert abs(hx - hy) <= lip * abs(x - y) ** delta + 3 * (se_x + se_y)
 
 
@@ -54,11 +60,6 @@ def test_phi_series_positive_homogeneity(bench_spec):
     )
     b = stable.phi_series_batch(bench_spec, xs, trunc_tol=1e-8, rng=stream(8, 0, "phi"))
     assert np.allclose(a, 3.0 * b, rtol=1e-9, atol=1e-12)
-
-
-def test_phi_series_sample_scalar(bench_spec):
-    val = stable.phi_series_sample(bench_spec, 1.0, rng=stream(9, 0, "phi1"))
-    assert np.isfinite(val)
 
 
 def test_model_kernel_matches_h(bench_spec):
@@ -101,6 +102,18 @@ def test_lambda_needs_zero_radius():
         stable.lambda_functional(lambda p: p, x, g=0.1, alpha=1.5)
     with pytest.raises(PreconditionError):
         stable.lambda_functional(lambda p: p, x, g=0.1, alpha=1.5, zero_radius=0.0)
+
+
+def test_lambda_calls_f_only_beyond_zero_radius():
+    # f need not be defined inside the ball it vanishes on
+    x = np.array([-3.0, -0.5, 0.0, 0.2, 1.0, 2.0, 5.0])
+
+    def f(pts):
+        assert np.all(np.abs(pts) > 0.5), pts
+        return np.ones(len(pts))
+
+    val, _ = stable.lambda_functional(f, x, g=0.5, alpha=1.0, zero_radius=0.5)
+    assert val == pytest.approx(2.0 * 3 / 7)  # 3 of the 7 rescaled points lie beyond 0.5
 
 
 def test_lambda_scheduled_agreement():
@@ -162,6 +175,14 @@ def test_c_alpha_frozen_target_flat_kernel():
     err = abs(est.value - C_HALF)
     assert err <= 4 * est.se + 0.02 * abs(C_HALF), f"{est.value} vs {C_HALF}"
     assert est.outer_agreed
+
+
+def test_c_alpha_needs_two_scales():
+    x = _pareto(0.5, 1000, seed=3, x_m=4.0)
+    with pytest.raises(PreconditionError, match="at least two scales"):
+        stable.c_alpha(
+            1.0, 0.5, x, tail_constant=2.0, kernel=stable.FlatKernel(dim=1), g_schedule=(0.1,)
+        )
 
 
 def test_c_alpha_positive_homogeneity_in_v():

@@ -5,6 +5,8 @@ from liprec import models, randomness as rnd, support
 from liprec.chains import stationary_batch
 from liprec.errors import CapacityError, PreconditionError
 
+from _util import compose, fixed_point
+
 
 def test_letac_support_is_two_points(letac_spec):
     # a max(x, 1/2) + c with a in {1/3, 2}, c = -1: every contracting
@@ -109,8 +111,8 @@ def test_fixed_point_certificate(letac_spec):
     atoms = [th for th, _ in models.theta_atoms(letac_spec)]
     contracting = [th for th in atoms if models.lipschitz_bound(letac_spec, th) < 1]
     word = [contracting[0]]
-    x = support.fixed_point(letac_spec, word, tol=1e-12)
-    fx = support.compose(letac_spec, word, x)
+    x = fixed_point(letac_spec, word, tol=1e-12)
+    fx = compose(letac_spec, word, x)
     assert abs(fx - x) <= 1e-11
 
 
@@ -118,9 +120,9 @@ def test_fixed_point_rejects_expansion(letac_spec):
     atoms = [th for th, _ in models.theta_atoms(letac_spec)]
     expanding = [th for th in atoms if models.lipschitz_bound(letac_spec, th) > 1]
     with pytest.raises(PreconditionError):
-        support.fixed_point(letac_spec, [expanding[0]])
+        fixed_point(letac_spec, [expanding[0]])
     with pytest.raises(PreconditionError):
-        support.fixed_point(letac_spec, [])
+        fixed_point(letac_spec, [])
 
 
 def test_coverage_check_guards(letac_spec):
@@ -164,7 +166,7 @@ def _reference_cloud(spec, max_depth):
             for i, lip in enumerate(lips):
                 w, p = word + (i,), prod * lip
                 if p < 1.0:
-                    pt = support.fixed_point(spec, [atoms[j] for j in w])
+                    pt = fixed_point(spec, [atoms[j] for j in w])
                     points.append(np.atleast_1d(np.asarray(pt, dtype=float)))
                     depths.append(depth)
                 if p <= support.PRUNE_PRODUCT:

@@ -105,19 +105,31 @@ def test_goldie_scale_equivariance(bench_spec, bench_batch_1m):
     assert abs(ratio / c**ALPHA_BENCH - 1.0) < 0.2
 
 
+def _whole_batch_gap(spec, x, s, seed, purpose):
+    theta = models.sample_theta(spec, stream(seed, 0, purpose), len(x))
+    lhs = models.radius(spec, models.apply(spec, theta, x)) ** s
+    rhs = models.radius(spec, models.linear_apply(spec, theta, x)) ** s
+    return lhs - rhs
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_goldie_chunks_match_whole_batch(bench_spec, monkeypatch, alpha):
     # the terms are filled a chunk at a time; a ragged last chunk must
     # leave every term as the whole-batch expression computes it
     x = stationary_batch(bench_spec, 4567, master_seed=9).samples
-    theta = models.sample_theta(bench_spec, stream(3, 0, "goldie"), len(x))
-    lhs = models.radius(bench_spec, models.apply(bench_spec, theta, x)) ** alpha
-    rhs = models.radius(bench_spec, models.linear_apply(bench_spec, theta, x)) ** alpha
-    d = (lhs - rhs) / (alpha * M_ALPHA_BENCH)
-    monkeypatch.setattr(tails, "_GOLDIE_CHUNK", 1000)
+    d = _whole_batch_gap(bench_spec, x, alpha, 3, "goldie") / (alpha * M_ALPHA_BENCH)
+    monkeypatch.setattr(tails, "_PAIR_CHUNK", 1000)
     est = tails.goldie_constant(bench_spec, x, alpha, M_ALPHA_BENCH, master_seed=3)
     assert est.constant == float(d.mean())
     assert est.se == tails._mom_se(d)[0]
+    # the moment identity shares the chunked pairs; s = alpha / 2 < alpha
+    s = alpha / 2
+    kappa_s = math.exp(s * -0.75 + 0.5 * s**2)
+    lhs = models.radius(bench_spec, x) ** s * (1.0 - kappa_s)
+    diff = lhs - _whole_batch_gap(bench_spec, x, s, 11, "identity")
+    se = float(diff.std() / math.sqrt(len(x)))
+    z, mean, got_se = tails.moment_identity_residual(bench_spec, s, x, kappa_s, master_seed=11)
+    assert (z, mean, got_se) == (abs(float(diff.mean())) / se, float(diff.mean()), se)
 
 
 def test_goldie_vanishes_for_pure_scale():
