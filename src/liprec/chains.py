@@ -92,6 +92,13 @@ def _forward_block(spec, x0, n, rng, count, want_sums):
     return acc if want_sums else z
 
 
+def _require_sizes(n, label, count):
+    if n < 1 or count < 1:
+        raise PreconditionError(
+            f"forward chains need n >= 1 and {label} >= 1, got n = {n}, {label} = {count}"
+        )
+
+
 def _run_blocks(worker, count, block_size, threads):
     starts = list(range(0, count, block_size))
     jobs = [(b, min(block_size, count - s)) for b, s in enumerate(starts)]
@@ -105,6 +112,7 @@ def _run_blocks(worker, count, block_size, threads):
 
 def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1, block_size=BLOCK_SIZE):
     """S_n = X_1 + ... + X_n for `replicas` independent chains."""
+    _require_sizes(n, "replicas", replicas)
 
     def worker(block, size):
         rng = stream(master_seed, block, "birkhoff")
@@ -115,6 +123,7 @@ def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1, block_size=BLOC
 
 def forward_endpoints(spec, x0, n, count, master_seed, threads=1, block_size=BLOCK_SIZE):
     """X_n for `count` independent forward chains (law comparison helper)."""
+    _require_sizes(n, "count", count)
 
     def worker(block, size):
         rng = stream(master_seed, block, "forward")

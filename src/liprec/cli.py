@@ -3,7 +3,9 @@
 Six verbs share the same flags: --config (required), --seed (overrides
 the config seed), --out (output directory) and --threads. Exit codes:
 0 success, 2 configuration or domain problem, 3 convergence failure,
-4 capacity guard, 5 missing assertion flag.
+4 capacity guard, 5 missing assertion flag. On success the CLI prints
+the summary lines the verb's runner returns; on failure, one error line
+on stderr.
 """
 
 from __future__ import annotations
@@ -42,63 +44,17 @@ def build_parser():
     return p
 
 
-def _summarize(verb, result):
-    if verb == "cramer":
-        rep = result["report"]
-        return [
-            f"alpha = {rep.alpha:.6f} ({rep.method}), m_alpha = {rep.m_alpha:.6f}",
-            f"finite-moment range extends past s = {rep.s_infinity_lower_bound:.3f}",
-        ]
-    if verb == "simulate":
-        x = result["samples"]
-        return [f"wrote {len(x)} samples"]
-    if verb == "tail":
-        rep = result["report"]
-        lines = [
-            f"alpha = {rep.alpha:.6f}, tail constant C = "
-            f"{rep.goldie.constant:.6f} +/- {rep.goldie.se:.2g}",
-            f"plateau deviation {rep.plateau_deviation:.4f}",
-        ]
-        lines.extend(f"note: {f}" for f in rep.flags)
-        return lines
-    if verb == "limit":
-        lines = [f"regime {result['params'].regime}, alpha = {result['alpha']:.6f}"]
-        if "fit" in result:
-            lines.append(f"index fit alpha_hat = {result['fit'].alpha_hat:.4f}")
-        if "gaussian" in result:
-            chk = result["gaussian"]
-            lines.append(
-                f"KS {chk.ks_stat:.5f} vs critical {chk.ks_critical:.5f}, "
-                f"skew {chk.skewness:.4f}, excess kurtosis {chk.excess_kurtosis:.4f}"
-            )
-        return lines
-    if verb == "support":
-        cov = result["coverage"]
-        return [
-            f"cloud size {len(result['cloud'].points)}, coverage "
-            f"{cov.fraction_covered:.4f} at epsilon {cov.epsilon:g}",
-            f"frontier escape {result['frontier']:.4f}",
-        ]
-    reports = result["reports"]
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}: value {r.value:.6g}"
-        for r in reports
-    ]
-    lines.append("all checks passed" if result["passed"] else "some checks failed")
-    return lines
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        result = experiments.RUNNERS[args.verb](
+        lines = experiments.RUNNERS[args.verb](
             cfg, args.out, seed=args.seed, threads=args.threads
         )
     except LiprecError as exc:
         print(f"liprec {args.verb}: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    for line in _summarize(args.verb, result):
+    for line in lines:
         print(line)
     return 0
 

@@ -40,7 +40,9 @@ class Config:
     assertions: dict = field(default_factory=dict)
 
     def section(self, name):
-        return getattr(self, name)
+        """A top section by name, or `distributions.<param>`'s entries."""
+        top, _, param = name.partition(".")
+        return self.distributions[param] if param else getattr(self, top)
 
 
 def parse_config(text, path="<config>"):
@@ -122,94 +124,70 @@ def _fail(cfg, section, key, cv, why):
     raise ConfigError(f"{where}: [{section}] {key}: {why}")
 
 
-def get_str(cfg, section, key, default=None):
-    sec = cfg.section(section)
-    if key not in sec:
-        if default is None:
+def _floats(text):
+    return tuple(float(p.strip()) for p in text.split(",") if p.strip())
+
+
+def _get(cfg, section, key, default, parse=str, why="", required=False):
+    """[section] `key` through `parse`, or `default` when the key is absent.
+
+    An absent key raises when `required`. A value that `parse` rejects
+    (ValueError or KeyError) raises with `why` formatted with its text.
+    """
+    cv = cfg.section(section).get(key)
+    if cv is None:
+        if required:
             raise ConfigError(f"{cfg.path}: [{section}] missing required key {key!r}")
         return default
-    return sec[key].text
+    try:
+        return parse(cv.text)
+    except (KeyError, ValueError):
+        _fail(cfg, section, key, cv, why.format(cv.text))
+
+
+def get_str(cfg, section, key, default=None):
+    return _get(cfg, section, key, default, required=default is None)
 
 
 def get_float(cfg, section, key, default=None):
-    sec = cfg.section(section)
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{cfg.path}: [{section}] missing required key {key!r}")
-        return default
-    cv = sec[key]
-    try:
-        return float(cv.text)
-    except ValueError:
-        _fail(cfg, section, key, cv, f"not a number: {cv.text!r}")
+    return _get(cfg, section, key, default, float, "not a number: {!r}", default is None)
 
 
 def get_int(cfg, section, key, default=None):
-    sec = cfg.section(section)
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{cfg.path}: [{section}] missing required key {key!r}")
-        return default
-    cv = sec[key]
-    try:
-        return int(cv.text)
-    except ValueError:
-        _fail(cfg, section, key, cv, f"not an integer: {cv.text!r}")
+    return _get(cfg, section, key, default, int, "not an integer: {!r}", default is None)
 
 
 def get_bool(cfg, section, key, default=False):
-    sec = cfg.section(section)
-    if key not in sec:
-        return default
-    cv = sec[key]
-    if cv.text in ("true", "false"):
-        return cv.text == "true"
-    _fail(cfg, section, key, cv, f"expected true or false, got {cv.text!r}")
+    parse = {"true": True, "false": False}.__getitem__
+    return _get(cfg, section, key, default, parse, "expected true or false, got {!r}")
 
 
-def get_floats(cfg, section, key, default=None):
-    sec = cfg.section(section)
-    if key not in sec:
-        return default
-    cv = sec[key]
-    try:
-        return tuple(float(p.strip()) for p in cv.text.split(",") if p.strip())
-    except ValueError:
-        _fail(cfg, section, key, cv, f"not a comma list of numbers: {cv.text!r}")
+def get_floats(cfg, section, key, default=None, length=None):
+    """A comma list of numbers as a tuple; with `length`, exactly that many."""
+    values = _get(cfg, section, key, default, _floats, "not a comma list of numbers: {!r}")
+    if length is not None and values is not None and len(values) != length:
+        why = f"expected {length} number(s), got {len(values)}"
+        _fail(cfg, section, key, cfg.section(section)[key], why)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # model construction
 
 _DIST_KEYS = {"kind", "params", "atoms", "weights"}
-_MODEL_CONSTANT_KEYS = {
-    "arch1": {"gamma", "beta", "lambda"},
-    "affine": {"axis"},
-}
+_MODEL_CONSTANT_KEYS = {"arch1": ("gamma", "beta", "lambda"), "affine": ("axis",)}
 
 
 def _build_distribution(cfg, param, entries):
+    section = f"distributions.{param}"
     for key in entries:
         if key not in _DIST_KEYS:
-            _fail(cfg, f"distributions.{param}", key, entries[key], "unknown key")
-    if "kind" not in entries:
-        raise ConfigError(
-            f"{cfg.path}: [distributions.{param}] missing required key 'kind'"
-        )
-    kind = entries["kind"].text
-
-    def floats(key):
-        cv = entries.get(key)
-        if cv is None:
-            return ()
-        try:
-            return tuple(float(p.strip()) for p in cv.text.split(",") if p.strip())
-        except ValueError:
-            _fail(cfg, f"distributions.{param}", key, cv, f"bad number list {cv.text!r}")
-
-    params = floats("params")
-    atoms = floats("atoms")
-    weights = floats("weights")
+            _fail(cfg, section, key, entries[key], "unknown key")
+    kind = get_str(cfg, section, "kind")
+    params, atoms, weights = (
+        _get(cfg, section, key, (), _floats, "bad number list {!r}")
+        for key in ("params", "atoms", "weights")
+    )
     try:
         if kind == "discrete":
             if not weights:
@@ -217,26 +195,19 @@ def _build_distribution(cfg, param, entries):
             return DistributionSpec("discrete", atoms=atoms, weights=weights)
         return DistributionSpec(kind, params=params)
     except (ConfigError, ValueError) as exc:
-        raise ConfigError(
-            f"{cfg.path}: [distributions.{param}]: {exc}"
-        ) from exc
+        raise ConfigError(f"{cfg.path}: [{section}]: {exc}") from exc
 
 
 def build_model(cfg):
     """ModelSpec from the [model] and [distributions.*] sections."""
     family = get_str(cfg, "model", "family")
     dimension = get_int(cfg, "model", "dimension", default=1)
-    allowed = {"family", "dimension"} | _MODEL_CONSTANT_KEYS.get(family, set())
+    keys = _MODEL_CONSTANT_KEYS.get(family, ())
     for key, cv in cfg.model.items():
-        if key not in allowed:
+        if key not in ("family", "dimension") + keys:
             _fail(cfg, "model", key, cv, f"unknown key for family {family!r}")
-    constants = {}
-    if family == "arch1":
-        for key in ("gamma", "beta", "lambda"):
-            if key in cfg.model:
-                constants[key] = get_float(cfg, "model", key)
-    if family == "affine" and "axis" in cfg.model:
-        constants["axis"] = get_floats(cfg, "model", "axis")
+    getter = get_floats if family == "affine" else get_float
+    constants = {key: getter(cfg, "model", key) for key in keys if key in cfg.model}
     laws = {
         param: _build_distribution(cfg, param, entries)
         for param, entries in cfg.distributions.items()

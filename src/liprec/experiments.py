@@ -2,11 +2,15 @@
 
 Each runner takes a parsed Config plus (out_dir, seed, threads), computes
 its tables, writes CSV files with fixed headers, optionally SVG figures,
-and appends one JSON line per stage to manifest.jsonl carrying its status
-(a failed stage adds the exception class and message), the config
-digest, the seed, numpy's version and SIMD dispatch, wall time, a sha256
-per output file, for a stage that ran the backward sampler its stop
-depths and draws, and for `tail` the report's flags. All sampled stages
+and returns the summary lines the CLI prints, each built beside the value
+it shows. A stage that samples the stationary law draws it through
+`_Stage.backward`. Each stage appends one JSON line to manifest.jsonl
+carrying its status (a failed stage adds the exception class and
+message), the config digest, the seed, numpy's version and SIMD
+dispatch, wall time, a sha256 per output file, for a stage that ran the
+backward sampler its stop depths and draws, and for `tail` the report's
+flags. Config keys are read through the typed getters of `config`, which
+own every lookup, default and error message. All sampled stages
 draw from block-indexed streams, so the thread count never changes an
 output byte.
 """
@@ -138,9 +142,13 @@ class _Stage:
         """Write `plot(path, *args)` and record the sha256 it returns."""
         self.outputs[name] = plot(os.path.join(self.out_dir, name), *args)
 
-    def add_backward(self, batch):
-        """Record the stage's backward batch: stop depths, theta drawn vs used."""
+    def backward(self, spec, count, tol, **kw):
+        """The stage's backward batch, its stop depths and draws recorded."""
+        batch = chains.stationary_batch(
+            spec, count, tol=tol, master_seed=self.seed, threads=self.threads, **kw
+        )
         self.extra["backward"] = batch.draw_counters()
+        return batch
 
     def __exit__(self, exc_type, exc, tb):
         record = {
@@ -187,15 +195,6 @@ def _want_svg(cfg):
     return get_bool(cfg, "output", "svg", default=False)
 
 
-def _get_floats_exact(cfg, key, length, default=None):
-    """[experiment] `key` as exactly `length` numbers, or `default` if absent."""
-    values = get_floats(cfg, "experiment", key, default=default)
-    if values is not None and len(values) != length:
-        why = f"expected {length} number(s), got {len(values)}"
-        cfgmod._fail(cfg, "experiment", key, cfg.experiment[key], why)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # alpha resolution and assertion gates shared by tail and limit runs
 
@@ -211,7 +210,7 @@ def _resolve_alpha(cfg, spec, seed):
             raise ConfigError(
                 "no representable scale law for this model; set alpha explicitly"
             )
-        bracket = _get_floats_exact(cfg, "bracket", 2, default=(0.05, 8.0))
+        bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
         alpha = cramer.solve_cramer(
             m_law,
             bracket,
@@ -285,7 +284,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
     m_law = models.linear_scale_law(spec)
     if m_law is None:
         raise ConfigError("no representable scale law; the moment curve needs one")
-    bracket = _get_floats_exact(cfg, "bracket", 2, default=(0.05, 8.0))
+    bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
     s_grid = get_floats(cfg, "experiment", "s_grid", default=None)
     if s_grid is None:
         s_grid = tuple(np.linspace(bracket[0], bracket[1], 25))
@@ -316,7 +315,10 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
         )
         if _want_svg(cfg):
             st.svg("kappa.svg", svgplots.kappa_plot, rep.s_grid, rep.kappa_values, rep.alpha)
-    return {"alpha": rep.alpha, "m_alpha": rep.m_alpha, "report": rep}
+    return [
+        f"alpha = {rep.alpha:.6f} ({rep.method}), m_alpha = {rep.m_alpha:.6f}",
+        f"finite-moment range extends past s = {rep.s_infinity_lower_bound:.3f}",
+    ]
 
 
 def run_simulate(cfg, out_dir, seed=None, threads=1):
@@ -326,31 +328,25 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
     max_depth = get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
     mode = get_str(cfg, "experiment", "sampler", default="backward")
     dim = models.point_dim(spec)
-    x0_cfg = _get_floats_exact(cfg, "x0", dim)
+    x0_cfg = get_floats(cfg, "experiment", "x0", length=dim)
     x0 = models.zero_point(spec) if x0_cfg is None else (
         float(x0_cfg[0]) if dim == 1 else np.asarray(x0_cfg, dtype=float)
     )
     with _Stage(out_dir, "simulate", digest, seed, threads) as st:
         if mode == "backward":
-            batch = chains.stationary_batch(
-                spec, count, tol=tol, master_seed=seed, max_depth=max_depth,
-                x0=x0, threads=threads,
-            )
-            st.add_backward(batch)
+            batch = st.backward(spec, count, tol, max_depth=max_depth, x0=x0)
             columns = _point_columns(batch.samples) + [
                 batch.stop_depths,
                 batch.residual_bounds,
             ]
             header = _point_header(dim) + ["stop_depth", "residual_bound"]
-            result = {"samples": batch.samples, "batch": batch}
         else:
             n = get_int(cfg, "experiment", "n", default=1024)
-            pts = np.asarray(chains.forward_endpoints(spec, x0, n, count, seed, threads))
+            pts = chains.forward_endpoints(spec, x0, n, count, seed, threads)
             columns = _point_columns(pts)
             header = _point_header(dim)
-            result = {"samples": pts}
         st.csv("samples.csv", header, columns)
-    return result
+    return [f"wrote {len(columns[0])} samples"]
 
 
 def run_tail(cfg, out_dir, seed=None, threads=1):
@@ -362,10 +358,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     hill_points = get_int(cfg, "experiment", "hill_points", default=24)
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
-        batch = chains.stationary_batch(
-            spec, count, tol=tol, master_seed=seed, threads=threads
-        )
-        st.add_backward(batch)
+        batch = st.backward(spec, count, tol)
         rep = tails.tail_report(
             spec, batch.samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
@@ -383,7 +376,11 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
                 "survival.svg", svgplots.survival_plot, rep.survival, alpha, rep.goldie.constant
             )
             st.svg("hill.svg", svgplots.hill_plot, rep.hill, alpha)
-    return {"report": rep, "samples": batch.samples, "alpha": alpha}
+    return [
+        f"alpha = {rep.alpha:.6f}, tail constant C = "
+        f"{rep.goldie.constant:.6f} +/- {rep.goldie.se:.2g}",
+        f"plateau deviation {rep.plateau_deviation:.4f}",
+    ] + [f"note: {f}" for f in rep.flags]
 
 
 def run_limit(cfg, out_dir, seed=None, threads=1):
@@ -402,11 +399,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         @functools.cache
         def pilot():
             # drawn on first use: a closed-form center needs no pilot
-            batch = chains.stationary_batch(
-                spec, count, tol=tol, master_seed=seed, threads=threads
-            )
-            st.add_backward(batch)
-            return batch.samples
+            return st.backward(spec, count, tol).samples
 
         _require_linearity(cfg, spec, pilot)
         params0 = stable.limit_params(alpha)
@@ -434,6 +427,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         st.csv("limit_samples.csv", ["replica", "value"], [np.arange(len(norm)), norm])
         # the fit's window is the CF grid in both regimes
         fit = stable.stable_index_fit(norm)
+        lines = [f"regime {params.regime}, alpha = {alpha:.6f}"]
         if params.regime == "eq2":
             chk = stable.gaussian_check(norm)
             shown = (None, None)  # a Gaussian limit gets no fitted line
@@ -444,7 +438,10 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
                 ("excess_kurtosis", chk.excess_kurtosis),
                 ("passed", chk.passed),
             ]
-            result_extra = {"gaussian": chk}
+            lines.append(
+                f"KS {chk.ks_stat:.5f} vs critical {chk.ks_critical:.5f}, "
+                f"skew {chk.skewness:.4f}, excess kurtosis {chk.excess_kurtosis:.4f}"
+            )
         else:
             shown = (fit.alpha_hat, fit.intercept)
             fit_rows = [
@@ -453,7 +450,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
                 ("window_lo", float(fit.t_values[0])),
                 ("window_hi", float(fit.t_values[-1])),
             ]
-            result_extra = {"fit": fit}
+            lines.append(f"index fit alpha_hat = {fit.alpha_hat:.4f}")
         st.csv("limit_fit.csv", ["statistic", "value"], zip(*fit_rows))
         cf_rows = stable.empirical_cf(norm, fit.t_values)
         st.csv("cf.csv", ["t", "v_index", "re", "im", "se"], zip(*cf_rows))
@@ -467,12 +464,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
             )
             if params.regime == "eq2":
                 st.svg("qq.svg", svgplots.qq_plot, norm)
-    return {
-        "normalized": norm,
-        "params": params,
-        "alpha": alpha,
-        **result_extra,
-    }
+    return lines
 
 
 def run_support(cfg, out_dir, seed=None, threads=1):
@@ -485,10 +477,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
     dim = models.point_dim(spec)
     with _Stage(out_dir, "support", digest, seed, threads) as st:
         cloud = support.enumerate_fixed_points(spec, max_depth, word_guard=word_guard)
-        batch = chains.stationary_batch(
-            spec, count, tol=tol, master_seed=seed, threads=threads
-        )
-        st.add_backward(batch)
+        batch = st.backward(spec, count, tol)
         cov = support.coverage_check(cloud, batch.samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
         st.csv(
@@ -509,7 +498,11 @@ def run_support(cfg, out_dir, seed=None, threads=1):
         )
         if _want_svg(cfg) and dim <= 2:
             st.svg("cloud.svg", svgplots.cloud_plot, cloud.points)
-    return {"cloud": cloud, "coverage": cov, "frontier": frontier}
+    return [
+        f"cloud size {len(cloud.points)}, coverage "
+        f"{cov.fraction_covered:.4f} at epsilon {cov.epsilon:g}",
+        f"frontier escape {frontier:.4f}",
+    ]
 
 
 def run_check(cfg, out_dir, seed=None, threads=1):
@@ -520,10 +513,7 @@ def run_check(cfg, out_dir, seed=None, threads=1):
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]
-        batch = chains.stationary_batch(
-            spec, count, tol=tol, master_seed=seed, threads=threads
-        )
-        st.add_backward(batch)
+        batch = st.backward(spec, count, tol)
         reports.append(cramer.check_cancellation(spec, batch.samples, 256, rng))
         radii = models.radius(spec, np.asarray(batch.samples))
         x_hi = float(np.quantile(radii, 0.9)) + 1.0
@@ -562,7 +552,9 @@ def run_check(cfg, out_dir, seed=None, threads=1):
             ["name", "value", "se", "passed", "detail"],
             zip(*[(r.name, r.value, r.se, r.passed, r.detail) for r in reports]),
         )
-    return {"reports": reports, "passed": all(r.passed for r in reports)}
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: value {r.value:.6g}" for r in reports]
+    lines.append("all checks passed" if all(r.passed for r in reports) else "some checks failed")
+    return lines
 
 
 RUNNERS = {

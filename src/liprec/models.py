@@ -368,25 +368,11 @@ def cancellation_law(spec):
     if fam == "arch1":
         beta = spec.constants["beta"]
         return rnd.scaled_abs_law(spec.laws["a"], math.sqrt(beta))
-    a, b = spec.laws["a"], spec.laws["b"]
-    c = spec.laws["c"]
-    if any(law.kind not in ("constant", "discrete") for law in (a, b, c)):
+    if any(rnd.atoms(law) is None for law in spec.laws.values()):
         return None
-    spec_fn = cancellation_bound
-    atoms, weights = [], []
-    for (va, wa), (vb, wb), (vc, wc) in itertools.product(
-        _atom_items(a), _atom_items(b), _atom_items(c)
-    ):
-        th = ThetaDraw(fam, {"a": va, "b": vb, "c": vc})
-        atoms.append(float(spec_fn(spec, th)))
-        weights.append(wa * wb * wc)
-    return rnd.discrete(atoms, weights)
-
-
-def _atom_items(law):
-    if law.kind == "constant":
-        return [(law.params[0], 1.0)]
-    return list(zip(law.atoms, law.weights))
+    pairs = theta_atoms(spec)
+    bounds = [float(cancellation_bound(spec, th)) for th, _ in pairs]
+    return rnd.discrete(bounds, [p for _, p in pairs])
 
 
 def theta_atoms(spec):
@@ -395,12 +381,12 @@ def theta_atoms(spec):
     Only defined when every parameter law is atomic.
     """
     names = required_params(spec.family, spec.dimension)
-    for name in names:
-        if spec.laws[name].kind not in ("constant", "discrete"):
+    tables = [rnd.atoms(spec.laws[name]) for name in names]
+    for name, table in zip(names, tables):
+        if table is None:
             raise PreconditionError(
                 f"theta enumeration needs atomic laws; {name} is {spec.laws[name].kind}"
             )
-    tables = [_atom_items(spec.laws[name]) for name in names]
     out = []
     for combo in itertools.product(*tables):
         values = {name: item[0] for name, item in zip(names, combo)}

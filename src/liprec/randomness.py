@@ -143,16 +143,39 @@ def sample(dist, rng, size=None):
 
 
 # ---------------------------------------------------------------------------
+# atomic laws
+
+
+def atoms(dist):
+    """[(value, weight)] of a constant or discrete law, None for the others."""
+    if dist.kind == "constant":
+        return [(dist.params[0], 1.0)]
+    if dist.kind == "discrete":
+        return list(zip(dist.atoms, dist.weights))
+    return None
+
+
+def _with_atoms(dist, values):
+    """An atomic law of dist's kind and weights on new atom values.
+
+    A constant stays a constant: a discrete law draws through rng.choice,
+    which would move the stream.
+    """
+    if dist.kind == "constant":
+        return constant(values[0])
+    return discrete(values, dist.weights)
+
+
+# ---------------------------------------------------------------------------
 # closed-form absolute moments
 
 
 def signed_mean(dist):
     """E X in closed form, or None."""
     kind = dist.kind
-    if kind == "constant":
-        return float(dist.params[0])
-    if kind == "discrete":
-        return float(sum(w * v for v, w in zip(dist.atoms, dist.weights)))
+    items = atoms(dist)
+    if items is not None:
+        return float(sum(w * v for v, w in items))
     if kind == "lognormal":
         mu, sigma = dist.params
         return math.exp(mu + 0.5 * sigma * sigma)
@@ -166,17 +189,10 @@ def signed_mean(dist):
 
 def abs_moment(dist, s):
     """E|X|^s in closed form, or None when the law has no closed form."""
-    kind = dist.kind
-    if kind == "constant":
-        v = abs(dist.params[0])
-        if v == 0.0 and s > 0:
-            return 0.0
-        return v**s
-    if kind == "discrete":
-        return float(
-            sum(w * abs(v) ** s for v, w in zip(dist.atoms, dist.weights))
-        )
-    if kind == "lognormal":
+    items = atoms(dist)
+    if items is not None:
+        return float(sum(w * abs(v) ** s for v, w in items))
+    if dist.kind == "lognormal":
         mu, sig = dist.params
         return math.exp(s * mu + 0.5 * (s * sig) ** 2)
     return None
@@ -187,21 +203,16 @@ def abs_log_moment(dist, s):
 
     For lognormal this is d/ds of the moment: (mu + s sig^2) E|X|^s.
     """
-    kind = dist.kind
-    if kind == "constant":
-        v = abs(dist.params[0])
-        if v == 0.0:
-            return 0.0
-        return v**s * math.log(v)
-    if kind == "discrete":
+    items = atoms(dist)
+    if items is not None:
         total = 0.0
-        for v, w in zip(dist.atoms, dist.weights):
+        for v, w in items:
             av = abs(v)
             if av == 0.0:
                 continue
             total += w * av**s * math.log(av)
         return total
-    if kind == "lognormal":
+    if dist.kind == "lognormal":
         mu, sig = dist.params
         return (mu + s * sig**2) * math.exp(s * mu + 0.5 * (s * sig) ** 2)
     return None
@@ -214,10 +225,9 @@ def abs_log_moment(dist, s):
 def scaled_abs_law(dist, c):
     """Law of |c X| as a DistributionSpec, or None."""
     c = abs(float(c))
-    if dist.kind == "constant":
-        return constant(c * abs(dist.params[0]))
-    if dist.kind == "discrete":
-        return discrete([c * abs(v) for v in dist.atoms], dist.weights)
+    items = atoms(dist)
+    if items is not None:
+        return _with_atoms(dist, [c * abs(v) for v, _ in items])
     if dist.kind == "lognormal":
         if c == 0.0:
             return constant(0.0)
@@ -227,10 +237,9 @@ def scaled_abs_law(dist, c):
 
 def abs_law(dist):
     """Law of |X| as a DistributionSpec, or None."""
-    if dist.kind == "constant":
-        return constant(abs(dist.params[0]))
-    if dist.kind == "discrete":
-        return discrete([abs(v) for v in dist.atoms], dist.weights)
+    items = atoms(dist)
+    if items is not None:
+        return _with_atoms(dist, [abs(v) for v, _ in items])
     if dist.kind == "lognormal":
         return dist
     if dist.kind == "uniform" and dist.params[0] >= 0:
@@ -242,15 +251,11 @@ def power_law(dist, p):
     """Law of X^p for positive X, or None. Used for |M| = sqrt(A) style maps."""
     if p <= 0:
         raise PreconditionError("power_law needs p > 0")
-    if dist.kind == "constant":
-        v = dist.params[0]
-        if v < 0:
+    items = atoms(dist)
+    if items is not None:
+        if any(v < 0 for v, _ in items):
             return None
-        return constant(v**p)
-    if dist.kind == "discrete":
-        if any(v < 0 for v in dist.atoms):
-            return None
-        return discrete([v**p for v in dist.atoms], dist.weights)
+        return _with_atoms(dist, [v**p for v, _ in items])
     if dist.kind == "lognormal":
         return lognormal(p * dist.params[0], p * dist.params[1])
     return None
@@ -258,11 +263,10 @@ def power_law(dist, p):
 
 def abs_affine_law(dist, shift, scale):
     """Law of |shift + scale X|, atoms only (constant/discrete), else None."""
-    if dist.kind == "constant":
-        return constant(abs(shift + scale * dist.params[0]))
-    if dist.kind == "discrete":
-        return discrete([abs(shift + scale * v) for v in dist.atoms], dist.weights)
-    return None
+    items = atoms(dist)
+    if items is None:
+        return None
+    return _with_atoms(dist, [abs(shift + scale * v) for v, _ in items])
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +294,10 @@ def is_symmetric(dist):
 
 def atom_count(dist):
     """Number of atoms of |X| for purely atomic laws, None for continuous."""
-    if dist.kind == "constant":
-        return 1
-    if dist.kind == "discrete":
-        return len({round(abs(v), 15) for v in dist.atoms})
-    return None
+    items = atoms(dist)
+    if items is None:
+        return None
+    return len({round(abs(v), 15) for v, _ in items})
 
 
 def arithmetic_risk(dist):

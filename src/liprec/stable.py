@@ -270,6 +270,10 @@ def c_alpha(
     """
     if not 0 < alpha < 2:
         raise PreconditionError("c_alpha covers 0 < alpha < 2; use c_two at 2")
+    if not 2 <= se_groups <= inner_reps:
+        raise PreconditionError(
+            f"c_alpha needs 2 <= se_groups <= inner_reps, got {se_groups} and {inner_reps}"
+        )
     corr = _regime_correction(alpha)
     rng_h = stream(master_seed, 0, "c-alpha-h")
     rng_phi = stream(master_seed, 0, "c-alpha-phi")
@@ -379,6 +383,8 @@ def normalize_birkhoff(sums, n, params, xi_value=None):
         return s / n - n * xi_value
     if params.regime == "mid":
         return (s - n * params.center) * n ** (-1.0 / params.alpha)
+    if n < 2:
+        raise PreconditionError("the alpha = 2 normalization sqrt(n log n) needs n >= 2")
     return (s - n * params.center) / math.sqrt(n * math.log(n))
 
 

@@ -159,10 +159,32 @@ def test_typed_getters(tmp_path):
     assert config.get_floats(cfg, "experiment", "grid") == (1.0, 2.5)
     assert config.get_str(cfg, "experiment", "name") == "abc"
     assert config.get_int(cfg, "experiment", "missing", default=7) == 7
+    assert config.get_bool(cfg, "experiment", "missing") is False
+    assert config.get_bool(cfg, "experiment", "missing", default=True) is True
+    assert config.get_floats(cfg, "experiment", "missing") is None
+    assert config.get_floats(cfg, "experiment", "missing", (1.0, 2.0), length=2) == (1.0, 2.0)
+    assert config.get_floats(cfg, "experiment", "grid", length=2) == (1.0, 2.5)
     with pytest.raises(ConfigError, match="missing required key"):
         config.get_int(cfg, "experiment", "missing")
     with pytest.raises(ConfigError):
         config.get_int(cfg, "experiment", "rate")
+    with pytest.raises(ConfigError) as exc:
+        config.get_str(cfg, "experiment", "gone")
+    assert str(exc.value) == "<config>: [experiment] missing required key 'gone'"
+    bad = config.parse_config(
+        "[experiment]\nflag = yes\nrate = fast\ngrid = 1, x\nthree = 1, 2, 3\n", "b.cfg"
+    )
+    for getter, key, why in [
+        (config.get_bool, "flag", ":2: [experiment] flag: expected true or false, got 'yes'"),
+        (config.get_float, "rate", ":3: [experiment] rate: not a number: 'fast'"),
+        (config.get_floats, "grid", ":4: [experiment] grid: not a comma list of numbers: '1, x'"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            getter(bad, "experiment", key)
+        assert str(exc.value) == "b.cfg" + why
+    with pytest.raises(ConfigError) as exc:
+        config.get_floats(bad, "experiment", "three", length=2)
+    assert str(exc.value) == "b.cfg:5: [experiment] three: expected 2 number(s), got 3"
 
 
 def test_config_digest_semantics():
@@ -275,6 +297,33 @@ def test_cli_wrong_length_vector_exits_2(tmp_path, capsys, verb, model, setting)
     key = setting.split()[0]
     assert _run([verb, "--config", path, "--out", tmp_path / "o"]) == 2
     assert f"{path}:{line}: [experiment] {key}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, model, setting, needle",
+    [
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 64\nreplicas = 0", "replicas = 0"),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 64\nreplicas = -1", "replicas = -1"),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 0\nreplicas = 64", "n = 0, replicas"),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 2\nn = 1\nreplicas = 64", "needs n >= 2"),
+        ("simulate", BENCH_MODEL, "sampler = forward\ncount = 0", "n = 1024, count = 0"),
+        ("simulate", BENCH_MODEL, "sampler = forward\nn = -1\ncount = 64", "n = -1, count"),
+    ],
+    ids=["replicas0", "replicas-1", "n0", "alpha2-n1", "forward-count0", "forward-n-1"],
+)
+def test_cli_forward_sizes_exit_2(tmp_path, capsys, verb, model, setting, needle):
+    # too few steps or chains used to end in a traceback, a division by
+    # zero, or (n < 0) samples that were x0 itself
+    path = _write(tmp_path, model + "\n[experiment]\n" + setting + "\n")
+    out = tmp_path / "o"
+    assert _run([verb, "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"liprec {verb}: error: ") and needle in err
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["status"] == "failed"
+    assert entry["error_type"] == "PreconditionError"
+    assert entry["exit_code"] == 2
+    assert entry["outputs"] == {}
 
 
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -472,6 +521,77 @@ def test_csv_schemas_support_and_check(tmp_path):
     out2 = tmp_path / "o2"
     assert _run(["check", "--config", path, "--out", out2]) == 0
     assert _header(out2 / "check.csv") == "name,value,se,passed,detail"
+
+
+def _table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_stdout_restates_outputs(tmp_path, capsys):
+    # every line a verb prints is read back from the file it summarizes
+    def run(verb, model, experiment, assertions=""):
+        i = len(list(tmp_path.glob("*.cfg")))
+        text = model + "\n[experiment]\n" + experiment + assertions
+        path = _write(tmp_path, text, name=f"run{i}.cfg")
+        out = tmp_path / f"o{i}"
+        capsys.readouterr()
+        assert _run([verb, "--config", path, "--out", out]) == 0
+        return out, capsys.readouterr().out.splitlines()
+
+    out, lines = run("cramer", LETAC_MODEL, "bracket = 0.5, 3.0\n")
+    sol = _table(out / "cramer_solution.csv")[0]
+    assert lines == [
+        f"alpha = {float(sol['alpha']):.6f} ({sol['method']}), "
+        f"m_alpha = {float(sol['m_alpha']):.6f}",
+        f"finite-moment range extends past s = {float(sol['s_infinity_lower_bound']):.3f}",
+    ]
+
+    for sampler in ("backward", "forward"):
+        out, lines = run("simulate", BENCH_MODEL, f"count = 300\nsampler = {sampler}\nn = 16\n")
+        assert lines == [f"wrote {len(_table(out / 'samples.csv'))} samples"]
+
+    out, lines = run("tail", BENCH_MODEL, "count = 2000\n")
+    gold = _table(out / "goldie.csv")[0]
+    c = float(gold["C"])
+    dev = max(abs(float(r["t_alpha_p"]) / c - 1.0) for r in _table(out / "tail_survival.csv"))
+    flags = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])["tail"]["flags"]
+    assert lines == [
+        f"alpha = {float(gold['alpha']):.6f}, tail constant C = "
+        f"{c:.6f} +/- {float(gold['se']):.2g}",
+        f"plateau deviation {dev:.4f}",
+    ] + [f"note: {f}" for f in flags]
+
+    out, lines = run("limit", BENCH_MODEL, "alpha = 1.5\nn = 64\nreplicas = 2000\ncount = 2000\n")
+    fit = {r["statistic"]: r["value"] for r in _table(out / "limit_fit.csv")}
+    assert lines == [
+        "regime mid, alpha = 1.500000",
+        f"index fit alpha_hat = {float(fit['alpha_hat']):.4f}",
+    ]
+    out, lines = run("limit", AFFINE_ALPHA2_MODEL, "alpha = 2\nn = 256\nreplicas = 2000\n")
+    fit = {r["statistic"]: float(r["value"]) for r in _table(out / "limit_fit.csv")[:-1]}
+    assert lines == [
+        "regime eq2, alpha = 2.000000",
+        f"KS {fit['ks_stat']:.5f} vs critical {fit['ks_critical']:.5f}, "
+        f"skew {fit['skewness']:.4f}, excess kurtosis {fit['excess_kurtosis']:.4f}",
+    ]
+
+    flag = "\n[assertions]\nnonarithmetic = true\n"
+    out, lines = run("support", LETAC_MODEL, "count = 2000\nmax_cloud_depth = 6\n", flag)
+    cov = _table(out / "support_coverage.csv")[0]
+    assert lines == [
+        f"cloud size {len(_table(out / 'support.csv'))}, coverage "
+        f"{float(cov['fraction_covered']):.4f} at epsilon {float(cov['epsilon']):g}",
+        f"frontier escape {float(cov['frontier_escape']):.4f}",
+    ]
+
+    out, lines = run("check", LETAC_MODEL, "count = 2000\n", flag)
+    rows = _table(out / "check.csv")
+    passed = [r["passed"] == "true" for r in rows]
+    assert lines == [
+        f"{'PASS' if ok else 'FAIL'} {r['name']}: value {float(r['value']):.6g}"
+        for r, ok in zip(rows, passed)
+    ] + ["all checks passed" if all(passed) else "some checks failed"]
 
 
 def test_manifest_records_each_stage(tmp_path):

@@ -113,6 +113,17 @@ def test_derived_laws():
     al = rnd.abs_law(rnd.discrete((-2.0, 2.0), (0.5, 0.5)))
     assert set(al.atoms) == {2.0}
     assert sum(al.weights) == pytest.approx(1.0)
+    assert rnd.atoms(rnd.constant(-2.0)) == [(-2.0, 1.0)]
+    assert rnd.atoms(rnd.discrete((1.0, 3.0), (0.25, 0.75))) == [(1.0, 0.25), (3.0, 0.75)]
+    assert rnd.atoms(rnd.normal(0.0, 1.0)) is None
+    # a transformed constant stays a constant, which draws nothing from the
+    # stream; a discrete law would draw through rng.choice
+    c = rnd.constant(-2.0)
+    assert rnd.scaled_abs_law(c, 3.0) == rnd.constant(6.0)
+    assert rnd.abs_law(c) == rnd.constant(2.0)
+    assert rnd.abs_affine_law(c, 1.0, 0.5) == rnd.constant(0.0)
+    assert rnd.power_law(rnd.constant(4.0), 0.5) == rnd.constant(2.0)
+    assert rnd.power_law(c, 0.5) is None
 
 
 def test_sample_shapes_and_support(rng):

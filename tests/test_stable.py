@@ -185,6 +185,15 @@ def test_c_alpha_needs_two_scales():
         )
 
 
+@pytest.mark.parametrize("kw", [dict(inner_reps=4), dict(se_groups=1)])
+def test_c_alpha_needs_two_se_groups_within_inner_reps(kw):
+    # fewer reps than groups left an empty group and a NaN estimate; one
+    # group left a NaN se, without a warning
+    x = _pareto(0.5, 1000, seed=3, x_m=4.0)
+    with pytest.raises(PreconditionError, match="2 <= se_groups <= inner_reps"):
+        stable.c_alpha(1.0, 0.5, x, 2.0, stable.FlatKernel(1), g_schedule=(0.25, 0.125), **kw)
+
+
 def test_c_alpha_positive_homogeneity_in_v():
     alpha, x_m = 0.5, 4.0
     x = _pareto(alpha, 10**5, seed=48, x_m=x_m)
