@@ -110,7 +110,7 @@ def _run_blocks(worker, count, block_size, threads):
     return parts
 
 
-def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1, block_size=BLOCK_SIZE):
+def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1):
     """S_n = X_1 + ... + X_n for `replicas` independent chains."""
     _require_sizes(n, "replicas", replicas)
 
@@ -118,10 +118,10 @@ def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1, block_size=BLOC
         rng = stream(master_seed, block, "birkhoff")
         return _forward_block(spec, x0, n, rng, size, want_sums=True)
 
-    return np.concatenate(_run_blocks(worker, replicas, block_size, threads))
+    return np.concatenate(_run_blocks(worker, replicas, BLOCK_SIZE, threads))
 
 
-def forward_endpoints(spec, x0, n, count, master_seed, threads=1, block_size=BLOCK_SIZE):
+def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
     """X_n for `count` independent forward chains (law comparison helper)."""
     _require_sizes(n, "count", count)
 
@@ -129,7 +129,7 @@ def forward_endpoints(spec, x0, n, count, master_seed, threads=1, block_size=BLO
         rng = stream(master_seed, block, "forward")
         return _forward_block(spec, x0, n, rng, size, want_sums=False)
 
-    return np.concatenate(_run_blocks(worker, count, block_size, threads))
+    return np.concatenate(_run_blocks(worker, count, BLOCK_SIZE, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +163,19 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
                 f"below {count}, the block size, or raise tol so the chains "
                 "stop sooner"
             )
-        theta = models.sample_theta(spec, rng, count)
-        theta = models.ThetaDraw(theta.family, {k: v[live] for k, v in theta.values.items()})
+        theta = {k: v[live] for k, v in models.sample_theta(spec, rng, count).items()}
         steps.append((live, theta))
         x0_live = z[: len(live)]
         lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
         osc = models.radius(spec, models.apply(spec, theta, x0_live) - x0_live)
-        with np.errstate(divide="ignore"):
-            log_prod += np.log(lip)
         np.maximum(osc_max, osc, out=osc_max)
-        q = np.minimum(np.exp(log_prod / step), _Q_CAP)
-        envelope = np.minimum(osc_max / (1.0 - q), _R_ENVELOPE)
-        bound = np.exp(log_prod) * envelope
+        # on a model that does not contract, exp(log_prod) overflows to inf;
+        # an inf bound stops no member, so the depth guards end the run
+        with np.errstate(divide="ignore", over="ignore"):
+            log_prod += np.log(lip)
+            q = np.minimum(np.exp(log_prod / step), _Q_CAP)
+            envelope = np.minimum(osc_max / (1.0 - q), _R_ENVELOPE)
+            bound = np.exp(log_prod) * envelope
         stop = bound < tol
         if stop.any():
             done = live[stop]
@@ -185,7 +186,8 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
             if not len(live):
                 break
     if len(live):
-        worst = float(np.min(np.exp(log_prod)))
+        with np.errstate(over="ignore"):
+            worst = float(np.min(np.exp(log_prod)))
         raise ConvergenceError(
             f"backward iteration hit max_depth={max_depth} with running "
             f"bound still {worst:.3e} * envelope >= tol={tol}"

@@ -20,6 +20,9 @@ from .errors import BracketError, MomentDivergenceError, PreconditionError
 CLOSED_FORM_TOL = 1e-6
 MONTE_CARLO_TOL = 1e-3
 MODES = ("auto", "closed_form", "monte_carlo")
+_PROBE_SAMPLES = 10**5  # |M| draws per rung of the finite-moment probe
+_PROBE_RUNGS = 24
+_CHECK_TOL = 1e-10  # slack of the cancellation and smoothness checks
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def m_alpha(m_law, alpha, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLE
     return _moments(m_law, mode, rng, n_samples).m_alpha(alpha)
 
 
-def s_infinity_probe(m_law, rng=None, n_samples=10**5, max_rungs=24):
+def s_infinity_probe(m_law, rng=None):
     """Lower bound for the finite-moment range sup via a geometric ladder.
 
     Closed-form laws in the algebra have every moment finite: returns inf.
@@ -142,8 +145,8 @@ def s_infinity_probe(m_law, rng=None, n_samples=10**5, max_rungs=24):
         return math.inf
     last_good = 0.0
     s = 1.0
-    for _ in range(max_rungs):
-        value, se = _moments(m_law, "monte_carlo", rng, n_samples)(s)
+    for _ in range(_PROBE_RUNGS):
+        value, se = _moments(m_law, "monte_carlo", rng, _PROBE_SAMPLES)(s)
         if not math.isfinite(value) or se > 0.5 * value:
             break
         last_good = s
@@ -175,7 +178,7 @@ def check_contraction(spec, n_samples, rng):
     return CheckReport("contraction", mean, se, mean + 3 * se < 0, "E log L + 3 se < 0")
 
 
-def check_cancellation(spec, batch_samples, n_theta, rng, tol=1e-10):
+def check_cancellation(spec, batch_samples, n_theta, rng):
     """|psi(x) - M x| <= |N| on sampled stationary points.
 
     Violations are reported, not raised: a positive fraction is the
@@ -190,19 +193,16 @@ def check_cancellation(spec, batch_samples, n_theta, rng, tol=1e-10):
     )
     excess = gap - np.asarray(models.cancellation_bound(spec, theta), dtype=float)
     worst = float(excess.max())
-    frac = float(np.mean(excess > tol))
+    frac = float(np.mean(excess > _CHECK_TOL))
     return CheckReport(
-        "cancellation", worst, 0.0, worst <= tol, f"violating fraction {frac:.3g}"
+        "cancellation", worst, 0.0, worst <= _CHECK_TOL, f"violating fraction {frac:.3g}"
     )
 
 
-def check_smoothness(spec, x_grid, t_grid, n_theta, rng, tol=1e-10):
-    """sup |t psi(x/t) - limit_map(x)| - t Q over grids; PASS iff <= tol."""
+def check_smoothness(spec, x_grid, t_grid, n_theta, rng):
+    """sup |t psi(x/t) - limit_map(x)| - t Q over grids; PASS iff <= _CHECK_TOL."""
     theta = models.sample_theta(spec, rng, n_theta)
-    shaped = models.ThetaDraw(
-        theta.family,
-        {k: np.reshape(v, (n_theta, 1)) for k, v in theta.values.items()},
-    )
+    shaped = {k: np.reshape(v, (n_theta, 1)) for k, v in theta.items()}
     x = np.asarray(x_grid, dtype=float)
     q = np.reshape(models.smoothness_bound(spec, theta), (n_theta, 1))
     worst = -math.inf
@@ -214,7 +214,7 @@ def check_smoothness(spec, x_grid, t_grid, n_theta, rng, tol=1e-10):
             models.apply_dilated(spec, shaped, x, t) - models.limit_map(spec, shaped, x),
         )
         worst = max(worst, float((gap - t * q).max()))
-    return CheckReport("smoothness", worst, 0.0, worst <= tol, "dilated-map envelope")
+    return CheckReport("smoothness", worst, 0.0, worst <= _CHECK_TOL, "dilated-map envelope")
 
 
 def nontriviality_probe(

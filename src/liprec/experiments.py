@@ -37,7 +37,6 @@ from .errors import AssertionFlagError, ConfigError, LiprecError
 from .randomness import stream
 
 DEFAULT_COUNT = 65536
-DEFAULT_TOL = 1e-9
 # Rows formatted and written at a time. A chunk's row strings are held at
 # once; 1 << 16 rows raised a 4e5-row run's peak RSS by about 7%.
 _CSV_CHUNK = 1 << 13
@@ -199,18 +198,24 @@ def _want_svg(cfg):
 # alpha resolution and assertion gates shared by tail and limit runs
 
 
+def _moment_settings(cfg):
+    """The root bracket, moment mode and Monte Carlo sample count."""
+    bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
+    mode = get_str(cfg, "experiment", "mode", default="auto")
+    n_samples = get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
+    return bracket, mode, n_samples
+
+
 def _resolve_alpha(cfg, spec, seed):
     """(alpha, m_alpha, method) from config: explicit number or solved root."""
     text = get_str(cfg, "experiment", "alpha", default="solve")
     m_law = models.linear_scale_law(spec)
-    mode = get_str(cfg, "experiment", "mode", default="auto")
-    n_samples = get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
+    bracket, mode, n_samples = _moment_settings(cfg)
     if text == "solve":
         if m_law is None:
             raise ConfigError(
                 "no representable scale law for this model; set alpha explicitly"
             )
-        bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
         alpha = cramer.solve_cramer(
             m_law,
             bracket,
@@ -284,12 +289,10 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
     m_law = models.linear_scale_law(spec)
     if m_law is None:
         raise ConfigError("no representable scale law; the moment curve needs one")
-    bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
+    bracket, mode, n_samples = _moment_settings(cfg)
     s_grid = get_floats(cfg, "experiment", "s_grid", default=None)
     if s_grid is None:
         s_grid = tuple(np.linspace(bracket[0], bracket[1], 25))
-    mode = get_str(cfg, "experiment", "mode", default="auto")
-    n_samples = get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
     tol = get_float(cfg, "experiment", "solver_tol", default=-1.0)
     with _Stage(out_dir, "cramer", digest, seed, threads) as st:
         rep = cramer.cramer_report(
@@ -324,7 +327,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
 def run_simulate(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = get_float(cfg, "experiment", "tol", default=DEFAULT_TOL)
+    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     max_depth = get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
     mode = get_str(cfg, "experiment", "sampler", default="backward")
     dim = models.point_dim(spec)
@@ -353,9 +356,9 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     _require_nonarithmetic(cfg, spec)
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = get_float(cfg, "experiment", "tol", default=DEFAULT_TOL)
-    t_points = get_int(cfg, "experiment", "t_points", default=32)
-    hill_points = get_int(cfg, "experiment", "hill_points", default=24)
+    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
+    t_points = get_int(cfg, "experiment", "t_points", default=tails.DEFAULT_T_POINTS)
+    hill_points = get_int(cfg, "experiment", "hill_points", default=tails.DEFAULT_HILL_POINTS)
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
         batch = st.backward(spec, count, tol)
@@ -391,7 +394,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     n = get_int(cfg, "experiment", "n")
     replicas = get_int(cfg, "experiment", "replicas")
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = get_float(cfg, "experiment", "tol", default=DEFAULT_TOL)
+    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     center_text = get_str(cfg, "experiment", "center", default="auto")
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
@@ -402,22 +405,20 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
             return st.backward(spec, count, tol).samples
 
         _require_linearity(cfg, spec, pilot)
-        params0 = stable.limit_params(alpha)
-        center = 0.0
-        if params0.regime in ("mid", "eq2"):
-            if center_text == "auto":
-                closed = _closed_center(spec)
-                center = float(pilot().mean()) if closed is None else closed
-            elif center_text == "stationary_mean":
-                center = float(pilot().mean())
-            else:
-                try:
-                    center = float(center_text)
-                except ValueError:
-                    raise ConfigError(
-                        f"[experiment] center must be a number, 'auto' or "
-                        f"'stationary_mean', got {center_text!r}"
-                    ) from None
+        center = None  # a number, or None for 'auto' and 'stationary_mean'
+        if center_text not in ("auto", "stationary_mean"):
+            try:
+                center = float(center_text)
+            except ValueError:
+                raise ConfigError(
+                    f"[experiment] center must be a number, 'auto' or "
+                    f"'stationary_mean', got {center_text!r}"
+                ) from None
+        if stable.limit_params(alpha).regime not in ("mid", "eq2"):
+            center = 0.0
+        elif center is None:
+            closed = _closed_center(spec) if center_text == "auto" else None
+            center = float(pilot().mean()) if closed is None else closed
         params = stable.limit_params(alpha, center)
         sums = chains.birkhoff_sums(
             spec, models.zero_point(spec), n, replicas, seed, threads=threads
@@ -472,7 +473,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
     max_depth = get_int(cfg, "experiment", "max_cloud_depth", default=12)
     epsilon = get_float(cfg, "experiment", "epsilon", default=1e-6)
     count = get_int(cfg, "experiment", "count", default=10000)
-    tol = get_float(cfg, "experiment", "tol", default=DEFAULT_TOL)
+    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     word_guard = get_int(cfg, "experiment", "word_guard", default=support.WORD_GUARD)
     dim = models.point_dim(spec)
     with _Stage(out_dir, "support", digest, seed, threads) as st:
@@ -509,7 +510,7 @@ def run_check(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     n_theta = get_int(cfg, "experiment", "mc_samples", default=100000)
     count = get_int(cfg, "experiment", "count", default=4096)
-    tol = get_float(cfg, "experiment", "tol", default=DEFAULT_TOL)
+    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]

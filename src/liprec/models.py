@@ -8,8 +8,9 @@ letac           psi(x) = a * max(x, b) + c
 sqrt_quadratic  psi(x) = sqrt(a x^2 + b x + c), b^2 - 4 a c < 0
 arch1           psi(x) = |gamma |x| + sqrt(beta + lambda x^2) a|
 
-All operations accept scalar draws or batches of draws (array-valued
-fields) and broadcast against the point argument. Dilations are computed
+A draw theta is a dict from parameter name (in `required_params` order)
+to a float, or to an array for a batch of draws; all operations accept
+either and broadcast against the point argument. Dilations are computed
 in closed form, so apply(theta, x) is bit-identical to the dilated map
 at t = 1.
 """
@@ -36,14 +37,6 @@ class ModelSpec:
     dimension: int = 1
     laws: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ThetaDraw:
-    """One parameter draw (scalar fields) or a batch (array fields)."""
-
-    family: str
-    values: dict
 
 
 def required_params(family, dimension=1):
@@ -124,7 +117,7 @@ def _rotate(spec, theta, x):
     if d == 1:
         return x
     x = np.asarray(x, dtype=float)
-    ang = np.asarray(theta.values["angle"], dtype=float)
+    ang = np.asarray(theta["angle"], dtype=float)
     c, s = np.cos(ang), np.sin(ang)
     if d == 2:
         return np.stack(
@@ -144,8 +137,8 @@ def _affine_linear(spec, theta, x):
     """scale * R x for an affine draw: its linear part applied to x."""
     rx = _rotate(spec, theta, x)
     if spec.dimension == 1:
-        return theta.values["scale"] * rx
-    scale = np.asarray(theta.values["scale"], dtype=float)
+        return theta["scale"] * rx
+    scale = np.asarray(theta["scale"], dtype=float)
     if scale.ndim:
         scale = scale[..., None]
     return scale * rx
@@ -154,8 +147,8 @@ def _affine_linear(spec, theta, x):
 def _shift_vector(spec, theta):
     d = spec.dimension
     if d == 1:
-        return np.asarray(theta.values["shift"], dtype=float)
-    comps = [np.asarray(theta.values[f"shift_{i}"], dtype=float) for i in range(1, d + 1)]
+        return np.asarray(theta["shift"], dtype=float)
+    comps = [np.asarray(theta[f"shift_{i}"], dtype=float) for i in range(1, d + 1)]
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
@@ -178,7 +171,7 @@ def sample_theta(spec, rng, size=None):
         _require_positive(values["scale"], fam, "scale")
     if fam == "letac" and np.any(np.asarray(values["b"]) < 0):
         raise DomainError("letac parameter b must be >= 0")
-    return ThetaDraw(fam, values)
+    return values
 
 
 def _require_positive(v, fam, name):
@@ -206,14 +199,14 @@ def _sample_sqrtquad(spec, rng, size):
             f"{_SQRTQUAD_MAX_REDRAWS} redraws"
         )
     if size is None:
-        return ThetaDraw("sqrt_quadratic", {"a": float(a[0]), "b": float(b[0]), "c": float(c[0])})
-    return ThetaDraw("sqrt_quadratic", {"a": a, "b": b, "c": c})
+        return {"a": float(a[0]), "b": float(b[0]), "c": float(c[0])}
+    return {"a": a, "b": b, "c": c}
 
 
 def _check_sqrtquad(theta):
-    a = np.asarray(theta.values["a"], dtype=float)
-    b = np.asarray(theta.values["b"], dtype=float)
-    c = np.asarray(theta.values["c"], dtype=float)
+    a = np.asarray(theta["a"], dtype=float)
+    b = np.asarray(theta["b"], dtype=float)
+    c = np.asarray(theta["c"], dtype=float)
     bad = b * b - 4.0 * a * c >= 0
     if np.any(bad):
         i = int(np.argmax(np.atleast_1d(bad)))
@@ -239,52 +232,50 @@ def apply_dilated(spec, theta, x, t):
     if np.any(np.asarray(t) <= 0):
         raise PreconditionError("dilation parameter t must be positive")
     fam = spec.family
-    v = theta.values
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     if fam == "affine":
-        shift = v["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
+        shift = theta["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
         return _affine_linear(spec, theta, x) + t * shift
     if fam == "extremal":
-        return np.maximum(v["a"] * x, t * v["b"])
+        return np.maximum(theta["a"] * x, t * theta["b"])
     if fam == "letac":
-        return v["a"] * np.maximum(x, t * v["b"]) + t * v["c"]
+        return theta["a"] * np.maximum(x, t * theta["b"]) + t * theta["c"]
     if fam == "sqrt_quadratic":
         _check_sqrtquad(theta)
-        rad = v["a"] * x * x + t * v["b"] * x + (t * t) * v["c"]
+        rad = theta["a"] * x * x + t * theta["b"] * x + (t * t) * theta["c"]
         return np.sqrt(rad)
     g = spec.constants["gamma"]
     beta = spec.constants["beta"]
     lam = spec.constants["lambda"]
     ax = np.abs(x)
-    return np.abs(g * ax + np.sqrt((t * t) * beta + lam * x * x) * v["a"])
+    return np.abs(g * ax + np.sqrt((t * t) * beta + lam * x * x) * theta["a"])
 
 
 def limit_map(spec, theta, x):
     """The t -> 0 limit of the dilated map; positively homogeneous in x."""
     fam = spec.family
-    v = theta.values
     if fam == "affine":
         return _affine_linear(spec, theta, x)
     if fam == "extremal":
-        return np.maximum(v["a"] * x, 0.0)
+        return np.maximum(theta["a"] * x, 0.0)
     if fam == "letac":
-        return v["a"] * np.maximum(x, 0.0)
+        return theta["a"] * np.maximum(x, 0.0)
     return m_scale(spec, theta) * np.abs(x)
 
 
 def m_scale(spec, theta):
     """|M_theta|: modulus of the linear part."""
     fam = spec.family
-    v = theta.values
     if fam == "affine":
-        return np.asarray(v["scale"], dtype=float) if np.ndim(v["scale"]) else v["scale"]
+        scale = theta["scale"]
+        return np.asarray(scale, dtype=float) if np.ndim(scale) else scale
     if fam in ("extremal", "letac"):
-        return v["a"]
+        return theta["a"]
     if fam == "sqrt_quadratic":
-        return np.sqrt(v["a"])
+        return np.sqrt(theta["a"])
     g = spec.constants["gamma"]
     lam = spec.constants["lambda"]
-    return np.abs(g + math.sqrt(lam) * np.asarray(v["a"], dtype=float))
+    return np.abs(g + math.sqrt(lam) * np.asarray(theta["a"], dtype=float))
 
 
 def linear_apply(spec, theta, x):
@@ -303,17 +294,16 @@ def lipschitz_bound(spec, theta):
         return m_scale(spec, theta)
     g = spec.constants["gamma"]
     lam = spec.constants["lambda"]
-    return g + math.sqrt(lam) * np.abs(theta.values["a"])
+    return g + math.sqrt(lam) * np.abs(theta["a"])
 
 
 def cancellation_bound(spec, theta):
     """Bound on |psi_theta(x) - M_theta x| over the stationary support."""
     fam = spec.family
-    v = theta.values
     if fam == "extremal":
-        return 2.0 * np.abs(v["b"])
+        return 2.0 * np.abs(theta["b"])
     if fam == "sqrt_quadratic":
-        a, b, c = v["a"], v["b"], v["c"]
+        a, b, c = theta["a"], theta["b"], theta["c"]
         vmin = c - b * b / (4.0 * a)
         floor = np.where(np.asarray(b) >= 0, np.sqrt(c), c / np.sqrt(vmin))
         return np.abs(b) / np.sqrt(a) + floor
@@ -323,19 +313,18 @@ def cancellation_bound(spec, theta):
 def smoothness_bound(spec, theta):
     """Bound Q with |t psi(x/t) - limit_map(x)| <= t Q for all x, t in (0,1]."""
     fam = spec.family
-    v = theta.values
     if fam == "affine":
         return radius(spec, _shift_vector(spec, theta))
     if fam == "extremal":
-        return np.abs(v["b"])
+        return np.abs(theta["b"])
     if fam == "letac":
-        return v["a"] * v["b"] + np.abs(v["c"])
+        return theta["a"] * theta["b"] + np.abs(theta["c"])
     if fam == "sqrt_quadratic":
-        a, b, c = v["a"], v["b"], v["c"]
+        a, b, c = theta["a"], theta["b"], theta["c"]
         vmin = c - b * b / (4.0 * a)
         return np.abs(b) / np.sqrt(a) + c / np.sqrt(vmin)
     beta = spec.constants["beta"]
-    return math.sqrt(beta) * np.abs(v["a"])
+    return math.sqrt(beta) * np.abs(theta["a"])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +365,7 @@ def cancellation_law(spec):
 
 
 def theta_atoms(spec):
-    """All atoms of the theta law as (ThetaDraw, probability) pairs.
+    """All atoms of the theta law as (theta, probability) pairs.
 
     Only defined when every parameter law is atomic.
     """
@@ -389,7 +378,6 @@ def theta_atoms(spec):
             )
     out = []
     for combo in itertools.product(*tables):
-        values = {name: item[0] for name, item in zip(names, combo)}
-        prob = math.prod(item[1] for item in combo)
-        out.append((ThetaDraw(spec.family, values), prob))
+        theta = {name: item[0] for name, item in zip(names, combo)}
+        out.append((theta, math.prod(item[1] for item in combo)))
     return out

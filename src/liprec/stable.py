@@ -32,6 +32,9 @@ PHI_MAX_TERMS = 10**5
 _GAUSS_NODES = 16
 _PANEL_MIN_EXP = 41  # radial panels [2^-41, 1]
 _KS_C99 = 1.6276236115189503  # sqrt(-ln(0.005)/2)
+_INNER_REPS = 512  # phi draws per direction in the inner parts of C_alpha and C_2
+_SNAP_TOL = 1e-6  # alpha this close to 1 or 2 takes that boundary regime
+_FIT_POINTS = 8  # t values in the stable index fit
 
 
 def _cexpm1(t):
@@ -50,10 +53,10 @@ def _radius(x, dim):
     return np.abs(x) if dim == 1 else np.linalg.norm(x, axis=-1)
 
 
-def _panels(quad_points=_GAUSS_NODES):
+def _panels():
     """(nodes, weights) of Gauss quadrature on each dyadic panel
     [2^-k-1, 2^-k] of (2^-41, 1], largest panel first."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     for k in range(_PANEL_MIN_EXP):
         lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
         yield 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
@@ -63,7 +66,7 @@ def _panels(quad_points=_GAUSS_NODES):
 # the phi series and its kernel
 
 
-def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None, max_terms=PHI_MAX_TERMS):
+def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None):
     """One phi draw per row of xs, truncated once the running contraction
     product times |x| drops below trunc_tol (or the iterate hits 0)."""
     if rng is None:
@@ -78,9 +81,9 @@ def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None, max_terms=PHI_MAX_TERMS
     terms = 0
     while active.size:
         terms += 1
-        if terms > max_terms:
+        if terms > PHI_MAX_TERMS:
             raise ConvergenceError(
-                f"phi series did not truncate within {max_terms} terms"
+                f"phi series did not truncate within {PHI_MAX_TERMS} terms"
             )
         theta = models.sample_theta(spec, rng, active.size)
         znew = models.limit_map(spec, theta, z[active])
@@ -97,17 +100,16 @@ def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None, max_terms=PHI_MAX_TERMS
 class ModelKernel:
     """Adapters feeding a model's phi series into the C_alpha integrator."""
 
-    def __init__(self, spec, trunc_tol=1e-8):
+    def __init__(self, spec):
         self.spec = spec
         self.dim = models.point_dim(spec)
-        self.trunc_tol = trunc_tol
 
     def h_values(self, pts, v, reps, rng):
         """Inner-MC estimate of h(v, .) at each point; pts shape (m,) or (m, d)."""
         pts = np.asarray(pts, dtype=float)
         m = pts.shape[0]
         xs = np.repeat(pts, reps, axis=0)
-        phis = phi_series_batch(self.spec, xs, self.trunc_tol, rng)
+        phis = phi_series_batch(self.spec, xs, rng=rng)
         vals = np.exp(1j * _dot(v, phis, self.dim)).reshape(m, reps)
         return vals.mean(axis=1)
 
@@ -116,7 +118,7 @@ class ModelKernel:
         pts = np.asarray(pts, dtype=float)
         m = pts.shape[0]
         xs = np.concatenate([pts] * reps, axis=0)
-        phis = phi_series_batch(self.spec, xs, self.trunc_tol, rng)
+        phis = phi_series_batch(self.spec, xs, rng=rng)
         if self.dim == 1:
             return phis.reshape(reps, m)
         return phis.reshape(reps, m, self.dim)
@@ -192,7 +194,7 @@ def xi(t, samples, dim=1):
     return np.asarray(np.mean(t * x / (1.0 + t * t * r2)[:, None], axis=0))
 
 
-def tau(t, samples, alpha, tail_constant, dim=1, quad_points=_GAUSS_NODES):
+def tau(t, samples, alpha, tail_constant, dim=1):
     """Tail-measure centering drift at scale t, alpha = 1 only.
 
     Lambda-integral of x/(1+|tx|^2) - x/(1+|x|^2), split at radius 1:
@@ -215,7 +217,7 @@ def tau(t, samples, alpha, tail_constant, dim=1, quad_points=_GAUSS_NODES):
     )
     dirs, masses = tails.direction_masses(samples, 1.0, tail_constant, dim=1)
     inner = 0.0
-    for r, wq in _panels(quad_points):
+    for r, wq in _panels():
         radial = (1.0 / (1.0 + t * t * r * r) - 1.0 / (1.0 + r * r)) * r ** (-1.0)
         inner += float(np.sum(wq * radial))
     drift = float(sum(m_ * w_ for w_, m_ in zip(dirs, masses)))  # sum sigma_w * w
@@ -253,7 +255,7 @@ def c_alpha(
     tail_constant,
     kernel,
     g_schedule=(0.04, 0.02),
-    inner_reps=512,
+    inner_reps=_INNER_REPS,
     outer_reps=256,
     master_seed=0,
     dim=1,
@@ -328,7 +330,7 @@ def c_alpha(
     )
 
 
-def c_two(v, samples, tail_constant, kernel, inner_reps=512, master_seed=0, dim=1):
+def c_two(v, samples, tail_constant, kernel, master_seed=0, dim=1):
     """Gaussian-regime exponent
     C_2(v) = -1/4 * sum_w sigma_w (<v,w>^2 + 2 <v,w> <v, E phi(w)>).
 
@@ -338,11 +340,11 @@ def c_two(v, samples, tail_constant, kernel, inner_reps=512, master_seed=0, dim=
     rng = stream(master_seed, 0, "c-two-phi")
     dirs, masses = tails.direction_masses(samples, 2.0, tail_constant, dim=dim)
     dir_pts = np.asarray(dirs, dtype=float)
-    phis = kernel.phi_draws(dir_pts, inner_reps, rng)  # (reps, m[, d])
+    phis = kernel.phi_draws(dir_pts, _INNER_REPS, rng)  # (reps, m[, d])
     a = _dot(v, dir_pts, dim)  # (m,)
     b = _dot(v, phis, dim)  # (reps, m)
     bmean = b.mean(axis=0)
-    bse = b.std(axis=0, ddof=1) / math.sqrt(inner_reps)
+    bse = b.std(axis=0, ddof=1) / math.sqrt(_INNER_REPS)
     value = -0.25 * float(np.sum(masses * (a * a + 2.0 * a * bmean)))
     se = 0.25 * float(np.sqrt(np.sum((masses * 2.0 * a * bse) ** 2)))
     return value, se
@@ -359,13 +361,13 @@ class LimitParams:
     center: float = 0.0
 
 
-def limit_params(alpha, center=0.0, snap_tol=1e-6):
+def limit_params(alpha, center=0.0):
     """Resolve the regime from alpha; snaps to the boundary cases."""
-    if alpha <= 0 or alpha > 2 + snap_tol:
+    if alpha <= 0 or alpha > 2 + _SNAP_TOL:
         raise PreconditionError("alpha must lie in (0, 2]")
-    if abs(alpha - 1.0) <= snap_tol:
+    if abs(alpha - 1.0) <= _SNAP_TOL:
         return LimitParams(1.0, "eq1", center)
-    if abs(alpha - 2.0) <= snap_tol:
+    if abs(alpha - 2.0) <= _SNAP_TOL:
         return LimitParams(2.0, "eq2", center)
     if alpha < 1.0:
         return LimitParams(float(alpha), "sub1", 0.0)
@@ -412,7 +414,7 @@ class StableFit:
     cf_modulus: np.ndarray
 
 
-def stable_index_fit(samples, t_window=None, n_points=8):
+def stable_index_fit(samples, t_window=None):
     """Slope of log(-log |CF|) against log t: the stable index.
 
     The window must keep |CF| inside (0.05, 1); outside it the double log
@@ -431,7 +433,7 @@ def stable_index_fit(samples, t_window=None, n_points=8):
         if usable.size < 2:
             raise PreconditionError("no usable CF window found for the index fit")
         t_window = (ladder[usable[0]], ladder[usable[-1]])
-    ts = np.geomspace(t_window[0], t_window[1], n_points)
+    ts = np.geomspace(t_window[0], t_window[1], _FIT_POINTS)
     mods = cf_mod(ts)
     if np.any(mods <= 0.05) or np.any(mods >= 1.0):
         raise PreconditionError(
@@ -452,7 +454,7 @@ class GaussianCheck:
     passed: bool
 
 
-def gaussian_check(samples, level_critical=_KS_C99):
+def gaussian_check(samples):
     """KS distance to the moment-fitted normal plus shape statistics."""
     from scipy import stats
 
@@ -461,7 +463,7 @@ def gaussian_check(samples, level_critical=_KS_C99):
     if sd == 0:
         raise PreconditionError("degenerate sample: zero variance")
     ks = stats.kstest(x, "norm", args=(x.mean(), sd)).statistic
-    crit = level_critical / math.sqrt(len(x))
+    crit = _KS_C99 / math.sqrt(len(x))
     skew = float(stats.skew(x))
     kurt = float(stats.kurtosis(x))
     return GaussianCheck(float(ks), float(crit), skew, kurt, bool(ks < crit))

@@ -38,7 +38,6 @@ class SupportCloud:
     points: np.ndarray
     depths: np.ndarray
     dedupe_tol: float
-    fixpoint_tol: float
 
 
 @dataclass(frozen=True)
@@ -49,18 +48,11 @@ class CoverageReport:
     count: int
 
 
-def enumerate_fixed_points(
-    spec,
-    max_depth,
-    fixpoint_tol=FIXPOINT_TOL,
-    dedupe_tol=DEDUPE_TOL,
-    word_guard=WORD_GUARD,
-    prune_product=PRUNE_PRODUCT,
-):
+def enumerate_fixed_points(spec, max_depth, word_guard=WORD_GUARD):
     """Breadth-first word enumeration -> deduplicated fixed-point cloud.
 
     Expansive prefixes are kept (their extensions may contract) until the
-    Lipschitz product exceeds `prune_product`; fixed points are only
+    Lipschitz product exceeds PRUNE_PRODUCT; fixed points are only
     solved for words with product < 1. Each depth is one word matrix,
     and the guard counts every word examined up to and including it.
     """
@@ -68,10 +60,7 @@ def enumerate_fixed_points(
     if not atoms:
         raise PreconditionError("no atoms to enumerate")
     lips = np.array([float(models.lipschitz_bound(spec, th)) for th in atoms])
-    tables = {
-        name: np.array([th.values[name] for th in atoms], dtype=float)
-        for name in atoms[0].values
-    }
+    tables = {name: np.array([th[name] for th in atoms], dtype=float) for name in atoms[0]}
     k = len(atoms)
 
     # row w of `words` holds the atom indices of word w, outermost first;
@@ -93,11 +82,11 @@ def enumerate_fixed_points(
         if contracting.any():
             points.append(
                 _fixed_points(
-                    spec, tables, words[contracting], prods[contracting], fixpoint_tol
+                    spec, tables, words[contracting], prods[contracting], FIXPOINT_TOL
                 )
             )
             depths.append(np.full(len(points[-1]), depth))
-        keep = prods <= prune_product
+        keep = prods <= PRUNE_PRODUCT
         words, prods = words[keep], prods[keep]
         if not len(words):
             break
@@ -107,12 +96,11 @@ def enumerate_fixed_points(
             f"no contracting word found up to depth {max_depth}"
         )
     pts = np.concatenate(points)
-    kept = _dedupe(pts, dedupe_tol)
+    kept = _dedupe(pts, DEDUPE_TOL)
     return SupportCloud(
         points=pts[kept],
         depths=np.concatenate(depths)[kept],
-        dedupe_tol=float(dedupe_tol),
-        fixpoint_tol=float(fixpoint_tol),
+        dedupe_tol=DEDUPE_TOL,
     )
 
 
@@ -134,9 +122,7 @@ def _fixed_points(spec, tables, words, lips, tol):
         nxt = cur
         for col in reversed(range(words.shape[1])):
             idx = words[active, col]
-            theta = models.ThetaDraw(
-                spec.family, {name: tab[idx] for name, tab in tables.items()}
-            )
+            theta = {name: tab[idx] for name, tab in tables.items()}
             nxt = models.apply(spec, theta, nxt)
         x[active] = nxt
         step = models.radius(spec, nxt - cur)

@@ -19,6 +19,12 @@ from .errors import PreconditionError
 from .randomness import stream
 
 MOM_BLOCKS = 32
+# Points of the survival grid over the plateau window, and of the Hill ladder
+DEFAULT_T_POINTS = 32
+DEFAULT_HILL_POINTS = 24
+_PLATEAU_Q = (0.99, 0.9999)  # radius quantiles bounding the plateau window
+_DIRECTION_Q = 0.999  # radius quantile above which samples give directions
+_DIRECTION_BINS = 64  # bins per angular coordinate in d >= 2
 # Samples per chunk of the paired differences (_paired_gap)
 _PAIR_CHUNK = 1 << 16
 
@@ -96,20 +102,19 @@ def hill_curve(samples, ks):
     return ladder
 
 
-def plateau_window(samples, lo_q=0.99, hi_q=0.9999):
-    """Default diagnostic window: between those two radius quantiles."""
+def plateau_window(samples):
+    """Default diagnostic window: between the two _PLATEAU_Q quantiles."""
     x = np.asarray(samples, dtype=float)
-    lo, hi = np.quantile(x, [lo_q, hi_q])
+    lo, hi = np.quantile(x, _PLATEAU_Q)
     if not 0 < lo < hi:
         raise PreconditionError("plateau window is degenerate for these samples")
     return float(lo), float(hi)
 
 
-def empirical_tail_constant(samples, alpha, window=None, grid_points=32):
-    """Median of t^alpha P(sample > t) over a log grid in the window."""
-    if window is None:
-        window = plateau_window(samples)
-    grid = np.geomspace(window[0], window[1], grid_points)
+def empirical_tail_constant(samples, alpha):
+    """Median of t^alpha P(sample > t) over a log grid in the plateau window."""
+    window = plateau_window(samples)
+    grid = np.geomspace(window[0], window[1], DEFAULT_T_POINTS)
     rows = survival_curve(samples, grid, alpha)
     return float(np.median([r[2] for r in rows]))
 
@@ -118,7 +123,7 @@ def empirical_tail_constant(samples, alpha, window=None, grid_points=32):
 # the explicit tail constant
 
 
-def _mom_se(values, blocks=MOM_BLOCKS):
+def _mom_se(values):
     """Robust standard error of the mean via block medians.
 
     Block means are computed on a contiguous split; their median absolute
@@ -126,11 +131,11 @@ def _mom_se(values, blocks=MOM_BLOCKS):
     the summands are themselves heavy-tailed.
     """
     values = np.asarray(values, dtype=float)
-    usable = (len(values) // blocks) * blocks
-    means = values[:usable].reshape(blocks, -1).mean(axis=1)
+    usable = (len(values) // MOM_BLOCKS) * MOM_BLOCKS
+    means = values[:usable].reshape(MOM_BLOCKS, -1).mean(axis=1)
     center = np.median(means)
     mad = np.median(np.abs(means - center))
-    return 1.4826 * float(mad) / math.sqrt(blocks), means
+    return 1.4826 * float(mad) / math.sqrt(MOM_BLOCKS), means
 
 
 @dataclass(frozen=True)
@@ -152,19 +157,19 @@ def _paired_gap(spec, theta, x, s):
     d = np.empty(len(x))
     for lo in range(0, len(x), _PAIR_CHUNK):
         part = slice(lo, lo + _PAIR_CHUNK)
-        th = models.ThetaDraw(theta.family, {k: v[part] for k, v in theta.values.items()})
+        th = {k: v[part] for k, v in theta.items()}
         lhs = models.radius(spec, models.apply(spec, th, x[part])) ** s
         rhs = models.radius(spec, models.linear_apply(spec, th, x[part])) ** s
         d[part] = lhs - rhs
     return d
 
 
-def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0, purpose="goldie"):
+def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0):
     """Pairwise estimator of the tail constant; returns a GoldieEstimate."""
     if alpha <= 0 or m_alpha <= 0:
         raise PreconditionError("goldie_constant needs alpha > 0 and m_alpha > 0")
     x = np.asarray(batch_samples)
-    theta = models.sample_theta(spec, stream(master_seed, 0, purpose), len(x))
+    theta = models.sample_theta(spec, stream(master_seed, 0, "goldie"), len(x))
     d = _paired_gap(spec, theta, x, alpha)
     d /= alpha * m_alpha
     value = float(d.mean())
@@ -180,28 +185,29 @@ def sigma_mass(tail_constant, alpha):
     return alpha * tail_constant
 
 
-def direction_masses(samples, alpha, tail_constant, dim=1, hi_q=0.999, bins=64):
+def direction_masses(samples, alpha, tail_constant, dim=1):
     """Apportion sigma_mass over directions of the largest samples.
 
-    d=1 splits exactly over {+1, -1}; d>=2 uses `bins` per angular
-    coordinate. Directions carrying no large samples get zero mass.
+    d=1 splits exactly over {+1, -1}; d>=2 uses _DIRECTION_BINS per
+    angular coordinate and returns only directions that carry large
+    samples.
     """
     total = sigma_mass(tail_constant, alpha)
     x = np.asarray(samples, dtype=float)
     if dim == 1:
-        cut = np.quantile(np.abs(x), hi_q)
+        cut = np.quantile(np.abs(x), _DIRECTION_Q)
         big = x[np.abs(x) >= cut]
         frac_plus = float(np.mean(big > 0)) if len(big) else 0.5
         return np.array([1.0, -1.0]), np.array(
             [total * frac_plus, total * (1.0 - frac_plus)]
         )
     r = np.linalg.norm(x, axis=-1)
-    cut = np.quantile(r, hi_q)
+    cut = np.quantile(r, _DIRECTION_Q)
     big = x[r >= cut]
     u = big / np.linalg.norm(big, axis=-1, keepdims=True)
     if dim == 2:
         ang = np.arctan2(u[:, 1], u[:, 0])
-        hist, edges = np.histogram(ang, bins=bins, range=(-np.pi, np.pi))
+        hist, edges = np.histogram(ang, bins=_DIRECTION_BINS, range=(-np.pi, np.pi))
         centers = 0.5 * (edges[:-1] + edges[1:])
         dirs = np.stack([np.cos(centers), np.sin(centers)], axis=-1)
         weights = hist / hist.sum()
@@ -210,7 +216,7 @@ def direction_masses(samples, alpha, tail_constant, dim=1, hi_q=0.999, bins=64):
     az = np.arctan2(u[:, 1], u[:, 0])
     el = np.arcsin(np.clip(u[:, 2], -1, 1))
     hist, az_e, el_e = np.histogram2d(
-        az, el, bins=bins, range=[(-np.pi, np.pi), (-np.pi / 2, np.pi / 2)]
+        az, el, bins=_DIRECTION_BINS, range=[(-np.pi, np.pi), (-np.pi / 2, np.pi / 2)]
     )
     az_c = 0.5 * (az_e[:-1] + az_e[1:])
     el_c = 0.5 * (el_e[:-1] + el_e[1:])
@@ -281,8 +287,8 @@ def tail_report(
     alpha,
     m_alpha,
     master_seed=0,
-    t_points=32,
-    hill_points=24,
+    t_points=DEFAULT_T_POINTS,
+    hill_points=DEFAULT_HILL_POINTS,
 ):
     """Survival grid, Hill ladder, tail constant and plateau diagnostics."""
     radii = models.radius(spec, np.asarray(batch_samples))

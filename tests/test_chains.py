@@ -183,6 +183,18 @@ def test_backward_depth_guard(bench_spec):
     assert str(got.value) == str(ref.value)
 
 
+def test_backward_depth_guard_on_a_model_that_does_not_contract():
+    # E log L > 0: the running product overflows long before max_depth, and
+    # the guard must still end the run with its own error, not numpy's
+    spec = models.make_model(
+        "arch1",
+        laws={"a": rnd.discrete((-2.0, -1.0, 1.0, 2.0), (0.25,) * 4)},
+        constants={"gamma": 1.0, "beta": 0.8, "lambda": 0.25},
+    )
+    with pytest.raises(ConvergenceError, match=r"max_depth=2000 with running bound still inf "):
+        chains.stationary_batch(spec, 64, max_depth=2000)
+
+
 def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypatch):
     # 64 members, 2 parameters: a cap of 29 * 128 trips on step 30, when 25
     # members still run (the deepest stops at 46), so the guard must count
@@ -300,5 +312,5 @@ def test_birkhoff_sums_match_trajectory(bench_spec):
 def test_paired_theta_independent_of_batch(bench_spec):
     th = models.sample_theta(bench_spec, stream(7, 0, "pairs"), 4096)
     batch = chains.stationary_batch(bench_spec, 4096, master_seed=7)
-    r = np.corrcoef(th.values["a"], batch.samples)[0, 1]
+    r = np.corrcoef(th["a"], batch.samples)[0, 1]
     assert abs(r) < 0.05

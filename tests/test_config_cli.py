@@ -284,6 +284,7 @@ def test_cli_mode_typo_fails_before_any_output(tmp_path, capsys):
         ("cramer", BENCH_MODEL, "bracket = 1.0"),
         ("tail", BENCH_MODEL, "bracket = 1.0"),
         ("limit", BENCH_MODEL, "bracket = 1.0"),
+        ("limit", BENCH_MODEL + "\n[experiment]\nalpha = 1.5\n", "bracket = 1.0"),
         ("cramer", BENCH_MODEL, "bracket = 0.5, 3.0, 4.0"),
         ("simulate", BENCH_MODEL, "x0 ="),
         ("simulate", BENCH_MODEL, "x0 = 1, 2"),
@@ -502,6 +503,48 @@ def test_cli_limit_two_sided_support_needs_linearity_flag(tmp_path, capsys):
     assert entry["status"] == "failed"
     assert entry["error_type"] == "AssertionFlagError"
     assert entry["backward"]["theta_used"] >= 2000
+
+
+def test_cli_limit_checks_center_in_every_regime(tmp_path, capsys):
+    # alpha < 1 needs no centering, but a malformed center is still an error
+    text = BENCH_MODEL + "\n[experiment]\nalpha = 0.8\nn = 64\nreplicas = 2000\ncount = 2000\n"
+    good = _write(tmp_path, text + "center = 5.0\n", "good.cfg")
+    assert _run(["limit", "--config", good, "--out", tmp_path / "g"]) == 0
+    assert capsys.readouterr().out.startswith("regime sub1, ")
+    bad = _write(tmp_path, text + "center = abc\n", "bad.cfg")
+    out = tmp_path / "b"
+    assert _run(["limit", "--config", bad, "--out", out]) == 2
+    message = "[experiment] center must be a number, 'auto' or 'stationary_mean', got 'abc'"
+    assert capsys.readouterr().err == f"liprec limit: error: {message}\n"
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["status"] == "failed"
+    assert entry["error_type"] == "ConfigError"
+    assert entry["error"] == message
+    assert entry["exit_code"] == 2
+    assert entry["outputs"] == {}
+
+
+def test_cli_non_contracting_model_exits_3_with_one_error_line(tmp_path, capsys):
+    text = """\
+[model]
+family = arch1
+gamma = 1.0
+beta = 0.8
+lambda = 0.25
+
+[distributions.a]
+kind = discrete
+atoms = -2, -1, 1, 2
+
+[experiment]
+count = 64
+max_depth = 2000
+"""
+    path = _write(tmp_path, text)
+    assert _run(["simulate", "--config", path, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("liprec simulate: error: backward iteration hit max_depth=2000")
 
 
 def test_csv_schemas_support_and_check(tmp_path):

@@ -120,7 +120,7 @@ def test_limit_map_positive_homogeneity(family):
 @given(st.floats(min_value=1e-3, max_value=1e3), st.floats(-50, 50))
 def test_extremal_homogeneity_pointwise(s, x):
     spec = CATALOG["extremal"]
-    th = models.ThetaDraw("extremal", {"a": 0.7, "b": 1.3})
+    th = {"a": 0.7, "b": 1.3}
     lhs = models.limit_map(spec, th, s * x)
     rhs = s * models.limit_map(spec, th, x)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -169,7 +169,7 @@ def test_rotation_preserves_length_and_axis_d3():
 
 def test_sqrt_quadratic_discriminant_guard():
     spec = CATALOG["sqrt_quadratic"]
-    bad = models.ThetaDraw("sqrt_quadratic", {"a": 1.0, "b": 4.0, "c": 1.0})
+    bad = {"a": 1.0, "b": 4.0, "c": 1.0}
     with pytest.raises(DomainError):
         models.apply(spec, bad, np.array([0.5]))
 
@@ -216,10 +216,10 @@ def test_make_model_validates_parameters():
 
 def test_theta_bounds_match_family_formulas():
     spec = CATALOG["arch1"]
-    th = models.ThetaDraw("arch1", {"a": -1.5})
+    th = {"a": -1.5}
     assert models.lipschitz_bound(spec, th) == pytest.approx(0.3 + math.sqrt(0.25) * 1.5)
     assert models.cancellation_bound(spec, th) == pytest.approx(math.sqrt(0.8) * 1.5)
-    e_th = models.ThetaDraw("extremal", {"a": 0.4, "b": -2.0})
+    e_th = {"a": 0.4, "b": -2.0}
     e_spec = CATALOG["extremal"]
     assert models.lipschitz_bound(e_spec, e_th) == 0.4
     assert models.cancellation_bound(e_spec, e_th) == pytest.approx(4.0)

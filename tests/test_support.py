@@ -345,7 +345,7 @@ def test_public_neighbour_searches_match_kd_tree(monkeypatch):
     def results():
         out = []
         for pts in clouds:
-            cloud = support.SupportCloud(pts, np.ones(len(pts), int), 1e-3, 1e-10)
+            cloud = support.SupportCloud(pts, np.ones(len(pts), int), 1e-3)
             out.append(support._dedupe(pts, support.DEDUPE_TOL).tolist())
             out.append(support._dedupe(pts, 1e-3).tolist())
             out.append(support.coverage_check(cloud, samples, 1e-3))

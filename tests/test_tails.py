@@ -216,6 +216,20 @@ def test_direction_masses_d2_concentrates():
     assert lead[0] > 0.99
 
 
+def test_direction_masses_d3_isotropic():
+    g = stream(22, 0, "space")
+    u = g.standard_normal((200_000, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    pts = _pareto(1.5, 200_000, seed=4)[:, None] * u
+    dirs, masses = tails.direction_masses(pts, 1.5, tail_constant=1.0, dim=3)
+    assert masses.sum() == pytest.approx(tails.sigma_mass(1.0, 1.5))
+    assert np.allclose(np.linalg.norm(dirs, axis=-1), 1.0)
+    assert np.all(masses > 0)
+    # 200 samples above the 0.999 radius quantile, spread over the sphere
+    assert len(dirs) > 100
+    assert np.linalg.norm(masses @ dirs) < 0.3 * masses.sum()
+
+
 def test_tail_report_bundle(bench_spec, bench_batch_100k):
     rep = tails.tail_report(
         bench_spec, bench_batch_100k.samples, ALPHA_BENCH, M_ALPHA_BENCH, master_seed=5
