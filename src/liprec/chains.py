@@ -7,7 +7,8 @@ a residual certificate.
 
 Batches run in fixed blocks, one counter-based stream per block, merged
 by block index: results are a pure function of (spec, master_seed, count)
-no matter how many worker threads execute the blocks.
+no matter how many worker threads execute the blocks. Block sizes are
+constants, never derived from the thread count or the batch size.
 
 Draw layout of the backward sampler: every step draws theta for the whole
 block, members that have already stopped included, so member i's step-j
@@ -17,6 +18,14 @@ runs from two seed points, or at two tolerances, see the same thetas.
 Only the draw spans the whole block: the stop rule runs on the members
 still running, and only their thetas are stored and replayed, so that
 work and memory scale with the draws used, not the draws made.
+
+Draw layout of the forward engine: blocks of FORWARD_BLOCK members, each
+drawing FORWARD_STEPS steps per `sample_theta` call, so that a step's
+Python work is paid once per chunk of steps and two threads can share a
+run of about 1e4 chains. Member i of block b takes its step-s draw from
+element (s mod FORWARD_STEPS) * size + i of chunk s // FORWARD_STEPS of
+the (master_seed, b, purpose) stream, where size is the block's member
+count; the last chunk has the steps left.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ from .randomness import stream
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DEPTH = 10**5
-BLOCK_SIZE = 16384
+BLOCK_SIZE = 16384  # backward sampler
+FORWARD_BLOCK = 4096
+FORWARD_STEPS = 16
 
 _Q_CAP = 0.95  # contraction-rate clip for the oscillation envelope
 _R_ENVELOPE = 1e9  # hard cap on the oscillation envelope
@@ -84,11 +95,14 @@ def _as_points(spec, x0, count):
 def _forward_block(spec, x0, n, rng, count, want_sums):
     z = _as_points(spec, x0, count)
     acc = np.zeros_like(z) if want_sums else None
-    for _ in range(n):
-        theta = models.sample_theta(spec, rng, count)
-        z = models.apply(spec, theta, z)
-        if want_sums:
-            acc += z
+    for first in range(0, n, FORWARD_STEPS):
+        k = min(FORWARD_STEPS, n - first)
+        chunk = models.sample_theta(spec, rng, k * count)
+        for j in range(k):
+            part = slice(j * count, (j + 1) * count)
+            z = models.apply(spec, {name: v[part] for name, v in chunk.items()}, z)
+            if want_sums:
+                acc += z
     return acc if want_sums else z
 
 
@@ -118,7 +132,7 @@ def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1):
         rng = stream(master_seed, block, "birkhoff")
         return _forward_block(spec, x0, n, rng, size, want_sums=True)
 
-    return np.concatenate(_run_blocks(worker, replicas, BLOCK_SIZE, threads))
+    return np.concatenate(_run_blocks(worker, replicas, FORWARD_BLOCK, threads))
 
 
 def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
@@ -129,7 +143,7 @@ def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
         rng = stream(master_seed, block, "forward")
         return _forward_block(spec, x0, n, rng, size, want_sums=False)
 
-    return np.concatenate(_run_blocks(worker, count, BLOCK_SIZE, threads))
+    return np.concatenate(_run_blocks(worker, count, FORWARD_BLOCK, threads))
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,10 @@ def check_cancellation(spec, batch_samples, n_theta, rng):
 
 
 def check_smoothness(spec, x_grid, t_grid, n_theta, rng):
-    """sup |t psi(x/t) - limit_map(x)| - t Q over grids; PASS iff <= _CHECK_TOL."""
+    """sup |t psi(x/t) - limit_map(x)| - t Q over grids; PASS iff <= _CHECK_TOL.
+
+    `x_grid` holds points: shape (m,) in 1-d, (m, d) in d dimensions.
+    """
     theta = models.sample_theta(spec, rng, n_theta)
     shaped = {k: np.reshape(v, (n_theta, 1)) for k, v in theta.items()}
     x = np.asarray(x_grid, dtype=float)

@@ -7,12 +7,13 @@ it shows. A stage that samples the stationary law draws it through
 `_Stage.backward`. Each stage appends one JSON line to manifest.jsonl
 carrying its status (a failed stage adds the exception class and
 message), the config digest, the seed, numpy's version and SIMD
-dispatch, wall time, a sha256 per output file, for a stage that ran the
-backward sampler its stop depths and draws, and for `tail` the report's
-flags. Config keys are read through the typed getters of `config`, which
-own every lookup, default and error message. All sampled stages
-draw from block-indexed streams, so the thread count never changes an
-output byte.
+dispatch, wall time, the stream layout (the backward and forward block
+sizes and the forward steps per draw), a sha256 per output file, for a
+stage that ran the backward sampler its stop depths and draws, and for
+`tail` the report's flags. Config keys are read through the typed
+getters of `config`, which own every lookup, default and error message.
+All sampled stages draw from block-indexed streams, so the thread count
+never changes an output byte.
 """
 
 from __future__ import annotations
@@ -159,6 +160,12 @@ class _Stage:
             "version": VERSION,
             "numpy": _numpy_build(),
             "wall_s": round(time.perf_counter() - self.t0, 6),
+            # which block sizes wrote the sampled outputs
+            "stream_layout": {
+                "backward_block": chains.BLOCK_SIZE,
+                "forward_block": chains.FORWARD_BLOCK,
+                "forward_steps": chains.FORWARD_STEPS,
+            },
             "outputs": self.outputs,
             **self.extra,
         }
@@ -519,6 +526,9 @@ def run_check(cfg, out_dir, seed=None, threads=1):
         radii = models.radius(spec, np.asarray(batch.samples))
         x_hi = float(np.quantile(radii, 0.9)) + 1.0
         x_grid = np.linspace(0.0, x_hi, 5)
+        d = models.point_dim(spec)
+        if d > 1:  # the same radii along each coordinate axis: (5 d, d) points
+            x_grid = np.concatenate([np.outer(x_grid, axis) for axis in np.eye(d)])
         t_grid = np.linspace(0.25, 1.0, 4)
         reports.append(cramer.check_smoothness(spec, x_grid, t_grid, 256, rng))
         m_law = models.linear_scale_law(spec)

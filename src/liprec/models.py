@@ -10,16 +10,18 @@ arch1           psi(x) = |gamma |x| + sqrt(beta + lambda x^2) a|
 
 A draw theta is a dict from parameter name (in `required_params` order)
 to a float, or to an array for a batch of draws; all operations accept
-either and broadcast against the point argument. Dilations are computed
-in closed form, so apply(theta, x) is bit-identical to the dilated map
-at t = 1.
+either and broadcast against the point argument. `apply` holds the one
+closed form per family. `apply_dilated` forms t * psi_theta(x / t) as
+`apply` on dilated translation parameters: the same products that a
+closed form written with t forms, so the two agree bit for bit, and at
+t = 1 it is bit-identical to `apply`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +31,12 @@ from .errors import ConfigError, DomainError, PreconditionError
 FAMILIES = ("affine", "extremal", "letac", "sqrt_quadratic", "arch1")
 
 _SQRTQUAD_MAX_REDRAWS = 100
+# the power of t each translation parameter takes in the dilated map
+_DILATION_POWERS = {
+    "extremal": {"b": 1},
+    "letac": {"b": 1, "c": 1},
+    "sqrt_quadratic": {"b": 1, "c": 2},
+}
 
 
 @dataclass(frozen=True)
@@ -182,9 +190,11 @@ def _require_positive(v, fam, name):
 def _sample_sqrtquad(spec, rng, size):
     laws = spec.laws
     n = 1 if size is None else int(size)
-    a = np.atleast_1d(np.asarray(rnd.sample(laws["a"], rng, n), dtype=float))
-    b = np.atleast_1d(np.asarray(rnd.sample(laws["b"], rng, n), dtype=float))
-    c = np.atleast_1d(np.asarray(rnd.sample(laws["c"], rng, n), dtype=float))
+    # copies: the redraws below write in place, and a constant law's
+    # batch is a read-only view
+    a = np.array(rnd.sample(laws["a"], rng, n), dtype=float, ndmin=1)
+    b = np.array(rnd.sample(laws["b"], rng, n), dtype=float, ndmin=1)
+    c = np.array(rnd.sample(laws["c"], rng, n), dtype=float, ndmin=1)
     for _ in range(_SQRTQUAD_MAX_REDRAWS):
         bad = (a <= 0) | (b * b - 4.0 * a * c >= 0)
         k = int(np.count_nonzero(bad))
@@ -223,32 +233,42 @@ def _check_sqrtquad(theta):
 
 
 def apply(spec, theta, x):
-    """psi_theta(x)."""
-    return apply_dilated(spec, theta, x, 1.0)
-
-
-def apply_dilated(spec, theta, x, t):
-    """t * psi_theta(x / t) for t > 0, in closed form per family."""
-    if np.any(np.asarray(t) <= 0):
-        raise PreconditionError("dilation parameter t must be positive")
+    """psi_theta(x), in closed form per family."""
     fam = spec.family
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     if fam == "affine":
         shift = theta["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
-        return _affine_linear(spec, theta, x) + t * shift
+        return _affine_linear(spec, theta, x) + shift
     if fam == "extremal":
-        return np.maximum(theta["a"] * x, t * theta["b"])
+        return np.maximum(theta["a"] * x, theta["b"])
     if fam == "letac":
-        return theta["a"] * np.maximum(x, t * theta["b"]) + t * theta["c"]
+        return theta["a"] * np.maximum(x, theta["b"]) + theta["c"]
     if fam == "sqrt_quadratic":
         _check_sqrtquad(theta)
-        rad = theta["a"] * x * x + t * theta["b"] * x + (t * t) * theta["c"]
-        return np.sqrt(rad)
+        return np.sqrt(theta["a"] * x * x + theta["b"] * x + theta["c"])
     g = spec.constants["gamma"]
     beta = spec.constants["beta"]
     lam = spec.constants["lambda"]
-    ax = np.abs(x)
-    return np.abs(g * ax + np.sqrt((t * t) * beta + lam * x * x) * theta["a"])
+    return np.abs(g * np.abs(x) + np.sqrt(beta + lam * x * x) * theta["a"])
+
+
+def apply_dilated(spec, theta, x, t):
+    """t * psi_theta(x / t) for t > 0: `apply` with dilated parameters.
+
+    The affine shifts, extremal b and letac b and c are multiplied by t,
+    sqrt_quadratic b by t and c by t^2, and arch1's constant beta by t^2.
+    """
+    if np.any(np.asarray(t) <= 0):
+        raise PreconditionError("dilation parameter t must be positive")
+    if spec.family == "arch1":
+        beta = (t * t) * spec.constants["beta"]
+        return apply(replace(spec, constants={**spec.constants, "beta": beta}), theta, x)
+    if spec.family == "affine":
+        powers = {k: 1 for k in theta if k.startswith("shift")}
+    else:
+        powers = _DILATION_POWERS[spec.family]
+    scaled = {k: (t if p == 1 else t * t) * theta[k] for k, p in powers.items()}
+    return apply(spec, {**theta, **scaled}, x)
 
 
 def limit_map(spec, theta, x):

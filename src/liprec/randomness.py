@@ -118,11 +118,15 @@ def stream(master_seed, replica=0, purpose=""):
 
 
 def sample(dist, rng, size=None):
-    """Draw from `dist`; scalar for size=None, else ndarray of that shape."""
+    """Draw from `dist`; scalar for size=None, else ndarray of that shape.
+
+    A constant law's batch is a read-only view; copy it before writing.
+    """
     kind = dist.kind
     if kind == "constant":
+        # a read-only view: no memory pass for a batch of one value
         v = dist.params[0]
-        return v if size is None else np.full(size, v)
+        return v if size is None else np.broadcast_to(v, size)
     if kind == "discrete":
         idx = rng.choice(len(dist.atoms), size=size, p=np.asarray(dist.weights))
         vals = np.asarray(dist.atoms)[idx]

@@ -52,6 +52,30 @@ def forward_chain(spec, x0, n, rng):
 
 
 # ---------------------------------------------------------------------------
+# the dilated map written per family with t: the reference for
+# models.apply_dilated, which dilates the parameters and calls apply
+
+
+def reference_apply_dilated(spec, theta, x, t):
+    """t * psi_theta(x / t), one closed form per family."""
+    fam = spec.family
+    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
+    if fam == "affine":
+        shift = theta["shift"] if spec.dimension == 1 else models._shift_vector(spec, theta)
+        return models._affine_linear(spec, theta, x) + t * shift
+    if fam == "extremal":
+        return np.maximum(theta["a"] * x, t * theta["b"])
+    if fam == "letac":
+        return theta["a"] * np.maximum(x, t * theta["b"]) + t * theta["c"]
+    if fam == "sqrt_quadratic":
+        return np.sqrt(theta["a"] * x * x + t * theta["b"] * x + (t * t) * theta["c"])
+    g = spec.constants["gamma"]
+    beta = spec.constants["beta"]
+    lam = spec.constants["lambda"]
+    return np.abs(g * np.abs(x) + np.sqrt((t * t) * beta + lam * x * x) * theta["a"])
+
+
+# ---------------------------------------------------------------------------
 # one word at a time: the reference for support's batched fixed points
 
 

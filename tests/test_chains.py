@@ -70,6 +70,10 @@ def _oracle_models():
 
 
 ORACLE_MODELS = _oracle_models()
+# two random parameters, so a chunk's draw interleaves them
+SMOOTH = models.make_model(
+    "extremal", laws={"a": rnd.lognormal(-0.75, 1.0), "b": rnd.uniform(1.0, 2.0)}
+)
 
 
 def test_forward_chain_shapes_and_prefix_sums(bench_spec):
@@ -137,14 +141,18 @@ def test_draw_counters_count_the_draws_made(bench_spec, monkeypatch):
 
 
 def test_thread_count_cannot_change_bytes(bench_spec):
-    count = 40_000  # spans three blocks
+    count = 40_000  # spans three backward blocks and ten forward blocks
     one = chains.stationary_batch(bench_spec, count, master_seed=7, threads=1)
     four = chains.stationary_batch(bench_spec, count, master_seed=7, threads=4)
     assert one.samples.tobytes() == four.samples.tobytes()
     assert np.array_equal(one.stop_depths, four.stop_depths)
-    s1 = chains.birkhoff_sums(bench_spec, 0.0, 32, count, master_seed=7, threads=1)
-    s4 = chains.birkhoff_sums(bench_spec, 0.0, 32, count, master_seed=7, threads=4)
-    assert s1.tobytes() == s4.tobytes()
+    # two random parameters share each chunk's draw, and n = 37 leaves a
+    # ragged last chunk of steps
+    n = 37
+    assert count > 2 * chains.FORWARD_BLOCK and n % chains.FORWARD_STEPS
+    for forward in (chains.birkhoff_sums, chains.forward_endpoints):
+        runs = [forward(SMOOTH, 0.0, n, count, master_seed=7, threads=t) for t in (1, 2, 4)]
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
 
 def test_blocks_write_disjoint_slices_under_thread_switching(bench_spec):
@@ -169,6 +177,10 @@ def test_block_boundary_is_seed_stable(bench_spec):
     small = chains.stationary_batch(bench_spec, chains.BLOCK_SIZE, master_seed=13)
     big = chains.stationary_batch(bench_spec, 2 * chains.BLOCK_SIZE, master_seed=13)
     assert np.array_equal(big.samples[: chains.BLOCK_SIZE], small.samples)
+    m = chains.FORWARD_BLOCK
+    small = chains.forward_endpoints(bench_spec, 0.0, 20, m, master_seed=13)
+    big = chains.forward_endpoints(bench_spec, 0.0, 20, 3 * m, master_seed=13)
+    assert np.array_equal(big[:m], small)
 
 
 def test_backward_depth_guard(bench_spec):
@@ -307,6 +319,21 @@ def test_birkhoff_sums_match_trajectory(bench_spec):
     g = stream(47, 0, "birkhoff")
     traj = forward_chain(bench_spec, 0.3, n, g)
     assert sums[0] == traj.partial_sums[n]
+
+
+def test_forward_draw_layout():
+    # member i takes its step-s draw from element (s mod k) * size + i of
+    # the block stream's chunk s // k, with k = FORWARD_STEPS
+    size, n, k = 3, 37, chains.FORWARD_STEPS
+    got = chains.forward_endpoints(SMOOTH, 0.5, n, size, master_seed=5)
+    rng = stream(5, 0, "forward")
+    chunks = [models.sample_theta(SMOOTH, rng, min(k, n - s) * size) for s in range(0, n, k)]
+    for i in range(size):
+        x = 0.5
+        for s in range(n):
+            theta = {p: float(v[(s % k) * size + i]) for p, v in chunks[s // k].items()}
+            x = models.apply(SMOOTH, theta, x)
+        assert x == got[i]
 
 
 def test_paired_theta_independent_of_batch(bench_spec):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,34 @@ params = 1.0
 [distributions.shift_2]
 kind = constant
 params = 0.0
+"""
+
+
+AFFINE_3D_MODEL = """\
+[model]
+family = affine
+dimension = 3
+axis = 1.0, 2.0, 0.5
+
+[distributions.scale]
+kind = uniform
+params = 0.3, 0.9
+
+[distributions.angle]
+kind = constant
+params = 1.0
+
+[distributions.shift_1]
+kind = constant
+params = 1.0
+
+[distributions.shift_2]
+kind = constant
+params = 0.0
+
+[distributions.shift_3]
+kind = constant
+params = -1.0
 """
 
 
@@ -571,6 +600,27 @@ def _table(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.mark.parametrize(
+    "model, dim", [(AFFINE_2D_MODEL, 2), (AFFINE_3D_MODEL, 3)], ids=["d2", "d3"]
+)
+def test_cli_check_smoothness_grid_holds_points(tmp_path, monkeypatch, model, dim):
+    # the grid is 5 radii along each coordinate axis, a (5 d, d) array
+    grids = []
+    check = experiments.cramer.check_smoothness
+
+    def spy(spec, x_grid, *args):
+        grids.append(np.shape(x_grid))
+        return check(spec, x_grid, *args)
+
+    monkeypatch.setattr(experiments.cramer, "check_smoothness", spy)
+    path = _write(tmp_path, model + "\n[experiment]\ncount = 2000\nmc_samples = 20000\n")
+    out = tmp_path / "o"
+    assert _run(["check", "--config", path, "--out", out]) == 0
+    assert grids == [(5 * dim, dim)]
+    row = next(r for r in _table(out / "check.csv") if r["name"] == "smoothness")
+    assert math.isfinite(float(row["value"])) and row["passed"] == "true"
+
+
 def test_cli_stdout_restates_outputs(tmp_path, capsys):
     # every line a verb prints is read back from the file it summarizes
     def run(verb, model, experiment, assertions=""):
@@ -647,6 +697,11 @@ def test_manifest_records_each_stage(tmp_path):
     assert entry["status"] == "ok"
     assert entry["seed"] == 9
     assert entry["version"] == VERSION
+    assert entry["stream_layout"] == {
+        "backward_block": 16384,
+        "forward_block": 4096,
+        "forward_steps": 16,
+    }
     assert entry["numpy"]["version"] == np.__version__
     assert set(entry["numpy"]) == {"version", "simd_baseline", "simd_found"}
     assert all(isinstance(f, str) for f in entry["numpy"]["simd_found"])

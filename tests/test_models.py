@@ -9,6 +9,8 @@ from liprec import models, randomness as rnd
 from liprec.errors import ConfigError, DomainError
 from liprec.randomness import stream
 
+from _util import reference_apply_dilated
+
 
 def _catalog():
     """One representative spec per family, continuous laws where natural."""
@@ -80,6 +82,59 @@ def test_dilated_at_one_is_apply_bitwise(family):
     th = models.sample_theta(spec, g, N_DRAWS)
     x = g.normal(scale=4.0, size=N_DRAWS)
     assert np.array_equal(models.apply_dilated(spec, th, x, 1.0), models.apply(spec, th, x))
+
+
+DILATION_MODELS = {
+    **CATALOG,
+    "affine_d2": models.make_model(
+        "affine",
+        dimension=2,
+        laws={
+            "scale": rnd.lognormal(-0.7, 0.4),
+            "angle": rnd.uniform(-1.0, 1.0),
+            "shift_1": rnd.normal(1.0, 0.5),
+            "shift_2": rnd.constant(0.0),
+        },
+    ),
+    "affine_d3": models.make_model(
+        "affine",
+        dimension=3,
+        laws={
+            "scale": rnd.lognormal(-0.7, 0.4),
+            "angle": rnd.uniform(-3.0, 3.0),
+            "shift_1": rnd.constant(1.0),
+            "shift_2": rnd.normal(0.0, 0.5),
+            "shift_3": rnd.uniform(-1.0, 1.0),
+        },
+        constants={"axis": (1.0, 2.0, 0.5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DILATION_MODELS))
+def test_apply_dilated_matches_closed_form_reference_bitwise(name):
+    spec = DILATION_MODELS[name]
+    d = models.point_dim(spec)
+    n = 512
+    g = stream(61, 0, f"dilref-{name}")
+    th = models.sample_theta(spec, g, n)
+
+    def same(theta, x, t):
+        got = models.apply_dilated(spec, theta, x, t)
+        assert got.tobytes() == reference_apply_dilated(spec, theta, x, t).tobytes()
+
+    # one point per draw, scalar t
+    x = g.normal(scale=3.0, size=(n,) if d == 1 else (n, d))
+    for t in (1e-3, 0.3, 1.0):
+        same(th, x, t)
+    if d == 1:  # one t per draw, as in test_dilation_approaches_limit_map
+        same(th, x, g.uniform(1e-6, 1.0, size=n))
+    # check_smoothness's layout: (n, 1) draws against a grid of points
+    shaped = {k: np.reshape(v, (n, 1)) for k, v in th.items()}
+    radii = np.linspace(0.0, 4.0, 5)
+    grid = radii if d == 1 else np.concatenate([np.outer(radii, e) for e in np.eye(d)])
+    for t in np.linspace(0.25, 1.0, 4):
+        same(shaped, grid, t)
 
 
 @pytest.mark.parametrize("family", sorted(CATALOG))
