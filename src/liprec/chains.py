@@ -17,7 +17,11 @@ draws therefore depend neither on x0 nor on when the other members stop;
 runs from two seed points, or at two tolerances, see the same thetas.
 Only the draw spans the whole block: the stop rule runs on the members
 still running, and only their thetas are stored and replayed, so that
-work and memory scale with the draws used, not the draws made.
+work and memory scale with the draws used, not the draws made. The
+replay keeps only random draws: a member runs at step j exactly when its
+stop depth is at least j, so the live sets are rebuilt from the depths,
+and a constant law's parameter is its value, a float that numpy
+broadcasts.
 
 Draw layout of the forward engine: blocks of FORWARD_BLOCK members, each
 drawing FORWARD_STEPS steps per `sample_theta` call, so that a step's
@@ -48,8 +52,8 @@ FORWARD_STEPS = 16
 _Q_CAP = 0.95  # contraction-rate clip for the oscillation envelope
 _R_ENVELOPE = 1e9  # hard cap on the oscillation envelope
 # Memory guard: draw scalars made per block (step * size * params). The
-# storage keeps only the live members' thetas, so this count is an upper
-# bound on what is stored.
+# storage keeps only the live members' random thetas, so this count is an
+# upper bound on what is stored.
 _STORAGE_CAP = 1 << 27
 
 
@@ -62,7 +66,10 @@ class StationaryBatch:
     block_size: int = BLOCK_SIZE
 
     def draw_counters(self):
-        """Stop-depth mean and max, and theta draws made vs used.
+        """Stop-depth mean, quantiles and max, and theta draws made vs used.
+
+        A quantile is the smallest depth at which at least that share of
+        the members have stopped.
 
         A block draws theta for all its members until its deepest member
         stops, so it makes size * max-depth draws; members use their depths.
@@ -72,8 +79,12 @@ class StationaryBatch:
         """
         d = self.stop_depths
         blocks = (d[lo:lo + self.block_size] for lo in range(0, len(d), self.block_size))
+        p50, p90, p99 = np.quantile(d, (0.5, 0.9, 0.99), method="inverted_cdf")
         return {
             "stop_depth_mean": float(d.mean()),
+            "stop_depth_p50": int(p50),
+            "stop_depth_p90": int(p90),
+            "stop_depth_p99": int(p99),
             "stop_depth_max": int(d.max()),
             "theta_drawn": sum(len(b) * int(b.max()) for b in blocks),
             "theta_used": int(d.sum()),
@@ -155,7 +166,10 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
 
     Only the theta draw spans the whole block. The stop rule, the stored
     draws and the replay run on `live`, the ascending indices of the
-    members still running, and on the arrays kept beside it.
+    members still running, and on the arrays kept beside it. Each step
+    stores only its random parameters' live draws: the replay rebuilds
+    the live sets from the stop depths, and a constant law's parameter
+    is the law's value throughout.
     """
     # every row is x0 until the replay, which runs in place, so the leading
     # rows serve as the live members' x0
@@ -165,8 +179,12 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     live = np.arange(count)
     log_prod = np.zeros(count)
     osc_max = np.zeros(count)
-    steps = []  # (live, their thetas) per step: all the replay reads
+    steps = []  # the live members' random draws per step: all the replay reads
     n_param = len(models.required_params(spec.family, spec.dimension))
+    # the law's value, not a slice of the block's batch, which may be a
+    # full-block copy that a slice would keep alive; a float broadcasts
+    # with the same bits as a gathered array
+    fixed = {k: law.params[0] for k, law in spec.laws.items() if law.kind == "constant"}
 
     step = 0
     while step < max_depth:
@@ -177,8 +195,11 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
                 f"below {count}, the block size, or raise tol so the chains "
                 "stop sooner"
             )
-        theta = {k: v[live] for k, v in models.sample_theta(spec, rng, count).items()}
-        steps.append((live, theta))
+        drawn = {
+            k: v[live] for k, v in models.sample_theta(spec, rng, count).items() if k not in fixed
+        }
+        steps.append(drawn)
+        theta = {**drawn, **fixed}
         x0_live = z[: len(live)]
         lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
         osc = models.radius(spec, models.apply(spec, theta, x0_live) - x0_live)
@@ -208,10 +229,11 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
         )
 
     # replay innermost-first: member i uses draws 1..depth[i], that is the
-    # steps whose live set holds i; popping frees the newest storage first
+    # steps whose live set holds i, the members with depth >= step in the
+    # ascending order the live set had; popping frees the newest storage first
     while steps:
-        idx, theta = steps.pop()
-        z[idx] = models.apply(spec, theta, z[idx])
+        idx = np.flatnonzero(depth >= len(steps))
+        z[idx] = models.apply(spec, {**steps.pop(), **fixed}, z[idx])
     return z, depth, cert
 
 

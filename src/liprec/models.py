@@ -10,7 +10,9 @@ arch1           psi(x) = |gamma |x| + sqrt(beta + lambda x^2) a|
 
 A draw theta is a dict from parameter name (in `required_params` order)
 to a float, or to an array for a batch of draws; all operations accept
-either and broadcast against the point argument. `apply` holds the one
+either and broadcast against the point argument. `sample_theta` draws a
+batch parameter after parameter from one stream; `sample_theta_chunks`
+yields the same batch a chunk at a time. `apply` holds the one
 closed form per family. `apply_dilated` forms t * psi_theta(x / t) as
 `apply` on dilated translation parameters: the same products that a
 closed form written with t forms, so the two agree bit for bit, and at
@@ -19,6 +21,7 @@ t = 1 it is bit-identical to `apply`.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -173,6 +176,42 @@ def sample_theta(spec, rng, size=None):
     values = {}
     for name in required_params(fam, spec.dimension):
         values[name] = rnd.sample(laws[name], rng, size)
+    return _check_domain(fam, values)
+
+
+def sample_theta_chunks(spec, rng, size, chunk):
+    """`sample_theta(spec, rng, size)` as consecutive batches of `chunk` draws.
+
+    The batches concatenate to the whole-batch draw bit for bit, so only
+    one batch lives at a time. Each parameter's batch follows the earlier
+    parameters' batches in the stream, so each parameter but the last
+    draws from its own copy of `rng`, moved to its first draw by drawing
+    the earlier batches chunk by chunk; the last draws from `rng`, which
+    ends where `sample_theta` leaves it. A chunked draw gives the values
+    of one whole draw for every law (`choice` draws `random(n)`), but
+    sqrt_quadratic redraws invalid tuples across the whole batch, so its
+    batches are slices of one whole draw.
+    """
+    if spec.family == "sqrt_quadratic":
+        theta = _sample_sqrtquad(spec, rng, size)
+        for lo in range(0, size, chunk):
+            yield {k: v[lo : lo + chunk] for k, v in theta.items()}
+        return
+    laws = [(name, spec.laws[name]) for name in required_params(spec.family, spec.dimension)]
+    gens = []
+    for _, law in laws[:-1]:
+        gens.append(copy.deepcopy(rng))
+        for lo in range(0, size, chunk):
+            rnd.sample(law, rng, min(chunk, size - lo))
+    gens.append(rng)
+    for lo in range(0, size, chunk):
+        m = min(chunk, size - lo)
+        values = {name: rnd.sample(law, g, m) for (name, law), g in zip(laws, gens)}
+        yield _check_domain(spec.family, values)
+
+
+def _check_domain(fam, values):
+    """`values` after the per-family domain checks of a theta draw."""
     if fam in ("extremal", "letac"):
         _require_positive(values["a"], fam, "a")
     if fam == "affine":

@@ -4,7 +4,9 @@ The centerpiece is the pairwise tail-constant estimator
 C = E(|psi_theta(S)|^alpha - |M_theta S|^alpha) / (alpha m_alpha)
 with theta drawn fresh and *paired* against each stationary sample: both
 terms must see the same (theta, S) or the cancellation that makes the
-expectation finite is destroyed.
+expectation finite is destroyed. The fresh draws are made a chunk at a
+time (`models.sample_theta_chunks`), with the values of one whole-batch
+draw, so the estimator's memory does not grow with a full theta batch.
 """
 
 from __future__ import annotations
@@ -147,17 +149,18 @@ class GoldieEstimate:
     se_unreliable: bool = False
 
 
-def _paired_gap(spec, theta, x, s):
+def _paired_gap(spec, rng, x, s):
     """|psi_theta(x)|^s - |M_theta x|^s, one term per (theta, x) pair.
 
-    The terms are filled a chunk at a time, so the maps' temporaries stay
-    small beside the full-length draw; every term is computed as on the
-    whole batch, with the same operations.
+    theta is `sample_theta(spec, rng, len(x))`, drawn and used a chunk at
+    a time, so neither the draw nor the maps' temporaries hold more than
+    a chunk; every term is computed as on the whole batch, with the same
+    operations.
     """
     d = np.empty(len(x))
-    for lo in range(0, len(x), _PAIR_CHUNK):
+    chunks = models.sample_theta_chunks(spec, rng, len(x), _PAIR_CHUNK)
+    for lo, th in zip(range(0, len(x), _PAIR_CHUNK), chunks):
         part = slice(lo, lo + _PAIR_CHUNK)
-        th = {k: v[part] for k, v in theta.items()}
         lhs = models.radius(spec, models.apply(spec, th, x[part])) ** s
         rhs = models.radius(spec, models.linear_apply(spec, th, x[part])) ** s
         d[part] = lhs - rhs
@@ -165,12 +168,20 @@ def _paired_gap(spec, theta, x, s):
 
 
 def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0):
-    """Pairwise estimator of the tail constant; returns a GoldieEstimate."""
+    """Pairwise estimator of the tail constant; returns a GoldieEstimate.
+
+    Its standard error splits the terms into MOM_BLOCKS blocks, so it
+    needs at least MOM_BLOCKS samples.
+    """
     if alpha <= 0 or m_alpha <= 0:
         raise PreconditionError("goldie_constant needs alpha > 0 and m_alpha > 0")
     x = np.asarray(batch_samples)
-    theta = models.sample_theta(spec, stream(master_seed, 0, "goldie"), len(x))
-    d = _paired_gap(spec, theta, x, alpha)
+    if len(x) < MOM_BLOCKS:
+        raise PreconditionError(
+            f"goldie_constant needs at least {MOM_BLOCKS} samples for its "
+            f"standard error, got {len(x)}"
+        )
+    d = _paired_gap(spec, stream(master_seed, 0, "goldie"), x, alpha)
     d /= alpha * m_alpha
     value = float(d.mean())
     se, block_means = _mom_se(d)
@@ -247,8 +258,8 @@ def moment_identity_residual(spec, s, batch_samples, kappa_s, master_seed=0):
         )
     x = np.asarray(batch_samples)
     n = len(x)
-    theta = models.sample_theta(spec, stream(master_seed, 0, "identity"), n)
-    diff = models.radius(spec, x) ** s * (1.0 - kappa_s) - _paired_gap(spec, theta, x, s)
+    gap = _paired_gap(spec, stream(master_seed, 0, "identity"), x, s)
+    diff = models.radius(spec, x) ** s * (1.0 - kappa_s) - gap
     se = float(diff.std() / math.sqrt(n))
     mean = float(diff.mean())
     z = abs(mean) / se if se > 0 else math.inf if mean else 0.0

@@ -191,6 +191,18 @@ def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=Non
 
 
 # ---------------------------------------------------------------------------
+# paired differences on a whole theta batch: the reference for
+# tails._paired_gap, which draws and uses theta a chunk at a time
+
+
+def reference_paired_gap(spec, theta, x, s):
+    """|psi_theta(x)|^s - |M_theta x|^s, one term per (theta, x) pair."""
+    lhs = models.radius(spec, models.apply(spec, theta, x)) ** s
+    rhs = models.radius(spec, models.linear_apply(spec, theta, x)) ** s
+    return lhs - rhs
+
+
+# ---------------------------------------------------------------------------
 # sampled moments in plain numpy: the reference for the cramer moment path
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,43 @@ def _oracle_models():
 
 
 ORACLE_MODELS = _oracle_models()
+# a constant law in each position, which the replay passes as its value
+CONSTANT_LAW_MODELS = {
+    "letac_const_b": models.make_model(
+        "letac",
+        laws={
+            "a": rnd.lognormal(-0.8, 0.5),
+            "b": rnd.constant(0.3),
+            "c": rnd.normal(0.0, 0.5),
+        },
+    ),
+    "letac_const_c": models.make_model(
+        "letac",
+        laws={
+            "a": rnd.lognormal(-0.8, 0.5),
+            "b": rnd.uniform(0.0, 0.5),
+            "c": rnd.constant(0.2),
+        },
+    ),
+    "affine_d2_const_angle": models.make_model(
+        "affine",
+        dimension=2,
+        laws={
+            "scale": rnd.lognormal(-0.7, 0.4),
+            "angle": rnd.constant(0.7),
+            "shift_1": rnd.normal(1.0, 0.5),
+            "shift_2": rnd.normal(0.0, 0.5),
+        },
+    ),
+    "sqrt_quadratic_const_c": models.make_model(
+        "sqrt_quadratic",
+        laws={
+            "a": rnd.uniform(0.2, 0.7),
+            "b": rnd.uniform(-0.2, 0.2),
+            "c": rnd.constant(0.8),
+        },
+    ),
+}
 # two random parameters, so a chunk's draw interleaves them
 SMOOTH = models.make_model(
     "extremal", laws={"a": rnd.lognormal(-0.75, 1.0), "b": rnd.uniform(1.0, 2.0)}
@@ -130,8 +168,13 @@ def test_draw_counters_count_the_draws_made(bench_spec, monkeypatch):
     monkeypatch.setattr(models, "sample_theta", counting)
     batch = chains.stationary_batch(bench_spec, 2500, master_seed=5, block_size=1024)
     got = batch.draw_counters()
+    ranked = np.sort(batch.stop_depths)
     assert got == {
         "stop_depth_mean": float(batch.stop_depths.mean()),
+        # the smallest depth by which at least that share of members stopped
+        "stop_depth_p50": int(ranked[1249]),
+        "stop_depth_p90": int(ranked[2249]),
+        "stop_depth_p99": int(ranked[2474]),
         "stop_depth_max": int(batch.stop_depths.max()),
         "theta_drawn": sum(sizes),
         "theta_used": int(batch.stop_depths.sum()),
@@ -234,6 +277,29 @@ def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypa
     assert sizes == ref_sizes == [64] * 29
 
 
+@pytest.mark.parametrize("name", ["letac_atomic", "extremal", "smooth"])
+def test_backward_storage_holds_only_random_draws(name, bench_spec, letac_spec):
+    # the replay stores 8 B per random parameter per member-step: no live
+    # index and no constant law's values. Above that, the block's traced
+    # peak holds one step's whole-block draw and the stop rule's arrays,
+    # about 50 B per member here; the bound allows 100. Storing the index
+    # and every parameter would take 32 (letac, b and c constant) or 24 B
+    # per member-step, about 2.8 MB on these blocks.
+    spec = {"letac_atomic": letac_spec, "extremal": bench_spec, "smooth": SMOOTH}[name]
+    n_random = sum(law.kind != "constant" for law in spec.laws.values())
+    count = 4096
+    tracemalloc.start()
+    try:
+        _, depth, _ = chains._backward_block(
+            spec, 0.0, 1e-9, chains.DEFAULT_MAX_DEPTH, stream(0, 0, "stationary"), count
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = 8 * n_random * int(depth.sum())
+    assert stored < peak < stored + 100 * count
+
+
 def _seed_point(spec):
     x0 = np.linspace(0.7, -0.4, models.point_dim(spec))
     return float(x0[0]) if x0.size == 1 else x0
@@ -241,11 +307,15 @@ def _seed_point(spec):
 
 @pytest.mark.parametrize("from_zero", [True, False])
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-@pytest.mark.parametrize("name", ["extremal", "letac_atomic", *ORACLE_MODELS])
+@pytest.mark.parametrize(
+    "name", ["extremal", "letac_atomic", *ORACLE_MODELS, *CONSTANT_LAW_MODELS]
+)
 def test_backward_block_matches_whole_block_reference(name, tol, from_zero, bench_spec, letac_spec):
     # the live-set sampler must give the whole-block sampler's bytes; 2500
     # members in blocks of 1024 leave a partial last block of 452
-    spec = {"extremal": bench_spec, "letac_atomic": letac_spec, **ORACLE_MODELS}[name]
+    spec = {
+        "extremal": bench_spec, "letac_atomic": letac_spec, **ORACLE_MODELS, **CONSTANT_LAW_MODELS
+    }[name]
     x0 = None if from_zero else _seed_point(spec)
     batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024)
     samples, depths, bounds = reference_stationary_batch(spec, 2500, tol, 19, 1024, x0=x0)

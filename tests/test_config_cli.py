@@ -289,6 +289,17 @@ def test_cli_tail_degenerate_support_fails_cleanly(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_cli_tail_with_fewer_samples_than_se_blocks_exits_2(tmp_path, capsys):
+    # 20 samples cannot fill the tail constant's 32 se blocks: a clean
+    # error, not a nan se in goldie.csv
+    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 20\n")
+    out = tmp_path / "o"
+    assert _run(["tail", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("liprec tail: error: ") and "at least 32 samples" in err
+    assert not (out / "goldie.csv").exists()
+
+
 def test_cli_bracket_failure_exits_3(tmp_path, capsys):
     text = BENCH_MODEL + "\n[experiment]\nbracket = 0.05, 0.2\n"
     path = _write(tmp_path, text)
@@ -713,8 +724,12 @@ def test_manifest_records_each_stage(tmp_path):
     assert digest == got
     # one block: it draws 300 thetas per step down to the deepest member
     depths = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 1]
+    ranked = np.sort(depths)  # p-quantile: the depth of rank ceil(p * 300)
     assert entry["backward"] == {
         "stop_depth_mean": float(depths.mean()),
+        "stop_depth_p50": int(ranked[149]),
+        "stop_depth_p90": int(ranked[269]),
+        "stop_depth_p99": int(ranked[296]),
         "stop_depth_max": int(depths.max()),
         "theta_drawn": 300 * int(depths.max()),
         "theta_used": int(depths.sum()),

@@ -5,8 +5,10 @@ import pytest
 
 from liprec import models, randomness as rnd, tails
 from liprec.chains import stationary_batch
-from liprec.errors import PreconditionError
+from liprec.errors import DomainError, PreconditionError
 from liprec.randomness import stream
+
+from _util import reference_paired_gap
 
 ALPHA_BENCH = 1.5
 M_ALPHA_BENCH = 0.75
@@ -105,31 +107,102 @@ def test_goldie_scale_equivariance(bench_spec, bench_batch_1m):
     assert abs(ratio / c**ALPHA_BENCH - 1.0) < 0.2
 
 
-def _whole_batch_gap(spec, x, s, seed, purpose):
-    theta = models.sample_theta(spec, stream(seed, 0, purpose), len(x))
-    lhs = models.radius(spec, models.apply(spec, theta, x)) ** s
-    rhs = models.radius(spec, models.linear_apply(spec, theta, x)) ** s
-    return lhs - rhs
+# a random parameter after a constant one, more than one random parameter,
+# and a point dimension of 2: each moves where a parameter's batch starts
+PAIRED_MODELS = {
+    "letac_normal_c": models.make_model(
+        "letac",
+        laws={
+            "a": rnd.lognormal(-0.8, 0.5),
+            "b": rnd.constant(0.3),
+            "c": rnd.normal(0.0, 0.5),
+        },
+    ),
+    "affine_d2": models.make_model(
+        "affine",
+        dimension=2,
+        laws={
+            "scale": rnd.lognormal(-0.7, 0.4),
+            "angle": rnd.uniform(-1.0, 1.0),
+            "shift_1": rnd.normal(1.0, 0.5),
+            "shift_2": rnd.constant(0.0),
+        },
+    ),
+    "arch1": models.make_model(
+        "arch1",
+        laws={"a": rnd.normal(0.0, 0.6)},
+        constants={"gamma": 0.3, "beta": 0.8, "lambda": 0.25},
+    ),
+    "sqrt_quadratic": models.make_model(
+        "sqrt_quadratic",
+        laws={
+            "a": rnd.uniform(0.2, 0.7),
+            "b": rnd.uniform(-0.2, 0.2),
+            "c": rnd.discrete((0.5, 1.0), (0.5, 0.5)),
+        },
+    ),
+}
+
+
+def _check_paired_chunks(spec, alpha, monkeypatch):
+    # theta is drawn and used a chunk at a time; a ragged last chunk must
+    # leave every term as the whole-batch draw and expression give it
+    x = stationary_batch(spec, 4567, master_seed=9).samples
+    theta = models.sample_theta(spec, stream(3, 0, "goldie"), len(x))
+    d = reference_paired_gap(spec, theta, x, alpha) / (alpha * M_ALPHA_BENCH)
+    monkeypatch.setattr(tails, "_PAIR_CHUNK", 1000)
+    est = tails.goldie_constant(spec, x, alpha, M_ALPHA_BENCH, master_seed=3)
+    assert est.constant == float(d.mean())
+    assert est.se == tails._mom_se(d)[0]
+    # the moment identity shares the chunked pairs; any kappa(s) < 1 will do
+    s, kappa_s = alpha / 2, 0.6
+    theta = models.sample_theta(spec, stream(11, 0, "identity"), len(x))
+    diff = models.radius(spec, x) ** s * (1.0 - kappa_s) - reference_paired_gap(spec, theta, x, s)
+    se = float(diff.std() / math.sqrt(len(x)))
+    z, mean, got_se = tails.moment_identity_residual(spec, s, x, kappa_s, master_seed=11)
+    assert (z, mean, got_se) == (abs(float(diff.mean())) / se, float(diff.mean()), se)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_goldie_chunks_match_whole_batch(bench_spec, monkeypatch, alpha):
-    # the terms are filled a chunk at a time; a ragged last chunk must
-    # leave every term as the whole-batch expression computes it
-    x = stationary_batch(bench_spec, 4567, master_seed=9).samples
-    d = _whole_batch_gap(bench_spec, x, alpha, 3, "goldie") / (alpha * M_ALPHA_BENCH)
+    _check_paired_chunks(bench_spec, alpha, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED_MODELS))
+def test_paired_chunks_match_whole_batch_on_more_models(name, monkeypatch):
+    _check_paired_chunks(PAIRED_MODELS[name], 1.2, monkeypatch)
+
+
+def test_goldie_needs_one_sample_per_se_block(bench_spec):
+    # fewer samples than MOM_BLOCKS would leave empty se blocks and a nan se
+    x = np.ones(tails.MOM_BLOCKS - 1)
+    with pytest.raises(PreconditionError, match="at least 32 samples .* got 31"):
+        tails.goldie_constant(bench_spec, x, ALPHA_BENCH, M_ALPHA_BENCH)
+    est = tails.goldie_constant(bench_spec, np.ones(tails.MOM_BLOCKS), ALPHA_BENCH, M_ALPHA_BENCH)
+    assert math.isfinite(est.constant) and math.isfinite(est.se)
+
+
+@pytest.mark.parametrize(
+    "family, laws, message",
+    [
+        ("extremal", {"a": rnd.normal(0.5, 1.0), "b": rnd.constant(1.0)},
+         "extremal parameter a must be positive"),
+        ("affine", {"scale": rnd.normal(0.5, 1.0), "shift": rnd.constant(1.0)},
+         "affine parameter scale must be positive"),
+        ("letac", {"a": rnd.constant(0.5), "b": rnd.normal(0.5, 1.0), "c": rnd.constant(0.0)},
+         "letac parameter b must be >= 0"),
+    ],
+)
+def test_paired_draws_run_the_domain_checks(family, laws, message, monkeypatch):
+    # each chunk is checked as sample_theta checks the whole batch
+    spec = models.make_model(family, laws=laws)
+    x = np.ones(5000)
+    with pytest.raises(DomainError) as whole:
+        models.sample_theta(spec, stream(0, 0, "goldie"), len(x))
     monkeypatch.setattr(tails, "_PAIR_CHUNK", 1000)
-    est = tails.goldie_constant(bench_spec, x, alpha, M_ALPHA_BENCH, master_seed=3)
-    assert est.constant == float(d.mean())
-    assert est.se == tails._mom_se(d)[0]
-    # the moment identity shares the chunked pairs; s = alpha / 2 < alpha
-    s = alpha / 2
-    kappa_s = math.exp(s * -0.75 + 0.5 * s**2)
-    lhs = models.radius(bench_spec, x) ** s * (1.0 - kappa_s)
-    diff = lhs - _whole_batch_gap(bench_spec, x, s, 11, "identity")
-    se = float(diff.std() / math.sqrt(len(x)))
-    z, mean, got_se = tails.moment_identity_residual(bench_spec, s, x, kappa_s, master_seed=11)
-    assert (z, mean, got_se) == (abs(float(diff.mean())) / se, float(diff.mean()), se)
+    with pytest.raises(DomainError) as chunked:
+        tails.goldie_constant(spec, x, ALPHA_BENCH, M_ALPHA_BENCH)
+    assert str(chunked.value) == str(whole.value) == message
 
 
 def test_goldie_vanishes_for_pure_scale():
