@@ -43,8 +43,8 @@ print(f"reference symmetric stable sampler on the same window: {rfit.alpha_hat:.
 u = stream(1012, 0, "pareto").random(400_000)
 x = 4.0 * u**-2.0
 est = stable.c_alpha(
-    1.0, 0.5, x, tail_constant=2.0, kernel=stable.FlatKernel(dim=1),
-    g_schedule=(0.25, 0.125), outer_reps=256, master_seed=1012,
+    1.0, 0.5, x, tail_constant=2.0, kernel=stable.FlatKernel(),
+    g_schedule=(0.25, 0.125), master_seed=1012,
 )
 want = complex(-2.5066282746310005, 2.5066282746310005)
 print(f"\nclosed-form check at alpha = 1/2:")

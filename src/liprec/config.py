@@ -176,6 +176,17 @@ def get_floats(cfg, section, key, default=None, length=None):
 
 _DIST_KEYS = {"kind", "params", "atoms", "weights"}
 _MODEL_CONSTANT_KEYS = {"arch1": ("gamma", "beta", "lambda"), "affine": ("axis",)}
+# the keys the runners read in the other top sections; any other is a typo
+_RUNNER_KEYS = {
+    "experiment": {
+        "alpha", "bracket", "center", "count", "epsilon", "hill_points",
+        "max_cloud_depth", "max_depth", "mc_samples", "mode", "n", "replicas",
+        "s_grid", "sampler", "seed", "solver_tol", "t_points", "tol",
+        "word_guard", "x0",
+    },
+    "output": {"svg"},
+    "assertions": {"linear_on_support", "nonarithmetic"},
+}
 
 
 def _build_distribution(cfg, param, entries):
@@ -199,7 +210,15 @@ def _build_distribution(cfg, param, entries):
 
 
 def build_model(cfg):
-    """ModelSpec from the [model] and [distributions.*] sections."""
+    """ModelSpec from the [model] and [distributions.*] sections.
+
+    Every verb builds its model first, so this also rejects the keys of
+    [experiment], [output] and [assertions] that no runner reads.
+    """
+    for section, known in _RUNNER_KEYS.items():
+        for key, cv in cfg.section(section).items():
+            if key not in known:
+                _fail(cfg, section, key, cv, "unknown key")
     family = get_str(cfg, "model", "family")
     dimension = get_int(cfg, "model", "dimension", default=1)
     keys = _MODEL_CONSTANT_KEYS.get(family, ())

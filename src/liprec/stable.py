@@ -4,8 +4,10 @@ The limit law's characteristic exponent is an integral against the tail
 measure of the stationary law. Its ingredients:
 
 * phi(x) = sum_k limit-map compositions applied to x (a.s. convergent
-  series, positively homogeneous in x),
+  series, positively homogeneous in x), drawn by a kernel's one method
+  `phi_draws(pts, reps, rng)`,
 * h(v, x) = E exp(i <v, phi(x)>), the series' characteristic kernel,
+  a mean over those draws,
 * Lambda functionals estimated by small-g rescaling of stationary
   samples, split at radius 1: the outer part is a plain Monte Carlo
   average, the inner part a deterministic radial quadrature against the
@@ -15,6 +17,9 @@ measure of the stationary law. Its ingredients:
 Four regimes, keyed by the tail exponent alpha: below 1 no centering,
 at 1 a slowly-varying centering from xi, in (1,2) mean centering, at 2
 a Gaussian limit with (n log n)^(1/2) norming.
+
+The dimension comes from the data: samples and points are batches of
+shape (n,) in 1-d or (n, d) in R^d, and a scalar v means 1-d.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ _GAUSS_NODES = 16
 _PANEL_MIN_EXP = 41  # radial panels [2^-41, 1]
 _KS_C99 = 1.6276236115189503  # sqrt(-ln(0.005)/2)
 _INNER_REPS = 512  # phi draws per direction in the inner parts of C_alpha and C_2
+_OUTER_REPS = 256  # phi draws per rescaled point in the outer part of C_alpha
+_SE_GROUPS = 8  # equal groups of the inner phi draws behind C_alpha's inner se
 _SNAP_TOL = 1e-6  # alpha this close to 1 or 2 takes that boundary regime
 _FIT_POINTS = 8  # t values in the stable index fit
 
@@ -42,15 +49,17 @@ def _cexpm1(t):
     return -2.0 * np.sin(0.5 * t) ** 2 + 1j * np.sin(t)
 
 
-def _dot(v, x, dim):
-    if dim == 1:
+def _dot(v, x):
+    """<v, x> per point; a scalar v means 1-d points."""
+    if np.ndim(v) == 0:
         return v * x
     return np.asarray(x) @ np.asarray(v)
 
 
-def _radius(x, dim):
+def _radius(x):
+    """|x| per point of a batch of shape (n,) or (n, d)."""
     x = np.asarray(x, dtype=float)
-    return np.abs(x) if dim == 1 else np.linalg.norm(x, axis=-1)
+    return np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
 
 
 def _panels():
@@ -66,11 +75,9 @@ def _panels():
 # the phi series and its kernel
 
 
-def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None):
+def phi_series_batch(spec, xs, rng, trunc_tol=1e-8):
     """One phi draw per row of xs, truncated once the running contraction
     product times |x| drops below trunc_tol (or the iterate hits 0)."""
-    if rng is None:
-        raise PreconditionError("phi series needs an explicit stream")
     xs = np.asarray(xs, dtype=float)
     n = xs.shape[0]
     z = xs.copy()
@@ -98,52 +105,31 @@ def phi_series_batch(spec, xs, trunc_tol=1e-8, rng=None):
 
 
 class ModelKernel:
-    """Adapters feeding a model's phi series into the C_alpha integrator."""
+    """A model's phi series, as the C_alpha and C_2 integrators draw it."""
 
     def __init__(self, spec):
         self.spec = spec
-        self.dim = models.point_dim(spec)
-
-    def h_values(self, pts, v, reps, rng):
-        """Inner-MC estimate of h(v, .) at each point; pts shape (m,) or (m, d)."""
-        pts = np.asarray(pts, dtype=float)
-        m = pts.shape[0]
-        xs = np.repeat(pts, reps, axis=0)
-        phis = phi_series_batch(self.spec, xs, rng=rng)
-        vals = np.exp(1j * _dot(v, phis, self.dim)).reshape(m, reps)
-        return vals.mean(axis=1)
 
     def phi_draws(self, pts, reps, rng):
-        """phi samples at each point: returns shape (reps, m) or (reps, m, d)."""
+        """`reps` phi draws at each of the points `pts`, shape (m,) or
+        (m, d); returns shape (reps,) + pts.shape, one draw per point a row."""
         pts = np.asarray(pts, dtype=float)
-        m = pts.shape[0]
-        xs = np.concatenate([pts] * reps, axis=0)
-        phis = phi_series_batch(self.spec, xs, rng=rng)
-        if self.dim == 1:
-            return phis.reshape(reps, m)
-        return phis.reshape(reps, m, self.dim)
+        phis = phi_series_batch(self.spec, np.concatenate([pts] * reps), rng)
+        return phis.reshape((reps,) + pts.shape)
 
 
 class FlatKernel:
-    """h == 1 (phi == 0): the synthetic kernel used by integrator oracles."""
-
-    def __init__(self, dim=1):
-        self.dim = dim
-
-    def h_values(self, pts, v, reps, rng):
-        return np.ones(np.asarray(pts).shape[0], dtype=complex)
+    """phi == 0, so h == 1: the synthetic kernel used by integrator oracles."""
 
     def phi_draws(self, pts, reps, rng):
-        pts = np.asarray(pts, dtype=float)
-        shape = (reps, pts.shape[0]) if self.dim == 1 else (reps, pts.shape[0], self.dim)
-        return np.zeros(shape)
+        return np.zeros((reps,) + np.shape(pts))
 
 
 # ---------------------------------------------------------------------------
 # Lambda functionals
 
 
-def lambda_functional(f, samples, g, alpha, zero_radius=None, dim=1):
+def lambda_functional(f, samples, g, alpha, zero_radius=None):
     """g^(-alpha) E f(g S) -> (estimate, se).
 
     f must vanish on a ball around the origin and the caller must declare
@@ -159,7 +145,7 @@ def lambda_functional(f, samples, g, alpha, zero_radius=None, dim=1):
     if g <= 0:
         raise PreconditionError("scale g must be positive")
     y = g * np.asarray(samples)
-    beyond = _radius(y, dim) > zero_radius
+    beyond = _radius(y) > zero_radius
     fy = np.asarray(f(y[beyond]))
     vals = np.zeros(len(y), dtype=np.result_type(fy, 0.0))
     vals[beyond] = fy
@@ -171,42 +157,45 @@ def lambda_functional(f, samples, g, alpha, zero_radius=None, dim=1):
     return scale * float(vals.mean()), scale * float(vals.std() / math.sqrt(n))
 
 
-def lambda_functional_scheduled(f, samples, g_schedule, alpha, zero_radius=None, dim=1):
-    """Evaluate at each g; certify by agreement of the two smallest scales.
+def lambda_functional_scheduled(f, samples, g_schedule, alpha, zero_radius=None):
+    """Evaluate at the two smallest scales; certify by their agreement.
 
     Returns (value, se, agreed) where value/se come from the smallest g.
+    Larger scales of the schedule are not evaluated.
     """
-    gs = sorted(g_schedule, reverse=True)
+    gs = sorted(g_schedule)
     if len(gs) < 2:
         raise PreconditionError("schedule needs at least two scales")
-    results = [lambda_functional(f, samples, g, alpha, zero_radius, dim) for g in gs]
-    (v1, s1), (v2, s2) = results[-2], results[-1]
-    agreed = abs(v1 - v2) <= 3.0 * (s1 + s2) + 1e-12
-    return results[-1][0], results[-1][1], bool(agreed)
+    # larger scale first: an integrand that draws (c_alpha's) keeps its stream order
+    v_next, s_next = lambda_functional(f, samples, gs[1], alpha, zero_radius)
+    value, se = lambda_functional(f, samples, gs[0], alpha, zero_radius)
+    agreed = abs(v_next - value) <= 3.0 * (s_next + se) + 1e-12
+    return value, se, bool(agreed)
 
 
-def xi(t, samples, dim=1):
-    """Centering function E[t S / (1 + |t S|^2)] from stationary samples."""
+def xi(t, samples):
+    """Centering function E[t S / (1 + |t S|^2)] from stationary samples:
+    a float for samples of shape (n,), a d-vector for shape (n, d)."""
     x = np.asarray(samples, dtype=float)
-    r2 = _radius(x, dim) ** 2
-    if dim == 1:
+    r2 = _radius(x) ** 2
+    if x.ndim == 1:
         return float(np.mean(t * x / (1.0 + t * t * r2)))
-    return np.asarray(np.mean(t * x / (1.0 + t * t * r2)[:, None], axis=0))
+    return np.mean(t * x / (1.0 + t * t * r2)[:, None], axis=0)
 
 
-def tau(t, samples, alpha, tail_constant, dim=1):
+def tau(t, samples, alpha, tail_constant):
     """Tail-measure centering drift at scale t, alpha = 1 only.
 
     Lambda-integral of x/(1+|tx|^2) - x/(1+|x|^2), split at radius 1:
     outer part by sample rescaling, inner part by radial quadrature
-    against the direction masses.
+    against the direction masses. Implemented for 1-d samples.
     """
     if abs(alpha - 1.0) > 1e-9:
         raise PreconditionError("tau is only defined in the alpha = 1 regime")
     if t <= 0:
         raise PreconditionError("tau needs t > 0")
-    if dim != 1:
-        raise PreconditionError("tau estimator implemented for dim = 1")
+    if np.ndim(samples) != 1:
+        raise PreconditionError("tau estimator implemented for 1-d samples")
 
     def f(y):
         r2 = np.abs(y) ** 2
@@ -215,7 +204,7 @@ def tau(t, samples, alpha, tail_constant, dim=1):
     outer, se, agreed = lambda_functional_scheduled(
         f, samples, (0.04, 0.02), 1.0, zero_radius=1.0
     )
-    dirs, masses = tails.direction_masses(samples, 1.0, tail_constant, dim=1)
+    dirs, masses = tails.direction_masses(samples, 1.0, tail_constant)
     inner = 0.0
     for r, wq in _panels():
         radial = (1.0 / (1.0 + t * t * r * r) - 1.0 / (1.0 + r * r)) * r ** (-1.0)
@@ -232,10 +221,7 @@ def tau(t, samples, alpha, tail_constant, dim=1):
 class CAlphaEstimate:
     value: complex
     se: float
-    inner: complex
-    outer: complex
     outer_agreed: bool
-    alpha: float
 
 
 def _regime_correction(alpha):
@@ -248,101 +234,77 @@ def _regime_correction(alpha):
     return lambda a, r2: 1j * a
 
 
-def c_alpha(
-    v,
-    alpha,
-    samples,
-    tail_constant,
-    kernel,
-    g_schedule=(0.04, 0.02),
-    inner_reps=_INNER_REPS,
-    outer_reps=256,
-    master_seed=0,
-    dim=1,
-    se_groups=8,
-):
+def c_alpha(v, alpha, samples, tail_constant, kernel, g_schedule=(0.04, 0.02), master_seed=0):
     """Characteristic exponent C_alpha(v) for alpha in (0, 2).
 
     Outer part (radius > 1): lambda_functional_scheduled of the integrand,
-    with an inner Monte Carlo h at each rescaled point beyond radius 1; a
-    schedule of fewer than two scales is a precondition violation. Inner
-    part (radius <= 1): dyadic-panel Gauss quadrature of the polar
-    integrand per direction, with one common set of phi draws rescaled
-    across radii.
+    with h at each rescaled point beyond radius 1 the mean of
+    exp(i <v, phi>) over _OUTER_REPS phi draws; a schedule of fewer than
+    two scales is a precondition violation. Inner part (radius <= 1):
+    dyadic-panel Gauss quadrature of the polar integrand per direction,
+    with one common set of _INNER_REPS phi draws rescaled across radii.
+    The inner se is the spread of the totals of _SE_GROUPS equal groups
+    of those draws; it leaves out the noise of the direction masses.
     """
     if not 0 < alpha < 2:
         raise PreconditionError("c_alpha covers 0 < alpha < 2; use c_two at 2")
-    if not 2 <= se_groups <= inner_reps:
-        raise PreconditionError(
-            f"c_alpha needs 2 <= se_groups <= inner_reps, got {se_groups} and {inner_reps}"
-        )
     corr = _regime_correction(alpha)
     rng_h = stream(master_seed, 0, "c-alpha-h")
     rng_phi = stream(master_seed, 0, "c-alpha-phi")
 
     def outer_integrand(pts):
-        a = _dot(v, pts, dim)
-        hvals = kernel.h_values(pts, v, outer_reps, rng_h)
-        return _cexpm1(a) * hvals - corr(a, _radius(pts, dim) ** 2)
+        a = _dot(v, pts)
+        h = np.exp(1j * _dot(v, kernel.phi_draws(pts, _OUTER_REPS, rng_h))).mean(axis=0)
+        return _cexpm1(a) * h - corr(a, _radius(pts) ** 2)
 
     outer, outer_se, agreed = lambda_functional_scheduled(
-        outer_integrand, samples, g_schedule, alpha, zero_radius=1.0, dim=dim
+        outer_integrand, samples, g_schedule, alpha, zero_radius=1.0
     )
 
     # inner part: directions weighted by sigma masses
-    dirs, masses = tails.direction_masses(samples, alpha, tail_constant, dim=dim)
-    dir_pts = np.asarray(dirs, dtype=float)
-    phis = kernel.phi_draws(dir_pts, inner_reps, rng_phi)  # (reps, m[, d])
-    a_dir = _dot(v, dir_pts, dim)  # (m,)
-    b = _dot(v, phis, dim)  # (reps, m)
-
-    groups = np.array_split(np.arange(inner_reps), se_groups)
-    group_totals = np.zeros(se_groups, dtype=complex)
+    dirs, masses = tails.direction_masses(samples, alpha, tail_constant)
+    a_dir = _dot(v, dirs)  # (m,)
+    b = _dot(v, kernel.phi_draws(dirs, _INNER_REPS, rng_phi))  # (reps, m)
+    group_totals = np.zeros(_SE_GROUPS, dtype=complex)
     for r, w in _panels():
         wq = w * r ** (-alpha - 1.0)
-        # e_facts: (reps, m, q); mean over reps gives h at radius r
+        # phase: (reps, m, q); a group's mean of exp(i phase) is h at radius r
         phase = b[:, :, None] * r[None, None, :]
         base = _cexpm1(a_dir[:, None] * r[None, :])  # (m, q)
         corr_vals = corr(a_dir[:, None] * r[None, :], r[None, :] ** 2)
-        for gi, idxs in enumerate(groups):
-            hg = np.exp(1j * phase[idxs]).mean(axis=0)  # (m, q)
+        for gi, group in enumerate(np.split(phase, _SE_GROUPS)):
+            hg = np.exp(1j * group).mean(axis=0)  # (m, q)
             group_totals[gi] += np.einsum("m,mq,q->", masses, base * hg - corr_vals, wq)
-    # h over all reps is the size-weighted mean of the group means, and the
-    # integrand is affine in h, so the total is that mean of group totals
-    sizes = np.array([len(idxs) for idxs in groups])
-    inner_total = complex(np.dot(sizes, group_totals) / inner_reps)
-    inner_se = float(
-        math.sqrt(
-            (group_totals.real.var(ddof=1) + group_totals.imag.var(ddof=1))
-            / se_groups
-        )
+    # the groups are equal and the integrand is affine in h, so the total
+    # over all draws is the mean of the group totals
+    inner_total = complex(group_totals.mean())
+    inner_se = math.sqrt(
+        (group_totals.real.var(ddof=1) + group_totals.imag.var(ddof=1)) / _SE_GROUPS
     )
-
-    value = inner_total + outer
-    se = math.sqrt(inner_se**2 + outer_se**2)
     return CAlphaEstimate(
-        value=complex(value),
-        se=float(se),
-        inner=complex(inner_total),
-        outer=complex(outer),
+        value=complex(inner_total + outer),
+        se=float(math.sqrt(inner_se**2 + outer_se**2)),
         outer_agreed=bool(agreed),
-        alpha=float(alpha),
     )
 
 
-def c_two(v, samples, tail_constant, kernel, master_seed=0, dim=1):
+def c_two(v, samples, tail_constant, kernel, master_seed=0):
     """Gaussian-regime exponent
     C_2(v) = -1/4 * sum_w sigma_w (<v,w>^2 + 2 <v,w> <v, E phi(w)>).
 
-    Returns (value, se); the expectation E phi(w) is the only sampled
-    quantity.
+    Returns (value, se). E phi(w), the only sampled quantity, is the mean
+    of _INNER_REPS phi draws per direction, and se is their sample std
+    over sqrt(_INNER_REPS). At alpha = 2 the Cramer condition is
+    E M^2 = 1, so every term of phi has second moment 1 and phi has
+    infinite variance: se is not a valid standard error. On an affine
+    model where E phi(1) = E M / (1 - E M), the closed form is
+    C_2(1) = -4.1448, and phi seeds gave -3.657 +/- 0.187 and
+    -4.364 +/- 0.396.
     """
     rng = stream(master_seed, 0, "c-two-phi")
-    dirs, masses = tails.direction_masses(samples, 2.0, tail_constant, dim=dim)
-    dir_pts = np.asarray(dirs, dtype=float)
-    phis = kernel.phi_draws(dir_pts, _INNER_REPS, rng)  # (reps, m[, d])
-    a = _dot(v, dir_pts, dim)  # (m,)
-    b = _dot(v, phis, dim)  # (reps, m)
+    dirs, masses = tails.direction_masses(samples, 2.0, tail_constant)
+    a = _dot(v, dirs)  # (m,)
+    b = _dot(v, kernel.phi_draws(dirs, _INNER_REPS, rng))  # (reps, m)
     bmean = b.mean(axis=0)
     bse = b.std(axis=0, ddof=1) / math.sqrt(_INNER_REPS)
     value = -0.25 * float(np.sum(masses * (a * a + 2.0 * a * bmean)))
@@ -390,15 +352,19 @@ def normalize_birkhoff(sums, n, params, xi_value=None):
     return (s - n * params.center) / math.sqrt(n * math.log(n))
 
 
-def empirical_cf(samples, t_grid, vs=None, dim=1):
-    """Rows (t, v_index, re, im, se) of the empirical characteristic function."""
+def empirical_cf(samples, t_grid, vs=None):
+    """Rows (t, v_index, re, im, se) of the empirical characteristic function.
+
+    The default direction is the first coordinate axis: 1.0 for samples of
+    shape (n,), e_1 for shape (n, d).
+    """
     x = np.asarray(samples)
     if vs is None:
-        vs = [1.0] if dim == 1 else [np.eye(dim)[0]]
+        vs = [1.0] if x.ndim == 1 else [np.eye(x.shape[1])[0]]
     rows = []
     n = len(x)
     for vi, v in enumerate(vs):
-        proj = _dot(v, x, dim)
+        proj = _dot(v, x)
         for t in t_grid:
             vals = np.exp(1j * float(t) * proj)
             se = math.sqrt((vals.real.var() + vals.imag.var()) / n)
@@ -411,7 +377,6 @@ class StableFit:
     alpha_hat: float
     intercept: float
     t_values: np.ndarray
-    cf_modulus: np.ndarray
 
 
 def stable_index_fit(samples, t_window=None):
@@ -442,7 +407,7 @@ def stable_index_fit(samples, t_window=None):
     yy = np.log(-np.log(mods))
     xx = np.log(ts)
     slope, intercept = np.polyfit(xx, yy, 1)
-    return StableFit(float(slope), float(intercept), ts, mods)
+    return StableFit(float(slope), float(intercept), ts)
 
 
 @dataclass(frozen=True)

@@ -196,27 +196,32 @@ def sigma_mass(tail_constant, alpha):
     return alpha * tail_constant
 
 
-def direction_masses(samples, alpha, tail_constant, dim=1):
+def direction_masses(samples, alpha, tail_constant):
     """Apportion sigma_mass over directions of the largest samples.
 
-    d=1 splits exactly over {+1, -1}; d>=2 uses _DIRECTION_BINS per
-    angular coordinate and returns only directions that carry large
-    samples.
+    The dimension is read from the batch: samples of shape (n,) split
+    exactly over {+1, -1}; shape (n, 2) or (n, 3) uses _DIRECTION_BINS
+    per angular coordinate and returns only directions that carry large
+    samples. Any other shape is a precondition error.
     """
     total = sigma_mass(tail_constant, alpha)
     x = np.asarray(samples, dtype=float)
-    if dim == 1:
+    if x.ndim == 1:
         cut = np.quantile(np.abs(x), _DIRECTION_Q)
         big = x[np.abs(x) >= cut]
         frac_plus = float(np.mean(big > 0)) if len(big) else 0.5
         return np.array([1.0, -1.0]), np.array(
             [total * frac_plus, total * (1.0 - frac_plus)]
         )
+    if x.ndim != 2 or x.shape[1] not in (2, 3):
+        raise PreconditionError(
+            f"direction_masses takes samples of shape (n,), (n, 2) or (n, 3), got {x.shape}"
+        )
     r = np.linalg.norm(x, axis=-1)
     cut = np.quantile(r, _DIRECTION_Q)
     big = x[r >= cut]
     u = big / np.linalg.norm(big, axis=-1, keepdims=True)
-    if dim == 2:
+    if x.shape[1] == 2:
         ang = np.arctan2(u[:, 1], u[:, 0])
         hist, edges = np.histogram(ang, bins=_DIRECTION_BINS, range=(-np.pi, np.pi))
         centers = 0.5 * (edges[:-1] + edges[1:])

@@ -281,9 +281,8 @@ def test_10_flat_kernel_closed_form():
         0.5,
         x,
         tail_constant=2.0,
-        kernel=stable.FlatKernel(dim=1),
+        kernel=stable.FlatKernel(),
         g_schedule=(0.25, 0.125),
-        outer_reps=256,
         master_seed=1012,
     )
     z = abs(est.value - C_HALF) / est.se

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -178,6 +179,31 @@ def test_build_model_reports_bad_values(tmp_path):
         config.build_model(cfg)
 
 
+def test_runner_keys_match_the_getters():
+    # every key literal the runners pass to a typed getter, by section
+    with open(experiments.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    read = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id.startswith("get_")
+            and len(node.args) >= 3
+        ):
+            section, key = (a.value for a in node.args[1:3])
+            read.setdefault(section, set()).add(key)
+    assert read == config._RUNNER_KEYS
+
+
+@pytest.mark.parametrize("section", ["experiment", "output", "assertions"])
+def test_build_model_rejects_unknown_runner_keys(section):
+    cfg = config.parse_config(BENCH_MODEL + f"\n[{section}]\ncuont = 50\n", "p.cfg")
+    with pytest.raises(ConfigError) as exc:
+        config.build_model(cfg)
+    assert str(exc.value) == f"p.cfg:13: [{section}] cuont: unknown key"
+
+
 def test_typed_getters(tmp_path):
     cfg = config.parse_config(
         "[experiment]\nn = 12\nrate = 0.5\nflag = true\ngrid = 1, 2.5\nname = abc\n"
@@ -298,6 +324,15 @@ def test_cli_tail_with_fewer_samples_than_se_blocks_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("liprec tail: error: ") and "at least 32 samples" in err
     assert not (out / "goldie.csv").exists()
+
+
+def test_cli_misspelled_key_exits_2_with_its_line(tmp_path, capsys):
+    text = BENCH_MODEL + "\n[experiment]\ncuont = 50\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "typo"
+    assert _run(["simulate", "--config", path, "--out", out]) == 2
+    assert f"{path}:13: [experiment] cuont: unknown key" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
 
 
 def test_cli_bracket_failure_exits_3(tmp_path, capsys):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from liprec import stable
+from liprec import models, stable
+from liprec import randomness as rnd
 from liprec.errors import PreconditionError
 from liprec.randomness import stream
 
@@ -19,6 +20,15 @@ C_HALF = complex(-2.5066282746310005, 2.5066282746310005)
 def _pareto(alpha, size, seed, x_m=1.0):
     u = stream(seed, 0, "pareto").random(size)
     return x_m * u ** (-1.0 / alpha)
+
+
+def _isotropic_pareto_2d(alpha, size, seed, x_m):
+    """Points x_m U^(-1/alpha) (cos A, sin A), A uniform: |X| has tail
+    constant x_m^alpha and the law is rotation invariant."""
+    g = stream(seed, 0, "iso")
+    r = x_m * g.random(size) ** (-1.0 / alpha)
+    ang = g.uniform(-np.pi, np.pi, size)
+    return r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +73,41 @@ def test_phi_series_positive_homogeneity(bench_spec):
 
 
 def test_model_kernel_matches_h(bench_spec):
-    kern = stable.ModelKernel(bench_spec)
+    # the mean of exp(i phi) over a column of the kernel's draws is h at that point
     pts = np.array([0.8, 1.6])
-    hv = kern.h_values(pts, 1.0, reps=256, rng=stream(4, 0, "kh"))
-    assert hv.shape == (2,)
-    assert np.all(np.abs(hv) <= 1.0 + 0.2)
-    draws = kern.phi_draws(pts, reps=16, rng=stream(4, 0, "kp"))
-    assert draws.shape == (16, 2)
+    draws = stable.ModelKernel(bench_spec).phi_draws(pts, reps=512, rng=stream(4, 0, "kh"))
+    assert draws.shape == (512, 2)
+    for x, col in zip(pts, draws.T):
+        vals = np.exp(1j * col)
+        se = math.sqrt((vals.real.var() + vals.imag.var()) / len(vals))
+        want, want_se = _h(bench_spec, x, 4096, stream(4, 1, "kh"))
+        assert abs(vals.mean() - want) <= 4 * math.hypot(se, want_se)
 
 
 def test_flat_kernel_identities(rng):
-    kern = stable.FlatKernel(dim=1)
+    kern = stable.FlatKernel()
     pts = np.array([1.0, 2.0, 3.0])
-    assert np.all(kern.h_values(pts, 1.0, reps=8, rng=rng) == 1.0)
     assert np.all(kern.phi_draws(pts, reps=4, rng=rng) == 0.0)
+    assert kern.phi_draws(pts, reps=4, rng=rng).shape == (4, 3)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_phi_draws_shape_in_2d(flat):
+    spec = models.make_model(
+        "affine",
+        dimension=2,
+        laws={
+            "scale": rnd.lognormal(-0.7, 0.4),
+            "angle": rnd.uniform(-1.0, 1.0),
+            "shift_1": rnd.normal(1.0, 0.5),
+            "shift_2": rnd.constant(0.0),
+        },
+    )
+    kern = stable.FlatKernel() if flat else stable.ModelKernel(spec)
+    pts = np.array([[1.0, 0.0], [0.0, 2.0], [-0.5, 0.5]])
+    draws = kern.phi_draws(pts, reps=8, rng=stream(4, 0, "kp2"))
+    assert draws.shape == (8, 3, 2)
+    assert np.all(np.isfinite(draws))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +125,17 @@ def test_lambda_functional_on_pareto():
     val, se = stable.lambda_functional(f, x, g=0.05, alpha=alpha, zero_radius=0.5)
     want = x_m**alpha
     assert abs(val - want) <= 4 * se + 0.05 * want
+
+
+def test_lambda_functional_reads_the_radius_in_2d():
+    # Lambda(1_{|x| > 1}) = x_m^alpha for the isotropic law: the (n, 2)
+    # samples are cut at their Euclidean radius
+    alpha, x_m = 1.5, 2.0
+    pts = _isotropic_pareto_2d(alpha, 10**5, seed=6, x_m=x_m)
+    val, se = stable.lambda_functional(
+        lambda p: np.ones(len(p)), pts, g=0.05, alpha=alpha, zero_radius=1.0
+    )
+    assert abs(val - x_m**alpha) <= 4 * se
 
 
 def test_lambda_needs_zero_radius():
@@ -167,9 +209,8 @@ def test_c_alpha_frozen_target_flat_kernel():
         alpha,
         x,
         tail_constant=2.0,
-        kernel=stable.FlatKernel(dim=1),
+        kernel=stable.FlatKernel(),
         g_schedule=(0.25, 0.125),
-        outer_reps=256,
         master_seed=12,
     )
     err = abs(est.value - C_HALF)
@@ -181,17 +222,8 @@ def test_c_alpha_needs_two_scales():
     x = _pareto(0.5, 1000, seed=3, x_m=4.0)
     with pytest.raises(PreconditionError, match="at least two scales"):
         stable.c_alpha(
-            1.0, 0.5, x, tail_constant=2.0, kernel=stable.FlatKernel(dim=1), g_schedule=(0.1,)
+            1.0, 0.5, x, tail_constant=2.0, kernel=stable.FlatKernel(), g_schedule=(0.1,)
         )
-
-
-@pytest.mark.parametrize("kw", [dict(inner_reps=4), dict(se_groups=1)])
-def test_c_alpha_needs_two_se_groups_within_inner_reps(kw):
-    # fewer reps than groups left an empty group and a NaN estimate; one
-    # group left a NaN se, without a warning
-    x = _pareto(0.5, 1000, seed=3, x_m=4.0)
-    with pytest.raises(PreconditionError, match="2 <= se_groups <= inner_reps"):
-        stable.c_alpha(1.0, 0.5, x, 2.0, stable.FlatKernel(1), g_schedule=(0.25, 0.125), **kw)
 
 
 def test_c_alpha_positive_homogeneity_in_v():
@@ -199,7 +231,7 @@ def test_c_alpha_positive_homogeneity_in_v():
     x = _pareto(alpha, 10**5, seed=48, x_m=x_m)
     kw = dict(
         tail_constant=2.0,  # matches the sampled law: C = x_m^alpha
-        kernel=stable.FlatKernel(dim=1),
+        kernel=stable.FlatKernel(),
         g_schedule=(0.25, 0.125),
         master_seed=13,
     )
@@ -207,6 +239,19 @@ def test_c_alpha_positive_homogeneity_in_v():
     c2 = stable.c_alpha(2.0, alpha, x, **kw)
     want = 2.0**alpha * c1.value
     assert abs(c2.value - want) <= 3 * (c2.se + 2.0**alpha * c1.se) + 0.02 * abs(want)
+
+
+def test_c_alpha_reflection_in_2d_is_conjugation():
+    # C(-v) = conj C(v) term by term when phi == 0; the dimension comes
+    # from the (n, 2) samples and the 2-vector v
+    pts = _isotropic_pareto_2d(0.5, 20_000, seed=5, x_m=4.0)
+    kw = dict(kernel=stable.FlatKernel(), g_schedule=(0.25, 0.125), master_seed=7)
+    v = np.array([0.6, 0.8])
+    c_pos = stable.c_alpha(v, 0.5, pts, 2.0, **kw)
+    c_neg = stable.c_alpha(-v, 0.5, pts, 2.0, **kw)
+    assert c_neg.value == c_pos.value.conjugate()
+    assert c_neg.se == c_pos.se
+    assert c_pos.value.real < 0
 
 
 def test_c_alpha_real_part_negative_on_benchmark(bench_spec, bench_batch_100k):
@@ -226,7 +271,7 @@ def test_c_two_quadratic_form():
     # h constant 1, phi identically 0: C_2(v) = -(1/4) sigma_mass v^2
     x = np.concatenate([_pareto(2.0, 50_000, seed=49), -_pareto(2.0, 50_000, seed=50)])
     val, se = stable.c_two(
-        1.0, x, tail_constant=1.0, kernel=stable.FlatKernel(dim=1), master_seed=3
+        1.0, x, tail_constant=1.0, kernel=stable.FlatKernel(), master_seed=3
     )
     want = -0.25 * 2.0 * 1.0  # sigma_mass = alpha C = 2
     assert val.real == pytest.approx(want, abs=3 * se + 1e-9)
@@ -325,6 +370,11 @@ def test_empirical_cf_row_layout():
     assert t0[0] == 0.5 and t0[1] == 0
     assert t0[2] == pytest.approx(want.real)
     assert t0[3] == pytest.approx(want.imag)
+
+
+def test_empirical_cf_default_direction_is_first_axis():
+    x = stable.sample_stable_symmetric(1.5, 20_000, stream(21, 0, "cf2")).reshape(-1, 2)
+    assert stable.empirical_cf(x, [0.3, 0.9]) == stable.empirical_cf(x[:, 0], [0.3, 0.9])
 
 
 def test_gaussian_check_accepts_normal_rejects_stable():

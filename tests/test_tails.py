@@ -283,10 +283,17 @@ def test_direction_masses_d2_concentrates():
     r = _pareto(1.5, 40_000, seed=3)
     ang = g.normal(0.0, 0.05, size=40_000)  # tight beam around +x
     pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    dirs, masses = tails.direction_masses(pts, 1.5, tail_constant=1.0, dim=2)
+    dirs, masses = tails.direction_masses(pts, 1.5, tail_constant=1.0)
     assert masses.sum() == pytest.approx(1.5)
     lead = dirs[np.argmax(masses)]
     assert lead[0] > 0.99
+
+
+@pytest.mark.parametrize("shape", [(1000, 1), (1000, 4), (10, 10, 2)])
+def test_direction_masses_rejects_other_shapes(shape):
+    x = stream(23, 0, "shape").standard_cauchy(shape)
+    with pytest.raises(PreconditionError, match="shape"):
+        tails.direction_masses(x, 1.0, tail_constant=1.0)
 
 
 def test_direction_masses_d3_isotropic():
@@ -294,7 +301,7 @@ def test_direction_masses_d3_isotropic():
     u = g.standard_normal((200_000, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     pts = _pareto(1.5, 200_000, seed=4)[:, None] * u
-    dirs, masses = tails.direction_masses(pts, 1.5, tail_constant=1.0, dim=3)
+    dirs, masses = tails.direction_masses(pts, 1.5, tail_constant=1.0)
     assert masses.sum() == pytest.approx(tails.sigma_mass(1.0, 1.5))
     assert np.allclose(np.linalg.norm(dirs, axis=-1), 1.0)
     assert np.all(masses > 0)
