@@ -15,13 +15,18 @@ block, members that have already stopped included, so member i's step-j
 draw is fixed by the block's stream, the block size, i and j. A member's
 draws therefore depend neither on x0 nor on when the other members stop;
 runs from two seed points, or at two tolerances, see the same thetas.
-Only the draw spans the whole block: the stop rule runs on the members
-still running, and only their thetas are stored and replayed, so that
-work and memory scale with the draws used, not the draws made. The
-replay keeps only random draws: a member runs at step j exactly when its
-stop depth is at least j, so the live sets are rebuilt from the depths,
-and a constant law's parameter is its value, a float that numpy
-broadcasts.
+Only the draw spans the whole block: the stop rule and the composition
+run on the members still running, so that work scales with the draws
+used, not the draws made. Extremal, letac and affine maps compose in
+closed form (`models.composite`): each live member carries its composed
+map Z_j = psi_1 o ... o psi_j, a few numbers, and its sample is Z(x0) at
+its stop depth, so a block's memory does not grow with depth. The
+sample rounds once where nested maps round at every step, so it can
+differ from the nested value in the last bits. sqrt_quadratic and arch1
+store each step's live random draws and replay them innermost-first: a
+member runs at step j exactly when its stop depth is at least j, so the
+live sets are rebuilt from the depths, and a constant law's parameter is
+its value, a float that numpy broadcasts.
 
 Draw layout of the forward engine: blocks of FORWARD_BLOCK members, each
 drawing FORWARD_STEPS steps per `sample_theta` call, so that a step's
@@ -51,9 +56,9 @@ FORWARD_STEPS = 16
 
 _Q_CAP = 0.95  # contraction-rate clip for the oscillation envelope
 _R_ENVELOPE = 1e9  # hard cap on the oscillation envelope
-# Memory guard: draw scalars made per block (step * size * params). The
-# storage keeps only the live members' random thetas, so this count is an
-# upper bound on what is stored.
+# Draw budget per block: draw scalars made (step * size * params), the same
+# trip step for every family. It bounds what a replay stores, which is
+# only the live members' random thetas; a composite stores no draws.
 _STORAGE_CAP = 1 << 27
 
 
@@ -73,13 +78,16 @@ class StationaryBatch:
 
         A block draws theta for all its members until its deepest member
         stops, so it makes size * max-depth draws; members use their depths.
-        Only the draws follow `theta_drawn`: the stop rule, the stored
-        draws and the replay cover the live members, so they follow
-        `theta_used`.
+        Only the draws follow `theta_drawn`: the stop rule, the composition
+        or the stored draws and the replay cover the live members, so they
+        follow `theta_used`.
         """
         d = self.stop_depths
         blocks = (d[lo:lo + self.block_size] for lo in range(0, len(d), self.block_size))
-        p50, p90, p99 = np.quantile(d, (0.5, 0.9, 0.99), method="inverted_cdf")
+        # np.quantile(d, ..., method="inverted_cdf") without its full copy
+        # of d: the first depth whose running count reaches len(d) * p
+        ranks = np.cumsum(np.bincount(d))
+        p50, p90, p99 = np.searchsorted(ranks, len(d) * np.array((0.5, 0.9, 0.99)))
         return {
             "stop_depth_mean": float(d.mean()),
             "stop_depth_p50": int(p50),
@@ -164,22 +172,28 @@ def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
 def _backward_block(spec, x0, tol, max_depth, rng, count):
     """Certified backward samples for one block; returns (points, depths, bounds).
 
-    Only the theta draw spans the whole block. The stop rule, the stored
-    draws and the replay run on `live`, the ascending indices of the
-    members still running, and on the arrays kept beside it. Each step
-    stores only its random parameters' live draws: the replay rebuilds
-    the live sets from the stop depths, and a constant law's parameter
-    is the law's value throughout.
+    Only the theta draw spans the whole block. The stop rule runs on
+    `live`, the ascending indices of the members still running, and on
+    the arrays kept beside it. A family with a composite carries each
+    live member's composed map and evaluates it at x0 when the member
+    stops. The other families store each step's random parameters' live
+    draws and replay them: the replay rebuilds the live sets from the
+    stop depths, and a constant law's parameter is the law's value.
     """
-    # every row is x0 until the replay, which runs in place, so the leading
-    # rows serve as the live members' x0
-    z = _as_points(spec, x0, count)
+    comp = models.composite(spec)
+    x0_pts = _as_points(spec, x0, count)  # every row is x0
+    # the replay runs in place on x0's rows; the composite writes each
+    # member's sample as it stops
+    z = x0_pts if comp is None else np.empty_like(x0_pts)
     depth = np.zeros(count, dtype=np.int64)
     cert = np.full(count, np.inf)
     live = np.arange(count)
     log_prod = np.zeros(count)
     osc_max = np.zeros(count)
-    steps = []  # the live members' random draws per step: all the replay reads
+    if comp is not None:
+        init, update, evaluate = comp
+        state = init(spec, count)
+    steps = []  # replay only: the live members' random draws per step
     n_param = len(models.required_params(spec.family, spec.dimension))
     # the law's value, not a slice of the block's batch, which may be a
     # full-block copy that a slice would keep alive; a float broadcasts
@@ -198,9 +212,8 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
         drawn = {
             k: v[live] for k, v in models.sample_theta(spec, rng, count).items() if k not in fixed
         }
-        steps.append(drawn)
         theta = {**drawn, **fixed}
-        x0_live = z[: len(live)]
+        x0_live = x0_pts[: len(live)]
         lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
         osc = models.radius(spec, models.apply(spec, theta, x0_live) - x0_live)
         np.maximum(osc_max, osc, out=osc_max)
@@ -211,6 +224,13 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
             q = np.minimum(np.exp(log_prod / step), _Q_CAP)
             envelope = np.minimum(osc_max / (1.0 - q), _R_ENVELOPE)
             bound = np.exp(log_prod) * envelope
+        if comp is None:
+            steps.append(drawn)
+        else:
+            # there the composed scale overflows too, and inf - inf or
+            # inf * 0 in a translation part is nan; such members never stop
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = update(spec, state, theta)
         stop = bound < tol
         if stop.any():
             done = live[stop]
@@ -218,6 +238,10 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
             cert[done] = bound[stop]
             keep = ~stop
             live, log_prod, osc_max = live[keep], log_prod[keep], osc_max[keep]
+            if comp is not None:
+                stopped = {k: v[stop] for k, v in state.items()}
+                z[done] = evaluate(spec, stopped, x0_pts[: len(done)])
+                state = {k: v[keep] for k, v in state.items()}
             if not len(live):
                 break
     if len(live):

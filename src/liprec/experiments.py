@@ -8,10 +8,12 @@ it shows. A stage that samples the stationary law draws it through
 carrying its status (a failed stage adds the exception class and
 message), the config digest, the seed, numpy's version and SIMD
 dispatch, wall time, the stream layout (the backward and forward block
-sizes and the forward steps per draw), a sha256 per output file, for a
-stage that ran the backward sampler its stop depths and draws, and for
-`tail` the report's flags. Config keys are read through the typed
-getters of `config`, which own every lookup, default and error message.
+sizes, the forward steps per draw and, for a stage that ran the
+backward sampler, its form: `composite` or `replay`), a sha256 per
+output file, for a stage that ran the backward sampler its stop depths
+and draws, and for `tail` the report's flags. Config keys are read
+through the typed getters of `config`, which own every lookup, default
+and error message.
 All sampled stages draw from block-indexed streams, so the thread count
 never changes an output byte.
 """
@@ -130,6 +132,13 @@ class _Stage:
         self.threads = threads
         self.outputs = {}
         self.extra = {}  # further manifest entries, such as "backward"
+        # which block sizes, and for a backward stage which engine form,
+        # wrote the sampled outputs
+        self.layout = {
+            "backward_block": chains.BLOCK_SIZE,
+            "forward_block": chains.FORWARD_BLOCK,
+            "forward_steps": chains.FORWARD_STEPS,
+        }
 
     def __enter__(self):
         self.t0 = time.perf_counter()
@@ -144,6 +153,7 @@ class _Stage:
 
     def backward(self, spec, count, tol, **kw):
         """The stage's backward batch, its stop depths and draws recorded."""
+        self.layout["backward_form"] = "replay" if models.composite(spec) is None else "composite"
         batch = chains.stationary_batch(
             spec, count, tol=tol, master_seed=self.seed, threads=self.threads, **kw
         )
@@ -160,12 +170,7 @@ class _Stage:
             "version": VERSION,
             "numpy": _numpy_build(),
             "wall_s": round(time.perf_counter() - self.t0, 6),
-            # which block sizes wrote the sampled outputs
-            "stream_layout": {
-                "backward_block": chains.BLOCK_SIZE,
-                "forward_block": chains.FORWARD_BLOCK,
-                "forward_steps": chains.FORWARD_STEPS,
-            },
+            "stream_layout": self.layout,
             "outputs": self.outputs,
             **self.extra,
         }
@@ -368,9 +373,10 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     hill_points = get_int(cfg, "experiment", "hill_points", default=tails.DEFAULT_HILL_POINTS)
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
-        batch = st.backward(spec, count, tol)
+        # only the samples: the depths and bounds are freed before the report
+        samples = st.backward(spec, count, tol).samples
         rep = tails.tail_report(
-            spec, batch.samples, alpha, m_al, master_seed=seed,
+            spec, samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
         )
         st.extra["tail"] = {"flags": list(rep.flags)}
@@ -485,8 +491,8 @@ def run_support(cfg, out_dir, seed=None, threads=1):
     dim = models.point_dim(spec)
     with _Stage(out_dir, "support", digest, seed, threads) as st:
         cloud = support.enumerate_fixed_points(spec, max_depth, word_guard=word_guard)
-        batch = st.backward(spec, count, tol)
-        cov = support.coverage_check(cloud, batch.samples, epsilon)
+        samples = st.backward(spec, count, tol).samples
+        cov = support.coverage_check(cloud, samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
         st.csv(
             "support.csv",
@@ -521,9 +527,9 @@ def run_check(cfg, out_dir, seed=None, threads=1):
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]
-        batch = st.backward(spec, count, tol)
-        reports.append(cramer.check_cancellation(spec, batch.samples, 256, rng))
-        radii = models.radius(spec, np.asarray(batch.samples))
+        samples = st.backward(spec, count, tol).samples
+        reports.append(cramer.check_cancellation(spec, samples, 256, rng))
+        radii = models.radius(spec, samples)
         x_hi = float(np.quantile(radii, 0.9)) + 1.0
         x_grid = np.linspace(0.0, x_hi, 5)
         d = models.point_dim(spec)

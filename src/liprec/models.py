@@ -16,7 +16,9 @@ yields the same batch a chunk at a time. `apply` holds the one
 closed form per family. `apply_dilated` forms t * psi_theta(x / t) as
 `apply` on dilated translation parameters: the same products that a
 closed form written with t forms, so the two agree bit for bit, and at
-t = 1 it is bit-identical to `apply`.
+t = 1 it is bit-identical to `apply`. `composite` gives, for extremal,
+letac and affine, the closed form of a backward composition
+psi_1 o ... o psi_n, which the backward sampler carries per member.
 """
 
 from __future__ import annotations
@@ -308,6 +310,77 @@ def apply_dilated(spec, theta, x, t):
         powers = _DILATION_POWERS[spec.family]
     scaled = {k: (t if p == 1 else t * t) * theta[k] for k, p in powers.items()}
     return apply(spec, {**theta, **scaled}, x)
+
+
+# ---------------------------------------------------------------------------
+# backward composites: Z_n = Z_{n-1} o psi_n in closed form
+#
+# For three families the composition of n maps stays in a small class, so
+# backward iteration can carry each member's few numbers instead of its
+# draws. `init(spec, count)` is the identity map for `count` members,
+# `update(spec, z, theta)` returns Z o psi_theta, and
+# `evaluate(spec, z, x0)` returns Z(x0). A state is a dict of arrays with
+# one entry per member.
+
+
+def _extremal_init(spec, count):
+    return {"a": np.ones(count), "b": np.full(count, -np.inf)}
+
+
+def _extremal_update(spec, z, theta):
+    # max(A max(a x, b), D) = max(A a x, max(D, A b)), since A > 0
+    return {"a": z["a"] * theta["a"], "b": np.maximum(z["b"], z["a"] * theta["b"])}
+
+
+def _letac_init(spec, count):
+    return {"A": np.ones(count), "C": np.zeros(count), "D": np.full(count, -np.inf)}
+
+
+def _letac_update(spec, z, theta):
+    # psi(x) = max(a x + c, a b + c), so max(A psi(x) + C, D) is
+    # max(A a x + A c + C, max(D, A (a b + c) + C)), since A > 0
+    a, b, c = theta["a"], theta["b"], theta["c"]
+    A, C = z["A"], z["C"]
+    return {"A": A * a, "C": C + A * c, "D": np.maximum(z["D"], A * (a * b + c) + C)}
+
+
+def _letac_evaluate(spec, z, x0):
+    return np.maximum(z["A"] * x0 + z["C"], z["D"])
+
+
+def _affine_init(spec, count):
+    z = {"scale": np.ones(count)}
+    if spec.dimension > 1:
+        z["angle"] = np.zeros(count)
+    z["shift"] = np.zeros(count if spec.dimension == 1 else (count, spec.dimension))
+    return z
+
+
+def _affine_update(spec, z, theta):
+    # S R(Phi) (s R(angle) x + shift) + C: the rotations share one axis,
+    # so they commute and their angles add
+    new = {"scale": z["scale"] * theta["scale"]}
+    if spec.dimension > 1:
+        new["angle"] = np.remainder(z["angle"] + theta["angle"], math.tau)
+    new["shift"] = z["shift"] + _affine_linear(spec, z, _shift_vector(spec, theta))
+    return new
+
+
+def _affine_evaluate(spec, z, x0):
+    return _affine_linear(spec, z, x0) + z["shift"]
+
+
+# family -> (init, update, evaluate); an extremal composite is an extremal draw
+_COMPOSITES = {
+    "extremal": (_extremal_init, _extremal_update, apply),
+    "letac": (_letac_init, _letac_update, _letac_evaluate),
+    "affine": (_affine_init, _affine_update, _affine_evaluate),
+}
+
+
+def composite(spec):
+    """(init, update, evaluate) of the family's backward composite, or None."""
+    return _COMPOSITES.get(spec.family)
 
 
 def limit_map(spec, theta, x):

@@ -121,14 +121,20 @@ def _where_points(spec, mask, a, b):
     return np.where(mask[:, None], a, b)
 
 
-def reference_backward_block(spec, x0, tol, max_depth, rng, count):
+def reference_backward_block(spec, x0, tol, max_depth, rng, count, replay=False):
     """The backward block with every step on every member; same outputs.
 
-    The stop rule runs on the whole block under a mask, every full draw is
-    stored, and the replay applies each draw to all members and keeps the
-    result with `where` for those still running at that step.
+    The stop rule runs on the whole block under a mask. A family with a
+    composite updates every member's composed map at every step and
+    evaluates it at x0 for the members that stop there, in the update
+    order of `models.composite`. With `replay`, or for the other
+    families, every full draw is stored, and the replay applies each draw
+    to all members and keeps the result with `where` for those still
+    running at that step.
     """
+    comp = None if replay else models.composite(spec)
     x0_pts = chains._as_points(spec, x0, count)
+    z = x0_pts.copy()
     log_prod = np.zeros(count)
     osc_max = np.zeros(count)
     depth = np.zeros(count, dtype=np.int64)
@@ -136,6 +142,9 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count):
     draws = []
     active = np.ones(count, dtype=bool)
     n_param = len(models.required_params(spec.family, spec.dimension))
+    if comp is not None:
+        init, update, evaluate = comp
+        state = init(spec, count)
 
     step = 0
     while step < max_depth:
@@ -147,7 +156,6 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count):
                 "stop sooner"
             )
         theta = models.sample_theta(spec, rng, count)
-        draws.append(theta)
         lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
         osc = models.radius(spec, models.apply(spec, theta, x0_pts) - x0_pts)
         with np.errstate(divide="ignore"):
@@ -160,6 +168,11 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count):
         depth[newly] = step
         cert[newly] = bound[newly]
         active &= ~newly
+        if comp is None:
+            draws.append(theta)
+        else:
+            state = update(spec, state, theta)
+            z[newly] = evaluate(spec, {k: v[newly] for k, v in state.items()}, x0_pts[newly])
         if not active.any():
             break
     if active.any():
@@ -169,21 +182,20 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count):
             f"bound still {worst:.3e} * envelope >= tol={tol}"
         )
 
-    z = x0_pts.copy()
     for j in range(len(draws) - 1, -1, -1):
         y = models.apply(spec, draws[j], z)
         z = _where_points(spec, depth >= j + 1, y, z)
     return z, depth, cert
 
 
-def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=None):
+def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=None, replay=False):
     """(samples, depths, bounds) of chains.stationary_batch, block by block."""
     if x0 is None:
         x0 = models.zero_point(spec)
     parts = [
         reference_backward_block(
             spec, x0, tol, chains.DEFAULT_MAX_DEPTH, stream(master_seed, b, "stationary"),
-            min(block_size, count - lo),
+            min(block_size, count - lo), replay,
         )
         for b, lo in enumerate(range(0, count, block_size))
     ]

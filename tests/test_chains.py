@@ -277,15 +277,16 @@ def test_backward_storage_guard_trips_at_the_reference_step(bench_spec, monkeypa
     assert sizes == ref_sizes == [64] * 29
 
 
-@pytest.mark.parametrize("name", ["letac_atomic", "extremal", "smooth"])
-def test_backward_storage_holds_only_random_draws(name, bench_spec, letac_spec):
-    # the replay stores 8 B per random parameter per member-step: no live
-    # index and no constant law's values. Above that, the block's traced
-    # peak holds one step's whole-block draw and the stop rule's arrays,
-    # about 50 B per member here; the bound allows 100. Storing the index
-    # and every parameter would take 32 (letac, b and c constant) or 24 B
-    # per member-step, about 2.8 MB on these blocks.
-    spec = {"letac_atomic": letac_spec, "extremal": bench_spec, "smooth": SMOOTH}[name]
+@pytest.mark.parametrize("name", ["sqrt_quadratic", "sqrt_quadratic_const_c", "arch1"])
+def test_backward_storage_holds_only_random_draws(name):
+    # the families without a composite replay their draws, and store 8 B
+    # per random parameter per member-step: no live index and no constant
+    # law's values. Above that, the block's traced peak holds one step's
+    # whole-block draw and the stop rule's arrays, 83-95 B per member
+    # here; the bound allows 100. Storing the index and every parameter
+    # would take 32 (sqrt_quadratic) or 16 B (arch1) per member-step,
+    # 1.1-3.4 MB more on these blocks.
+    spec = {**ORACLE_MODELS, **CONSTANT_LAW_MODELS}[name]
     n_random = sum(law.kind != "constant" for law in spec.laws.values())
     count = 4096
     tracemalloc.start()
@@ -298,6 +299,82 @@ def test_backward_storage_holds_only_random_draws(name, bench_spec, letac_spec):
         tracemalloc.stop()
     stored = 8 * n_random * int(depth.sum())
     assert stored < peak < stored + 100 * count
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize(
+    "name", ["extremal", "letac_atomic", "smooth", "letac", "affine", "affine_d2", "affine_d3"]
+)
+def test_composite_block_memory_is_flat_in_depth(name, tol, bench_spec, letac_spec):
+    # a family with a composite stores nothing per step: the block's traced
+    # peak is its outputs, one step's whole-block draw, the stop rule's
+    # arrays and the composed maps, 140-190 B per member in 1-d, 245 in
+    # 2-d and 385 in 3-d at either tol, though 1e-12 takes about a third
+    # more steps. A replay would store 8 B per random parameter per
+    # member-step on top, 200 to 1340 B per member on these blocks, which
+    # the bound does not hold.
+    spec = {"extremal": bench_spec, "letac_atomic": letac_spec, "smooth": SMOOTH, **ORACLE_MODELS}
+    spec = spec[name]
+    count = 4096
+    tracemalloc.start()
+    try:
+        chains._backward_block(
+            spec, models.zero_point(spec), tol, chains.DEFAULT_MAX_DEPTH,
+            stream(0, 0, "stationary"), count,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (100 + 120 * models.point_dim(spec)) * count
+
+
+def _not_contracting(name):
+    """E log L = 0.5 > 0: the composed scale overflows long before max_depth."""
+    if name == "extremal":
+        return models.make_model(
+            "extremal", laws={"a": rnd.lognormal(0.5, 1.0), "b": rnd.constant(1.0)}
+        )
+    if name == "affine":
+        return models.make_model(
+            "affine", laws={"scale": rnd.lognormal(0.5, 1.0), "shift": rnd.normal(0.0, 1.0)}
+        )
+    return models.make_model(
+        "affine",
+        dimension=2,
+        laws={
+            "scale": rnd.lognormal(0.5, 1.0),
+            "angle": rnd.uniform(-1.0, 1.0),
+            "shift_1": rnd.normal(0.0, 1.0),
+            "shift_2": rnd.constant(0.0),
+        },
+    )
+
+
+@pytest.mark.parametrize("name", ["extremal", "affine", "affine_d2"])
+def test_composite_depth_guard_on_a_model_that_does_not_contract(name):
+    # the composed map's scale overflows to inf and its translation part
+    # meets inf - inf and inf * 0; the guard must still end the run with
+    # its own error, not numpy's overflow or invalid-value warning
+    with pytest.raises(ConvergenceError, match=r"max_depth=2000 with running bound still inf "):
+        chains.stationary_batch(_not_contracting(name), 64, max_depth=2000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 99, 100, 101, 2500, 16384, 99_999])
+def test_draw_counter_quantiles_match_inverted_cdf(n):
+    # the counters rank depths through their histogram; they must give
+    # np.quantile's inverted-CDF depths on ties, spikes and long tails
+    rng = np.random.default_rng(n)
+    for depths in (
+        rng.integers(1, 40, n),
+        np.full(n, 7),
+        1 + np.floor(rng.pareto(1.2, n) * 5).astype(np.int64),
+    ):
+        batch = chains.StationaryBatch(np.zeros(n), depths, np.zeros(n), 1e-9)
+        got = batch.draw_counters()
+        want = np.quantile(depths, (0.5, 0.9, 0.99), method="inverted_cdf")
+        assert [got["stop_depth_p50"], got["stop_depth_p90"], got["stop_depth_p99"]] == [
+            int(w) for w in want
+        ]
 
 
 def _seed_point(spec):
@@ -339,6 +416,45 @@ def test_backward_sample_matches_whole_block_reference(name, bench_spec):
         )
         assert got[0].tobytes() == want[0].tobytes()
         assert (got[1][0], got[2][0]) == (want[1][0], want[2][0])
+
+
+# the composite against the replay: Z_n(x0) rounds A x0 and the running
+# translation once, where the replay rounds n nested maps. On these
+# models (tol 1e-9 and 1e-12, 2500 members) values differ by at most
+# 4.6e-13 relative, and by at most 9.3e-15 relative beyond an atol of
+# 1e-13, which is far below either tol and covers samples near 0
+COMPOSITE_RTOL = 1e-12
+COMPOSITE_ATOL = 1e-13
+# affine at alpha = 0.4: deep chains (mean stop depth 121, max 503 at tol
+# 1e-9) and large samples
+AFFINE_ALPHA_04 = models.make_model(
+    "affine", laws={"scale": rnd.lognormal(-0.2, 1.0), "shift": rnd.normal(0.0, 1.0)}
+)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize(
+    "name", ["extremal", "smooth", "letac_atomic", "letac", "affine", "affine_d2", "affine_d3",
+             "affine_alpha_04", "letac_const_b", "letac_const_c", "affine_d2_const_angle"]
+)
+def test_composite_matches_replay_reference(name, tol, bench_spec, letac_spec):
+    # the composed map is the same function as the nested draws: values
+    # agree to rounding, while depths, bounds and counters are exact
+    spec = {
+        "extremal": bench_spec, "smooth": SMOOTH, "letac_atomic": letac_spec,
+        "affine_alpha_04": AFFINE_ALPHA_04, **ORACLE_MODELS, **CONSTANT_LAW_MODELS,
+    }[name]
+    assert models.composite(spec) is not None
+    x0 = _seed_point(spec)
+    batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024)
+    samples, depths, bounds = reference_stationary_batch(
+        spec, 2500, tol, 19, 1024, x0=x0, replay=True
+    )
+    assert np.allclose(batch.samples, samples, rtol=COMPOSITE_RTOL, atol=COMPOSITE_ATOL)
+    assert np.array_equal(batch.stop_depths, depths)
+    assert batch.residual_bounds.tobytes() == bounds.tobytes()
+    replayed = chains.StationaryBatch(samples, depths, bounds, tol, 1024)
+    assert batch.draw_counters() == replayed.draw_counters()
 
 
 def test_stationary_batch_rejects_empty(bench_spec):

@@ -622,6 +622,51 @@ max_depth = 2000
     assert err[0].startswith("liprec simulate: error: backward iteration hit max_depth=2000")
 
 
+# E log a = 0.5 > 0: the composed scale of the backward composite overflows
+_NOT_CONTRACTING = {
+    "extremal": """\
+[model]
+family = extremal
+
+[distributions.a]
+kind = lognormal
+params = 0.5, 1.0
+
+[distributions.b]
+kind = constant
+params = 1.0
+""",
+    "affine": """\
+[model]
+family = affine
+
+[distributions.scale]
+kind = lognormal
+params = 0.5, 1.0
+
+[distributions.shift]
+kind = normal
+params = 0.0, 1.0
+""",
+}
+
+
+@pytest.mark.parametrize("family", ["extremal", "affine"])
+def test_cli_non_contracting_composite_model_exits_3_with_one_error_line(family, tmp_path, capsys):
+    # the composed map overflows to inf (and to nan in the affine
+    # translation); the run must end with the depth guard's one line
+    text = _NOT_CONTRACTING[family] + "\n[experiment]\ncount = 64\nmax_depth = 2000\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", path, "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("liprec simulate: error: backward iteration hit max_depth=2000")
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["status"] == "failed"
+    assert entry["stream_layout"]["backward_form"] == "composite"
+
+
 def test_csv_schemas_support_and_check(tmp_path):
     path = _write(
         tmp_path,
@@ -747,6 +792,7 @@ def test_manifest_records_each_stage(tmp_path):
         "backward_block": 16384,
         "forward_block": 4096,
         "forward_steps": 16,
+        "backward_form": "composite",  # extremal carries its composed map
     }
     assert entry["numpy"]["version"] == np.__version__
     assert set(entry["numpy"]) == {"version", "simd_baseline", "simd_found"}
@@ -769,6 +815,28 @@ def test_manifest_records_each_stage(tmp_path):
         "theta_drawn": 300 * int(depths.max()),
         "theta_used": int(depths.sum()),
     }
+    # arch1 has no composite and replays its draws; a forward run draws no
+    # backward batch and names no backward form
+    arch1 = """\
+[model]
+family = arch1
+gamma = 0.3
+beta = 0.8
+lambda = 0.25
+
+[distributions.a]
+kind = normal
+params = 0.0, 0.6
+
+[experiment]
+count = 300
+"""
+    for sampler, form in (("backward", "replay"), ("forward", None)):
+        out = tmp_path / sampler
+        path = _write(tmp_path, arch1 + f"sampler = {sampler}\nn = 16\n", f"{sampler}.cfg")
+        assert _run(["simulate", "--config", path, "--out", out]) == 0
+        entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+        assert entry["stream_layout"].get("backward_form") == form
 
 
 def test_tail_manifest_records_report_flags(tmp_path, monkeypatch, capsys):
