@@ -1,11 +1,11 @@
 """Command line front end.
 
 Six verbs share the same flags: --config (required), --seed (overrides
-the config seed), --out (output directory) and --threads. Exit codes:
-0 success, 2 configuration or domain problem, 3 convergence failure,
-4 capacity guard, 5 missing assertion flag. On success the CLI prints
-the summary lines the verb's runner returns; on failure, one error line
-on stderr.
+the config seed), --out (output directory) and --threads (at least 1).
+Exit codes: 0 success, 2 configuration or domain problem, 3 convergence
+failure, 4 capacity guard, 5 missing assertion flag. On success the CLI
+prints the summary lines the verb's runner returns; on failure, one
+error line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from . import experiments
 from ._version import VERSION
 from .config import load_config
-from .errors import LiprecError
+from .errors import ConfigError, LiprecError
 
 _VERBS = (
     ("cramer", "solve the moment-curve root and tabulate the curve"),
@@ -47,6 +47,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
         lines = experiments.RUNNERS[args.verb](
             cfg, args.out, seed=args.seed, threads=args.threads

@@ -36,7 +36,7 @@ from . import config as cfgmod
 from . import randomness as rnd
 from ._version import VERSION
 from .config import get_bool, get_float, get_floats, get_int, get_str
-from .errors import AssertionFlagError, ConfigError, LiprecError
+from .errors import AssertionFlagError, ConfigError, LiprecError, PreconditionError
 from .randomness import stream
 
 DEFAULT_COUNT = 65536
@@ -440,7 +440,10 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         norm = stable.normalize_birkhoff(sums, n, params, xi_value)
         st.csv("limit_samples.csv", ["replica", "value"], [np.arange(len(norm)), norm])
         # the fit's window is the CF grid in both regimes
-        fit = stable.stable_index_fit(norm)
+        try:
+            fit = stable.stable_index_fit(norm)
+        except PreconditionError as exc:
+            raise PreconditionError(f"[experiment] replicas = {replicas}: {exc}") from None
         lines = [f"regime {params.regime}, alpha = {alpha:.6f}"]
         if params.regime == "eq2":
             chk = stable.gaussian_check(norm)

@@ -42,6 +42,7 @@ _OUTER_REPS = 256  # phi draws per rescaled point in the outer part of C_alpha
 _SE_GROUPS = 8  # equal groups of the inner phi draws behind C_alpha's inner se
 _SNAP_TOL = 1e-6  # alpha this close to 1 or 2 takes that boundary regime
 _FIT_POINTS = 8  # t values in the stable index fit
+FIT_MIN_SAMPLES = 144  # 3 / sqrt(n) <= 0.25, the index fit's lower |CF| band
 
 
 def _cexpm1(t):
@@ -379,27 +380,40 @@ class StableFit:
     t_values: np.ndarray
 
 
+def _cf_modulus(ts, x):
+    """|mean exp(i t x)| for each t, one t at a time: no (t, n) array.
+
+    The array `np.abs` of the complex means rounds as the (t, n) matrix
+    form did; Python's scalar `abs` can differ in the last bit.
+    """
+    return np.abs([np.exp(1j * (t * x)).mean() for t in ts])
+
+
 def stable_index_fit(samples, t_window=None):
     """Slope of log(-log |CF|) against log t: the stable index.
 
-    The window must keep |CF| inside (0.05, 1); outside it the double log
-    is numerically meaningless and a precondition error is raised.
+    The empirical |CF| has a noise floor near 1/sqrt(n), so the ladder's
+    band (0.25, 0.85) is only noise unless 3/sqrt(n) <= 0.25: fewer than
+    FIT_MIN_SAMPLES samples is a precondition error. The window must
+    keep |CF| inside (0.05, 1); outside it the double log is numerically
+    meaningless and a precondition error is raised.
     """
     x = np.asarray(samples, dtype=float)
-
-    def cf_mod(ts):
-        return np.abs(np.exp(1j * np.outer(ts, x)).mean(axis=1))
-
+    if len(x) < FIT_MIN_SAMPLES:
+        raise PreconditionError(
+            f"the stable index fit needs at least {FIT_MIN_SAMPLES} samples, "
+            f"got {len(x)}: below that the empirical |CF| is noise in its band"
+        )
     if t_window is None:
         t_ref = 1.0 / max(np.quantile(np.abs(x), 0.9), 1e-12)
         ladder = t_ref * 2.0 ** np.arange(-24.0, 25.0)
-        mods = cf_mod(ladder)
+        mods = _cf_modulus(ladder, x)
         usable = np.nonzero((mods > 0.25) & (mods < 0.85))[0]
         if usable.size < 2:
             raise PreconditionError("no usable CF window found for the index fit")
         t_window = (ladder[usable[0]], ladder[usable[-1]])
     ts = np.geomspace(t_window[0], t_window[1], _FIT_POINTS)
-    mods = cf_mod(ts)
+    mods = _cf_modulus(ts, x)
     if np.any(mods <= 0.05) or np.any(mods >= 1.0):
         raise PreconditionError(
             "CF modulus leaves (0.05, 1) inside the fit window"

@@ -1,11 +1,12 @@
 """Shared numeric helpers for the test suite."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
-from liprec import chains, models, support
+from liprec import chains, models, stable, support
 from liprec.errors import CapacityError, ConvergenceError, PreconditionError
 from liprec.randomness import stream
 
@@ -18,6 +19,17 @@ def ks_critical_one(n, c=KS_C99):
 
 def ks_critical_two(n, m, c=KS_C99):
     return c * math.sqrt((n + m) / (n * m))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes of the allocations it made)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +288,33 @@ def reference_arch1_m_alpha(gamma, lam, sd, alpha, master_seed, n_samples):
     a = stream(master_seed, 0, "m-alpha").normal(0.0, sd, n_samples)
     m = np.abs(gamma + math.sqrt(lam) * a)
     return float((m**alpha * np.log(m)).mean())
+
+
+# ---------------------------------------------------------------------------
+# the CF modulus as a (t, n) matrix: the reference for stable.stable_index_fit,
+# which evaluates it one t at a time
+
+
+def _matrix_cf_modulus(ts, x):
+    """|mean exp(i t x)| per t from the (t, n) matrix, 8 t values per
+    matrix: each row's mean is its own reduction, so the row count does
+    not change a bit, and 8 rows keep the suite's memory small."""
+    return np.concatenate([
+        np.abs(np.exp(1j * np.outer(ts[lo:lo + 8], x)).mean(axis=1))
+        for lo in range(0, len(ts), 8)
+    ])
+
+
+def reference_stable_index_fit(samples, t_window=None):
+    """stable.stable_index_fit with its CF modulus built as a matrix."""
+    x = np.asarray(samples, dtype=float)
+    if t_window is None:
+        t_ref = 1.0 / max(np.quantile(np.abs(x), 0.9), 1e-12)
+        ladder = t_ref * 2.0 ** np.arange(-24.0, 25.0)
+        mods = _matrix_cf_modulus(ladder, x)
+        usable = np.nonzero((mods > 0.25) & (mods < 0.85))[0]
+        t_window = (ladder[usable[0]], ladder[usable[-1]])
+    ts = np.geomspace(t_window[0], t_window[1], stable._FIT_POINTS)
+    mods = _matrix_cf_modulus(ts, x)
+    slope, intercept = np.polyfit(np.log(ts), np.log(-np.log(mods)), 1)
+    return stable.StableFit(float(slope), float(intercept), ts)

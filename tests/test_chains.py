@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from _util import (
     ks_critical_two,
     reference_backward_block,
     reference_stationary_batch,
+    traced_peak,
 )
 
 
@@ -289,14 +289,10 @@ def test_backward_storage_holds_only_random_draws(name):
     spec = {**ORACLE_MODELS, **CONSTANT_LAW_MODELS}[name]
     n_random = sum(law.kind != "constant" for law in spec.laws.values())
     count = 4096
-    tracemalloc.start()
-    try:
-        _, depth, _ = chains._backward_block(
-            spec, 0.0, 1e-9, chains.DEFAULT_MAX_DEPTH, stream(0, 0, "stationary"), count
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, depth, _), peak = traced_peak(
+        chains._backward_block,
+        spec, 0.0, 1e-9, chains.DEFAULT_MAX_DEPTH, stream(0, 0, "stationary"), count,
+    )
     stored = 8 * n_random * int(depth.sum())
     assert stored < peak < stored + 100 * count
 
@@ -316,15 +312,11 @@ def test_composite_block_memory_is_flat_in_depth(name, tol, bench_spec, letac_sp
     spec = {"extremal": bench_spec, "letac_atomic": letac_spec, "smooth": SMOOTH, **ORACLE_MODELS}
     spec = spec[name]
     count = 4096
-    tracemalloc.start()
-    try:
-        chains._backward_block(
-            spec, models.zero_point(spec), tol, chains.DEFAULT_MAX_DEPTH,
-            stream(0, 0, "stationary"), count,
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        chains._backward_block,
+        spec, models.zero_point(spec), tol, chains.DEFAULT_MAX_DEPTH,
+        stream(0, 0, "stationary"), count,
+    )
     assert peak < (100 + 120 * models.point_dim(spec)) * count
 
 

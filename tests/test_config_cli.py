@@ -402,6 +402,39 @@ def test_cli_forward_sizes_exit_2(tmp_path, capsys, verb, model, setting, needle
     assert entry["outputs"] == {}
 
 
+@pytest.mark.parametrize("replicas", [3, 16])
+def test_cli_limit_refuses_index_fit_on_too_few_replicas(tmp_path, capsys, replicas):
+    # the empirical |CF| of a few replicas is noise in the fit's band, so
+    # its alpha_hat means nothing (3 or 16 replicas gave values near 0)
+    text = f"alpha = 1.5\nn = 64\nreplicas = {replicas}"
+    path = _write(tmp_path, AFFINE_ALPHA2_MODEL + "\n[experiment]\n" + text + "\n")
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"liprec limit: error: [experiment] replicas = {replicas}: the stable index "
+        f"fit needs at least 144 samples, got {replicas}: below that the empirical "
+        "|CF| is noise in its band\n"
+    )
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (entry["status"], entry["error_type"], entry["exit_code"]) == (
+        "failed", "PreconditionError", 2
+    )
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("verb", [verb for verb, _ in cli._VERBS])
+def test_cli_threads_below_one_exit_2(tmp_path, capsys, verb, threads):
+    # a count below 1 names no thread count, so no verb may run with it
+    # (serially) and record it in the manifest
+    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\nn = 64\nreplicas = 256\ncount = 64\n")
+    out = tmp_path / "o"
+    assert _run([verb, "--config", path, "--out", out, "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err == f"liprec {verb}: error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 

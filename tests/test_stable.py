@@ -9,7 +9,7 @@ from liprec import randomness as rnd
 from liprec.errors import PreconditionError
 from liprec.randomness import stream
 
-from _util import ks_critical_one
+from _util import ks_critical_one, reference_stable_index_fit, traced_peak
 
 ALPHA = 1.5
 # Gamma(-1/2) e^{-i pi/4}: the alpha = 1/2 stable constant for unit
@@ -351,6 +351,44 @@ def test_index_fit_insensitive_to_centering():
     window = (fit.t_values[0], fit.t_values[-1])
     shifted = stable.stable_index_fit(x + 7.0, t_window=window)
     assert fit.alpha_hat == pytest.approx(shifted.alpha_hat, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [10_000, 200_000])
+@pytest.mark.parametrize("alpha", [0.8, 1.5])
+def test_index_fit_matches_matrix_reference(alpha, n):
+    # the fit evaluates |CF| one t at a time; the (t, n) matrix form it
+    # replaced gives the same bytes, with its own window and a given one
+    x = stable.sample_stable_symmetric(alpha, n, stream(22, 0, "fit-ref"))
+    auto = stable.stable_index_fit(x)
+    window = (1.2 * auto.t_values[0], 0.9 * auto.t_values[-1])
+    for got, want in [
+        (auto, reference_stable_index_fit(x)),
+        (stable.stable_index_fit(x, window), reference_stable_index_fit(x, window)),
+    ]:
+        assert np.float64(got.alpha_hat).tobytes() == np.float64(want.alpha_hat).tobytes()
+        assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
+        assert got.t_values.tobytes() == want.t_values.tobytes()
+
+
+def test_index_fit_memory_does_not_scale_with_the_ladder():
+    # one t at a time holds t x, i t x and exp(i t x): about 40 B per
+    # sample. The (49, n) matrix of the ladder takes about 1.5 KB per
+    # sample, and 8 t values at a time still take about 260 B.
+    n = 200_000
+    x = stable.sample_stable_symmetric(1.5, n, stream(23, 0, "fit-mem"))
+    _, peak = traced_peak(stable.stable_index_fit, x)
+    assert peak < 64 * n
+
+
+@pytest.mark.parametrize("n", [3, 16, stable.FIT_MIN_SAMPLES - 1])
+def test_index_fit_refuses_too_few_samples(n):
+    # below 144 samples the |CF| noise floor 1/sqrt(n) reaches the
+    # ladder's band (0.25, 0.85), so the fit would read noise
+    x = stable.sample_stable_symmetric(1.5, n, stream(24, 0, "fit-few"))
+    with pytest.raises(PreconditionError, match=f"at least 144 samples, got {n}"):
+        stable.stable_index_fit(x)
+    with pytest.raises(PreconditionError, match="at least 144 samples"):
+        stable.stable_index_fit(x, t_window=(0.5, 2.0))
 
 
 def test_index_fit_needs_usable_window():
