@@ -5,10 +5,12 @@ Cauchy once the running Lipschitz product is small; we stop at the first
 depth where product * oscillation-envelope < tol and return that bound as
 a residual certificate.
 
-Batches run in fixed blocks, one counter-based stream per block, merged
-by block index: results are a pure function of (spec, master_seed, count)
-no matter how many worker threads execute the blocks. Block sizes are
-constants, never derived from the thread count or the batch size.
+Batches run in fixed blocks, one `randomness.stream` per block, read from
+its start and merged by block index: results are a pure function of
+(spec, master_seed, count) no matter how many worker threads execute the
+blocks, and a larger batch's leading blocks repeat a smaller batch's full
+blocks. Block sizes are constants, never derived from the thread count or
+the batch size.
 
 Draw layout of the backward sampler: every step draws theta for the whole
 block, members that have already stopped included, so member i's step-j

@@ -132,9 +132,10 @@ class _Stage:
         self.threads = threads
         self.outputs = {}
         self.extra = {}  # further manifest entries, such as "backward"
-        # which block sizes, and for a backward stage which engine form,
-        # wrote the sampled outputs
+        # which bit generator and block sizes, and for a backward stage
+        # which engine form, wrote the sampled outputs
         self.layout = {
+            "bit_generator": rnd.BIT_GENERATOR.__name__,
             "backward_block": chains.BLOCK_SIZE,
             "forward_block": chains.FORWARD_BLOCK,
             "forward_steps": chains.FORWARD_STEPS,

@@ -1,8 +1,9 @@
 """Scalar distribution algebra and reproducible random streams.
 
-Streams are counter-based (Philox) and keyed by (master_seed, replica,
-purpose), so any draw sequence can be regenerated independently of
-scheduling or worker count.
+Every stream is an SFC64 generator seeded by a SeedSequence keyed by
+(master_seed, replica, purpose), so any draw sequence can be regenerated
+independently of scheduling or worker count. A stream is read from its
+start only: nothing seeks into one by counter.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 # numpy loads numpy.random lazily; every verb draws from these streams,
 # so it is imported with the package rather than in the middle of a run
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import ConfigError, PreconditionError
 
 DEFAULT_MC_SAMPLES = 10**6
+BIT_GENERATOR = SFC64  # the one bit generator behind every stream
 
 _KINDS = ("constant", "discrete", "lognormal", "uniform", "normal")
 
@@ -103,14 +105,14 @@ def stream(master_seed, replica=0, purpose=""):
     """Generator for the (master_seed, replica, purpose) stream key.
 
     Identical keys give bit-identical draw sequences; distinct keys give
-    independent Philox counter streams.
+    independent streams, spawned apart by the SeedSequence spawn key.
     """
     if master_seed < 0 or replica < 0:
         raise PreconditionError("seed and replica index must be nonnegative")
     ss = SeedSequence(
         entropy=int(master_seed), spawn_key=(int(replica), _purpose_tag(purpose))
     )
-    return Generator(Philox(ss))
+    return Generator(BIT_GENERATOR(ss))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ _PANEL_MIN_EXP = 41  # radial panels [2^-41, 1]
 _KS_C99 = 1.6276236115189503  # sqrt(-ln(0.005)/2)
 _INNER_REPS = 512  # phi draws per direction in the inner parts of C_alpha and C_2
 _OUTER_REPS = 256  # phi draws per rescaled point in the outer part of C_alpha
+_OUTER_BLOCK = 1024  # rescaled points whose phi draws C_alpha holds at once
 _SE_GROUPS = 8  # equal groups of the inner phi draws behind C_alpha's inner se
 _SNAP_TOL = 1e-6  # alpha this close to 1 or 2 takes that boundary regime
 _FIT_POINTS = 8  # t values in the stable index fit
@@ -240,10 +241,12 @@ def c_alpha(v, alpha, samples, tail_constant, kernel, g_schedule=(0.04, 0.02), m
 
     Outer part (radius > 1): lambda_functional_scheduled of the integrand,
     with h at each rescaled point beyond radius 1 the mean of
-    exp(i <v, phi>) over _OUTER_REPS phi draws; a schedule of fewer than
-    two scales is a precondition violation. Inner part (radius <= 1):
-    dyadic-panel Gauss quadrature of the polar integrand per direction,
-    with one common set of _INNER_REPS phi draws rescaled across radii.
+    exp(i <v, phi>) over _OUTER_REPS phi draws, drawn for _OUTER_BLOCK
+    points at a time so the draws held do not grow with the sample; a
+    schedule of fewer than two scales is a precondition violation. Inner
+    part (radius <= 1): dyadic-panel Gauss quadrature of the polar
+    integrand per direction, with one common set of _INNER_REPS phi draws
+    rescaled across radii.
     The inner se is the spread of the totals of _SE_GROUPS equal groups
     of those draws; it leaves out the noise of the direction masses.
     """
@@ -255,7 +258,12 @@ def c_alpha(v, alpha, samples, tail_constant, kernel, g_schedule=(0.04, 0.02), m
 
     def outer_integrand(pts):
         a = _dot(v, pts)
-        h = np.exp(1j * _dot(v, kernel.phi_draws(pts, _OUTER_REPS, rng_h))).mean(axis=0)
+        # h per point, _OUTER_BLOCK points at a time: a block's (reps,
+        # points) draws are freed before the next block draws
+        h = np.empty(len(pts), dtype=complex)
+        for lo in range(0, len(pts), _OUTER_BLOCK):
+            phi = kernel.phi_draws(pts[lo:lo + _OUTER_BLOCK], _OUTER_REPS, rng_h)
+            h[lo:lo + _OUTER_BLOCK] = np.exp(1j * _dot(v, phi)).mean(axis=0)
         return _cexpm1(a) * h - corr(a, _radius(pts) ** 2)
 
     outer, outer_se, agreed = lambda_functional_scheduled(

@@ -14,6 +14,7 @@ import pytest
 
 import liprec
 from liprec import chains, cli, config, experiments, tails
+from liprec import randomness as rnd
 from liprec._version import VERSION
 from liprec.errors import ConfigError
 
@@ -822,6 +823,7 @@ def test_manifest_records_each_stage(tmp_path):
     assert entry["seed"] == 9
     assert entry["version"] == VERSION
     assert entry["stream_layout"] == {
+        "bit_generator": "SFC64",
         "backward_block": 16384,
         "forward_block": 4096,
         "forward_steps": 16,
@@ -870,6 +872,22 @@ count = 300
         assert _run(["simulate", "--config", path, "--out", out]) == 0
         entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
         assert entry["stream_layout"].get("backward_form") == form
+
+
+def test_manifest_names_the_bit_generator(tmp_path):
+    # read from the class randomness draws with, on a backward verb and a
+    # forward one
+    runs = (
+        ("simulate", BENCH_MODEL + "\n[experiment]\ncount = 300\n"),
+        ("limit", AFFINE_ALPHA2_MODEL + "\n[experiment]\nn = 256\nreplicas = 2000\n"),
+    )
+    for verb, text in runs:
+        out = tmp_path / verb
+        path = _write(tmp_path, text, f"{verb}.cfg")
+        assert _run([verb, "--config", path, "--out", out]) == 0
+        entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+        assert entry["stage"] == verb
+        assert entry["stream_layout"]["bit_generator"] == rnd.BIT_GENERATOR.__name__ == "SFC64"
 
 
 def test_tail_manifest_records_report_flags(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -21,6 +23,56 @@ def test_stream_keys_separate_streams():
     assert not np.array_equal(base, rnd.stream(124, 0, "draws").uniform(size=64))
     assert not np.array_equal(base, rnd.stream(123, 1, "draws").uniform(size=64))
     assert not np.array_equal(base, rnd.stream(123, 0, "other").uniform(size=64))
+
+
+# the first draws of stream(0, 0, "pin"): a change of bit generator or of
+# seeding moves every sampled output, so it must move these too
+PIN_RANDOM = (
+    "0x1.947cf8eb1ada8p-1", "0x1.3fefb6465732cp-2", "0x1.0ba56998cfaecp-1", "0x1.87821564dcbe6p-1",
+)
+PIN_NORMAL = (
+    "0x1.abf13a41578bfp-1", "-0x1.04ac41a1c625fp-1", "0x1.8d410bccdfec8p-3", "0x1.1fcd188816adcp-2",
+)
+
+
+def test_stream_first_draws_are_pinned():
+    assert rnd.BIT_GENERATOR is np.random.SFC64
+    assert isinstance(rnd.stream(0, 0, "pin").bit_generator, rnd.BIT_GENERATOR)
+    assert tuple(v.hex() for v in rnd.stream(0, 0, "pin").random(4)) == PIN_RANDOM
+    assert tuple(v.hex() for v in rnd.stream(0, 0, "pin").standard_normal(4)) == PIN_NORMAL
+
+
+@pytest.mark.parametrize("key", [(0, 1, "pin"), (0, 0, "pin2"), (1, 0, "pin")])
+def test_each_stream_key_moves_the_first_draw(key):
+    assert rnd.stream(*key).random().hex() != PIN_RANDOM[0]
+
+
+def _built_generators(tree):
+    """(line, name) of each bit generator, default_rng or SeedSequence call."""
+    names = {"default_rng", "SeedSequence", "Generator", "RandomState"} | {
+        n for n in dir(np.random)
+        if isinstance(getattr(np.random, n), type)
+        and issubclass(getattr(np.random, n), np.random.BitGenerator)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                yield node.lineno, name
+
+
+def test_randomness_is_the_one_owner_of_generators():
+    # every stream comes from randomness.stream, so the bit generator and
+    # the seeding are changed in one place
+    owner = pathlib.Path(rnd.__file__)
+    assert list(_built_generators(ast.parse(owner.read_text()))), "scan finds nothing"
+    stray = [
+        (path.name, line, name)
+        for path in sorted(owner.parent.glob("*.py")) if path != owner
+        for line, name in _built_generators(ast.parse(path.read_text()))
+    ]
+    assert stray == []
 
 
 def test_replica_streams_uncorrelated():

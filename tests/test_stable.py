@@ -218,6 +218,42 @@ def test_c_alpha_frozen_target_flat_kernel():
     assert est.outer_agreed
 
 
+def test_c_alpha_outer_memory_does_not_scale_with_the_reps():
+    # every point lies beyond radius 1 at g = 0.25; the outer part holds
+    # the phi draws of one block of points, not (256 x points) arrays
+    # (about 8 KB per point), so the peak stays near the per-point arrays
+    n = 2 * 10**5
+    x = _pareto(0.5, n, seed=47, x_m=4.0)
+    est, peak = traced_peak(
+        stable.c_alpha, 1.0, 0.5, x, 2.0, stable.FlatKernel(), (0.25, 0.125), 12
+    )
+    assert peak <= 256 * n, f"{peak / n:.0f} B per sample"
+    assert est.outer_agreed
+
+
+class _PointKernel:
+    """phi draws that are a fixed function of (rep, point): blocking the
+    points may reorder a kernel's stream, but with this kernel it may
+    not change a bit."""
+
+    def phi_draws(self, pts, reps, rng):
+        pts = np.asarray(pts, dtype=float)
+        k = np.arange(reps, dtype=float).reshape((reps,) + (1,) * pts.ndim)
+        return 0.5 * np.sin(k + pts)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_c_alpha_outer_blocks_keep_the_bits(dim, monkeypatch):
+    if dim == 1:
+        x, v = _pareto(0.5, 5000, seed=48, x_m=4.0), 1.0
+    else:
+        x, v = _isotropic_pareto_2d(0.5, 5000, seed=48, x_m=4.0), np.array([0.6, -0.8])
+    kw = dict(kernel=_PointKernel(), g_schedule=(0.25, 0.125), master_seed=12)
+    blocked = stable.c_alpha(v, 0.5, x, 2.0, **kw)
+    monkeypatch.setattr(stable, "_OUTER_BLOCK", len(x))  # one block: the whole-array form
+    assert stable.c_alpha(v, 0.5, x, 2.0, **kw) == blocked
+
+
 def test_c_alpha_needs_two_scales():
     x = _pareto(0.5, 1000, seed=3, x_m=4.0)
     with pytest.raises(PreconditionError, match="at least two scales"):
