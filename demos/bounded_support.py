@@ -22,7 +22,7 @@ spec = models.make_model(
     },
 )
 
-alpha = cramer.solve_cramer(models.linear_scale_law(spec), (1.0, 3.0))
+alpha = cramer.solve_cramer(cramer.moments(models.linear_scale_law(spec)), (1.0, 3.0))
 print(f"Cramér root exists: alpha = {alpha:.6f}")
 
 cloud = support.enumerate_fixed_points(spec, max_depth=6)

@@ -15,27 +15,30 @@ from liprec import randomness as rnd
 from liprec.randomness import stream
 
 letac_a = rnd.discrete((1.0 / 3.0, 2.0), (0.75, 0.25))
-alpha = cramer.solve_cramer(letac_a, (1.0, 3.0))
-m_al, _ = cramer.m_alpha(letac_a, alpha)
+curve = cramer.moments(letac_a)  # closed form: no stream needed
+alpha = cramer.solve_cramer(curve, (1.0, 3.0))
+m_al, _ = curve.m_alpha(alpha)
 print("discrete law A in {1/3, 2} with weights {3/4, 1/4}:")
 print(f"  alpha = {alpha:.10f}, m_alpha = {m_al:.10f}")
 
 print("\nkappa(s) along the way (note the log-convex dip below 1):")
-for s, k, _ in cramer.kappa_curve(letac_a, np.linspace(0.25, 2.25, 9)):
+for s in np.linspace(0.25, 2.25, 9):
+    k, _ = curve(s)
     marker = "<-- root near here" if abs(s - alpha) < 0.25 else ""
     print(f"  s={s:4.2f}  kappa={k:8.5f}  {marker}")
 
 # lognormal(mu, 1): kappa(s) = exp(mu s + s^2/2), so the root is -2 mu
 print("\nlognormal(mu, 1) family, closed root alpha = -2 mu:")
 for mu in (-0.4, -0.75, -1.0):
-    a = cramer.solve_cramer(rnd.lognormal(mu, 1.0), (0.1, 5.0))
+    a = cramer.solve_cramer(cramer.moments(rnd.lognormal(mu, 1.0)), (0.1, 5.0))
     print(f"  mu={mu:5.2f}  alpha={a:.6f}  expected {-2 * mu:.6f}")
 
 law = rnd.lognormal(-0.75, 1.0)
-a_mc = cramer.solve_cramer(
-    law, (0.5, 4.0), mode="monte_carlo", rng=stream(7, 0, "demo"), n_samples=400_000
-)
+mc = cramer.moments(law, "monte_carlo", stream(7, 0, "demo"), 400_000)
+a_mc = cramer.solve_cramer(mc, (0.5, 4.0))
+m_mc, _ = mc.m_alpha(a_mc)
 print(f"\nmonte carlo solve on the same law: alpha = {a_mc:.4f} (closed 1.5)")
+print(f"and m_alpha = {m_mc:.4f} (closed 0.75), read from the same |M| sample")
 print("common random numbers keep the empirical curve convex, so")
 print("bisection is safe even though every kappa evaluation is noisy.")
 

@@ -8,7 +8,7 @@ regimes, all from explicit, reproducible estimators.
 
 from ._version import VERSION as __version__
 from .chains import StationaryBatch, birkhoff_sums, stationary_batch
-from .cramer import cramer_report, kappa, m_alpha, solve_cramer
+from .cramer import Moments, cramer_report, moments, solve_cramer
 from .errors import (
     AssertionFlagError,
     BracketError,
@@ -63,6 +63,7 @@ __all__ = [
     "LiprecError",
     "ModelSpec",
     "MomentDivergenceError",
+    "Moments",
     "PreconditionError",
     "StationaryBatch",
     "birkhoff_sums",
@@ -77,14 +78,13 @@ __all__ = [
     "gaussian_check",
     "goldie_constant",
     "hill_estimator",
-    "kappa",
     "lambda_functional",
     "limit_params",
     "lognormal",
-    "m_alpha",
     "make_model",
     "moment_identity_residual",
     "moment_upper_bound",
+    "moments",
     "normal",
     "normalize_birkhoff",
     "sample_stable_symmetric",

@@ -102,7 +102,7 @@ class StationaryBatch:
 
 
 def _as_points(spec, x0, count):
-    d = models.point_dim(spec)
+    d = spec.dimension
     x0 = np.asarray(x0, dtype=float)
     if d == 1:
         return np.broadcast_to(x0, (count,)).copy()
@@ -283,7 +283,7 @@ def stationary_batch(
     if x0 is None:
         x0 = models.zero_point(spec)
 
-    d = models.point_dim(spec)
+    d = spec.dimension
     samples = np.empty((count,) if d == 1 else (count, d))
     depths = np.empty(count, dtype=np.int64)
     certs = np.empty(count)

@@ -150,7 +150,8 @@ def get_str(cfg, section, key, default=None):
 
 
 def get_float(cfg, section, key, default=None):
-    return _get(cfg, section, key, default, float, "not a number: {!r}", default is None)
+    """A number; `default` (None unless given) when the key is absent."""
+    return _get(cfg, section, key, default, float, "not a number: {!r}")
 
 
 def get_int(cfg, section, key, default=None):
@@ -163,10 +164,15 @@ def get_bool(cfg, section, key, default=False):
 
 
 def get_floats(cfg, section, key, default=None, length=None):
-    """A comma list of numbers as a tuple; with `length`, exactly that many."""
-    values = _get(cfg, section, key, default, _floats, "not a comma list of numbers: {!r}")
-    if length is not None and values is not None and len(values) != length:
-        why = f"expected {length} number(s), got {len(values)}"
+    """A nonempty comma list of numbers as a tuple; with `length`, exactly that many."""
+    values = _get(cfg, section, key, None, _floats, "not a comma list of numbers: {!r}")
+    if values is None:
+        return default
+    if not values or length is not None and len(values) != length:
+        if length is None:
+            why = "expected at least one number, got none"
+        else:
+            why = f"expected {length} number(s), got {len(values)}"
         _fail(cfg, section, key, cfg.section(section)[key], why)
     return values
 

@@ -26,12 +26,18 @@ _CHECK_TOL = 1e-10  # slack of the cancellation and smoothness checks
 
 
 @dataclass(frozen=True)
-class _Moments:
+class Moments:
     """E|M|^s and E|M|^s log|M| with their se: from the closed-form `law`,
-    or from the |M| draws `x` (se 0 for the closed form)."""
+    or from the |M| draws `x` (se 0 for the closed form). Build one with
+    `moments`; every quantity of one Cramér problem reads the same one."""
 
     law: object = None
     x: object = None
+
+    @property
+    def tol(self):
+        """The root tolerance this curve supports: 1e-6 closed form, 1e-3 sampled."""
+        return CLOSED_FORM_TOL if self.x is None else MONTE_CARLO_TOL
 
     def __call__(self, s, log=False):
         if self.x is None:
@@ -50,6 +56,7 @@ class _Moments:
             return m, float(p.std() / math.sqrt(len(p)))
 
     def m_alpha(self, alpha):
+        """(E(|M|^alpha log|M|), se); must be positive at the Cramér root."""
         value, se = self(alpha, log=True)
         if value <= 0:
             raise PreconditionError(
@@ -59,56 +66,33 @@ class _Moments:
         return value, se
 
 
-def _moments(m_law, mode, rng, n_samples):
-    """The law's moments under `mode`: closed form, or one |M| sample drawn now."""
+def moments(m_law, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
+    """The law's Moments under `mode`: closed form, or one |M| sample of
+    `n_samples` drawn now from `rng` (common random numbers keep the
+    empirical curve convex, so bisection on it is safe)."""
     if mode not in MODES:
         raise PreconditionError(f"unknown moment mode {mode!r}")
     if mode != "monte_carlo" and rnd.abs_moment(m_law, 1.0) is not None:
-        return _Moments(law=m_law)
+        return Moments(law=m_law)
     if mode == "closed_form":
         raise PreconditionError(f"no closed-form moments for kind {m_law.kind!r}")
     if rng is None:
         raise PreconditionError("monte carlo moments need a stream")
-    return _Moments(x=np.abs(rnd.sample(m_law, rng, n_samples)))
+    if n_samples < 1:
+        raise PreconditionError(f"mc_samples must be at least 1, got {n_samples}")
+    return Moments(x=np.abs(rnd.sample(m_law, rng, n_samples)))
 
 
-def kappa(m_law, s, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
-    """E|M|^s -> (value, standard_error). se is 0 for closed forms.
-
-    A non-finite Monte Carlo mean is returned as (inf, inf).
-    """
-    return _moments(m_law, mode, rng, n_samples)(s)
-
-
-def kappa_curve(m_law, s_grid, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
-    """Rows (s, kappa, se) over the grid, sharing one sample set in MC mode."""
-    moments = _moments(m_law, mode, rng, n_samples)
-    return [(float(s), *moments(float(s))) for s in s_grid]
-
-
-def solve_cramer(
-    m_law,
-    bracket,
-    tol=None,
-    mode="auto",
-    rng=None,
-    n_samples=rnd.DEFAULT_MC_SAMPLES,
-):
-    """Root of kappa(s) = 1 on s > 0 by bisection.
-
-    Closed-form laws bisect the exact curve (tol 1e-6). Otherwise a single
-    sample batch is drawn up front and reused at every bisection point
-    (common random numbers keep the empirical curve convex), tol 1e-3.
-    """
+def solve_cramer(curve, bracket, tol=None):
+    """Root of kappa(s) = 1 on s > 0 by bisection of the Moments `curve`,
+    to `tol` (the curve's own `tol` when None)."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise PreconditionError("bracket must satisfy 0 < lo < hi")
-    moments = _moments(m_law, mode, rng, n_samples)
-    if tol is None:
-        tol = CLOSED_FORM_TOL if moments.x is None else MONTE_CARLO_TOL
+    tol = curve.tol if tol is None else tol
 
     def kap(s):
-        return moments(s)[0]
+        return curve(s)[0]
 
     k_hi = kap(hi)
     if not math.isfinite(k_hi):
@@ -122,16 +106,13 @@ def solve_cramer(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: no finer root exists
+            break
         if kap(mid) < 1.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def m_alpha(m_law, alpha, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
-    """(E(|M|^alpha log|M|), se); must be positive at the Cramér root."""
-    return _moments(m_law, mode, rng, n_samples).m_alpha(alpha)
 
 
 def s_infinity_probe(m_law, rng=None):
@@ -146,7 +127,7 @@ def s_infinity_probe(m_law, rng=None):
     last_good = 0.0
     s = 1.0
     for _ in range(_PROBE_RUNGS):
-        value, se = _moments(m_law, "monte_carlo", rng, _PROBE_SAMPLES)(s)
+        value, se = moments(m_law, "monte_carlo", rng, _PROBE_SAMPLES)(s)
         if not math.isfinite(value) or se > 0.5 * value:
             break
         last_good = s
@@ -228,11 +209,11 @@ def nontriviality_probe(
     A root staying bounded along the grid is evidence that the moment
     ratio condition holds with room to spare; steep growth flags risk.
     """
+    num = moments(n_law, rng=rng, n_samples=n_samples)
+    den = moments(m_law, rng=rng, n_samples=n_samples)
     rows = []
     for s in s_grid:
-        num, _ = kappa(n_law, s, rng=rng, n_samples=n_samples)
-        den, _ = kappa(m_law, s, rng=rng, n_samples=n_samples)
-        ratio = num / den
+        ratio = num(s)[0] / den(s)[0]
         rows.append((float(s), float(ratio), float(ratio ** (1.0 / s))))
     roots = [r[2] for r in rows]
     bounded = roots[-1] <= 1.5 * max(roots[0], 1e-300) if len(roots) > 1 else True
@@ -265,28 +246,25 @@ def cramer_report(
     master_seed=0,
     n_samples=rnd.DEFAULT_MC_SAMPLES,
 ):
-    """Solve the Cramér problem and bundle curve, root and diagnostics."""
-    grid = _moments(m_law, mode, rnd.stream(master_seed, 0, "kappa-grid"), n_samples)
-    closed = grid.x is None
-    solver_tol = tol if tol is not None else (CLOSED_FORM_TOL if closed else MONTE_CARLO_TOL)
-    curve = [grid(float(s)) for s in s_grid]
-    alpha = solve_cramer(
-        m_law, bracket, tol=solver_tol, mode=mode,
-        rng=rnd.stream(master_seed, 0, "cramer-root"), n_samples=n_samples,
-    )
-    ma, ma_se = m_alpha(
-        m_law, alpha, mode=mode, rng=rnd.stream(master_seed, 0, "m-alpha"),
-        n_samples=n_samples,
-    )
+    """Solve the Cramér problem and bundle curve, root and diagnostics.
+
+    The grid, the root and m_alpha all read one Moments, drawn (when
+    sampled) from the `(master_seed, 0, "moments")` stream.
+    """
+    curve = moments(m_law, mode, rnd.stream(master_seed, 0, "moments"), n_samples)
+    tol = curve.tol if tol is None else tol
+    rows = [curve(float(s)) for s in s_grid]
+    alpha = solve_cramer(curve, bracket, tol)
+    ma, ma_se = curve.m_alpha(alpha)
     s_inf = s_infinity_probe(m_law, rng=rnd.stream(master_seed, 0, "s-infinity"))
     return CramerReport(
         s_grid=tuple(float(s) for s in s_grid),
-        kappa_values=tuple(r[0] for r in curve),
-        kappa_se=tuple(r[1] for r in curve),
+        kappa_values=tuple(r[0] for r in rows),
+        kappa_se=tuple(r[1] for r in rows),
         alpha=float(alpha),
         m_alpha=float(ma),
         m_alpha_se=float(ma_se),
         s_infinity_lower_bound=float(s_inf),
-        method="closed_form" if closed else "monte_carlo",
-        solver_tolerance=float(solver_tol),
+        method="closed_form" if curve.x is None else "monte_carlo",
+        solver_tolerance=float(tol),
     )

@@ -8,12 +8,12 @@ it shows. A stage that samples the stationary law draws it through
 carrying its status (a failed stage adds the exception class and
 message), the config digest, the seed, numpy's version and SIMD
 dispatch, wall time, the stream layout (the backward and forward block
-sizes, the forward steps per draw and, for a stage that ran the
-backward sampler, its form: `composite` or `replay`), a sha256 per
-output file, for a stage that ran the backward sampler its stop depths
-and draws, and for `tail` the report's flags. Config keys are read
-through the typed getters of `config`, which own every lookup, default
-and error message.
+sizes, the forward steps per draw, the paired-difference chunk size
+and, for a stage that ran the backward sampler, its form: `composite`
+or `replay`), a sha256 per output file, for a stage that ran the
+backward sampler its stop depths and draws, and for `tail` the
+report's flags. Config keys are read through the typed getters of
+`config`, which own every lookup, default and error message.
 All sampled stages draw from block-indexed streams, so the thread count
 never changes an output byte.
 """
@@ -132,13 +132,14 @@ class _Stage:
         self.threads = threads
         self.outputs = {}
         self.extra = {}  # further manifest entries, such as "backward"
-        # which bit generator and block sizes, and for a backward stage
-        # which engine form, wrote the sampled outputs
+        # which bit generator, block and chunk sizes, and for a backward
+        # stage which engine form, wrote the sampled outputs
         self.layout = {
             "bit_generator": rnd.BIT_GENERATOR.__name__,
             "backward_block": chains.BLOCK_SIZE,
             "forward_block": chains.FORWARD_BLOCK,
             "forward_steps": chains.FORWARD_STEPS,
+            "pair_chunk": tails._PAIR_CHUNK,
         }
 
     def __enter__(self):
@@ -211,49 +212,55 @@ def _want_svg(cfg):
 # alpha resolution and assertion gates shared by tail and limit runs
 
 
+def _positive(key, value):
+    """`value` of [experiment] `key`, which must be positive."""
+    if value is not None and not value > 0:
+        raise ConfigError(f"[experiment] {key} must be positive, got {value}")
+    return value
+
+
 def _moment_settings(cfg):
-    """The root bracket, moment mode and Monte Carlo sample count."""
+    """The root bracket, moment mode, Monte Carlo sample count and solver
+    tolerance (None: the moment curve's own)."""
     bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
     mode = get_str(cfg, "experiment", "mode", default="auto")
-    n_samples = get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
-    return bracket, mode, n_samples
+    n_samples = _positive(
+        "mc_samples", get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
+    )
+    tol = _positive("solver_tol", get_float(cfg, "experiment", "solver_tol"))
+    return bracket, mode, n_samples, tol
 
 
 def _resolve_alpha(cfg, spec, seed):
-    """(alpha, m_alpha, method) from config: explicit number or solved root."""
+    """(alpha, m_alpha) from config: an explicit alpha or the solved root.
+
+    The root and m_alpha read one moment curve, drawn (when sampled) from
+    the `(seed, 0, "moments")` stream as `cramer.cramer_report` draws it,
+    so `tail` and `limit` report `cramer`'s numbers. Without an |M| law
+    the curve is |M| of theta draws on that stream.
+    """
     text = get_str(cfg, "experiment", "alpha", default="solve")
     m_law = models.linear_scale_law(spec)
-    bracket, mode, n_samples = _moment_settings(cfg)
-    if text == "solve":
-        if m_law is None:
-            raise ConfigError(
-                "no representable scale law for this model; set alpha explicitly"
-            )
-        alpha = cramer.solve_cramer(
-            m_law,
-            bracket,
-            mode=mode,
-            rng=stream(seed, 0, "alpha-solve"),
-            n_samples=n_samples,
-        )
-        method = "solved"
-    else:
+    bracket, mode, n_samples, tol = _moment_settings(cfg)
+    if text != "solve":
         try:
             alpha = float(text)
         except ValueError:
             raise ConfigError(
                 f"[experiment] alpha must be a number or 'solve', got {text!r}"
             ) from None
-        method = "given"
+    elif m_law is None:
+        raise ConfigError("no representable scale law for this model; set alpha explicitly")
+    rng = stream(seed, 0, "moments")
     if m_law is not None:
-        m_al, _ = cramer.m_alpha(
-            m_law, alpha, mode=mode, rng=stream(seed, 0, "m-alpha"), n_samples=n_samples
-        )
+        curve = cramer.moments(m_law, mode, rng, n_samples)
     else:
-        th = models.sample_theta(spec, stream(seed, 0, "m-alpha"), n_samples)
-        draws = np.asarray(models.m_scale(spec, th), dtype=float)
-        m_al, _ = cramer._Moments(x=draws).m_alpha(alpha)
-    return float(alpha), float(m_al), method
+        th = models.sample_theta(spec, rng, n_samples)
+        curve = cramer.Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
+    if text == "solve":
+        alpha = cramer.solve_cramer(curve, bracket, tol)
+    m_al, _ = curve.m_alpha(alpha)
+    return float(alpha), float(m_al)
 
 
 def _require_nonarithmetic(cfg, spec):
@@ -270,7 +277,7 @@ def _require_nonarithmetic(cfg, spec):
 
 def _require_linearity(cfg, spec, pilot):
     """Gate on the pilot's support; `pilot()` is drawn only when checked."""
-    if spec.family == "affine" or models.point_dim(spec) > 1:
+    if spec.family == "affine":
         return
     x = np.asarray(pilot())
     if (x > 0).any() and (x < 0).any():
@@ -302,17 +309,16 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
     m_law = models.linear_scale_law(spec)
     if m_law is None:
         raise ConfigError("no representable scale law; the moment curve needs one")
-    bracket, mode, n_samples = _moment_settings(cfg)
+    bracket, mode, n_samples, tol = _moment_settings(cfg)
     s_grid = get_floats(cfg, "experiment", "s_grid", default=None)
     if s_grid is None:
         s_grid = tuple(np.linspace(bracket[0], bracket[1], 25))
-    tol = get_float(cfg, "experiment", "solver_tol", default=-1.0)
     with _Stage(out_dir, "cramer", digest, seed, threads) as st:
         rep = cramer.cramer_report(
             m_law,
             s_grid,
             bracket,
-            tol=None if tol <= 0 else tol,
+            tol=tol,
             mode=mode,
             master_seed=seed,
             n_samples=n_samples,
@@ -343,7 +349,7 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
     tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     max_depth = get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
     mode = get_str(cfg, "experiment", "sampler", default="backward")
-    dim = models.point_dim(spec)
+    dim = spec.dimension
     x0_cfg = get_floats(cfg, "experiment", "x0", length=dim)
     x0 = models.zero_point(spec) if x0_cfg is None else (
         float(x0_cfg[0]) if dim == 1 else np.asarray(x0_cfg, dtype=float)
@@ -370,10 +376,14 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     _require_nonarithmetic(cfg, spec)
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
     tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
-    t_points = get_int(cfg, "experiment", "t_points", default=tails.DEFAULT_T_POINTS)
-    hill_points = get_int(cfg, "experiment", "hill_points", default=tails.DEFAULT_HILL_POINTS)
+    t_points = _positive(
+        "t_points", get_int(cfg, "experiment", "t_points", default=tails.DEFAULT_T_POINTS)
+    )
+    hill_points = _positive(
+        "hill_points", get_int(cfg, "experiment", "hill_points", default=tails.DEFAULT_HILL_POINTS)
+    )
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
-        alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
+        alpha, m_al = _resolve_alpha(cfg, spec, seed)
         # only the samples: the depths and bounds are freed before the report
         samples = st.backward(spec, count, tol).samples
         rep = tails.tail_report(
@@ -402,7 +412,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
 
 def run_limit(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    if models.point_dim(spec) != 1:
+    if spec.dimension != 1:
         raise ConfigError("the limit experiment is one-dimensional")
     _require_nonarithmetic(cfg, spec)
     n = get_int(cfg, "experiment", "n")
@@ -411,7 +421,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     center_text = get_str(cfg, "experiment", "center", default="auto")
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
-        alpha, m_al, _ = _resolve_alpha(cfg, spec, seed)
+        alpha, m_al = _resolve_alpha(cfg, spec, seed)
 
         @functools.cache
         def pilot():
@@ -492,7 +502,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
     count = get_int(cfg, "experiment", "count", default=10000)
     tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     word_guard = get_int(cfg, "experiment", "word_guard", default=support.WORD_GUARD)
-    dim = models.point_dim(spec)
+    dim = spec.dimension
     with _Stage(out_dir, "support", digest, seed, threads) as st:
         cloud = support.enumerate_fixed_points(spec, max_depth, word_guard=word_guard)
         samples = st.backward(spec, count, tol).samples
@@ -525,7 +535,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
 
 def run_check(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    n_theta = get_int(cfg, "experiment", "mc_samples", default=100000)
+    n_theta = _positive("mc_samples", get_int(cfg, "experiment", "mc_samples", default=100000))
     count = get_int(cfg, "experiment", "count", default=4096)
     tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
     with _Stage(out_dir, "check", digest, seed, threads) as st:
@@ -536,7 +546,7 @@ def run_check(cfg, out_dir, seed=None, threads=1):
         radii = models.radius(spec, samples)
         x_hi = float(np.quantile(radii, 0.9)) + 1.0
         x_grid = np.linspace(0.0, x_hi, 5)
-        d = models.point_dim(spec)
+        d = spec.dimension
         if d > 1:  # the same radii along each coordinate axis: (5 d, d) points
             x_grid = np.concatenate([np.outer(x_grid, axis) for axis in np.eye(d)])
         t_grid = np.linspace(0.25, 1.0, 4)

@@ -11,8 +11,7 @@ arch1           psi(x) = |gamma |x| + sqrt(beta + lambda x^2) a|
 A draw theta is a dict from parameter name (in `required_params` order)
 to a float, or to an array for a batch of draws; all operations accept
 either and broadcast against the point argument. `sample_theta` draws a
-batch parameter after parameter from one stream; `sample_theta_chunks`
-yields the same batch a chunk at a time. `apply` holds the one
+batch parameter after parameter from one stream. `apply` holds the one
 closed form per family. `apply_dilated` forms t * psi_theta(x / t) as
 `apply` on dilated translation parameters: the same products that a
 closed form written with t forms, so the two agree bit for bit, and at
@@ -23,7 +22,6 @@ psi_1 o ... o psi_n, which the backward sampler carries per member.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -108,19 +106,14 @@ def make_model(family, dimension=1, laws=None, constants=None):
 # geometry helpers
 
 
-def point_dim(spec):
-    return spec.dimension if spec.family == "affine" else 1
-
-
 def zero_point(spec):
-    d = point_dim(spec)
-    return 0.0 if d == 1 else np.zeros(d)
+    return 0.0 if spec.dimension == 1 else np.zeros(spec.dimension)
 
 
 def radius(spec, x):
     """|x|: absolute value in 1-d, euclidean norm along the last axis else."""
     x = np.asarray(x, dtype=float)
-    if point_dim(spec) == 1:
+    if spec.dimension == 1:
         return np.abs(x)
     return np.linalg.norm(x, axis=-1)
 
@@ -179,37 +172,6 @@ def sample_theta(spec, rng, size=None):
     for name in required_params(fam, spec.dimension):
         values[name] = rnd.sample(laws[name], rng, size)
     return _check_domain(fam, values)
-
-
-def sample_theta_chunks(spec, rng, size, chunk):
-    """`sample_theta(spec, rng, size)` as consecutive batches of `chunk` draws.
-
-    The batches concatenate to the whole-batch draw bit for bit, so only
-    one batch lives at a time. Each parameter's batch follows the earlier
-    parameters' batches in the stream, so each parameter but the last
-    draws from its own copy of `rng`, moved to its first draw by drawing
-    the earlier batches chunk by chunk; the last draws from `rng`, which
-    ends where `sample_theta` leaves it. A chunked draw gives the values
-    of one whole draw for every law (`choice` draws `random(n)`), but
-    sqrt_quadratic redraws invalid tuples across the whole batch, so its
-    batches are slices of one whole draw.
-    """
-    if spec.family == "sqrt_quadratic":
-        theta = _sample_sqrtquad(spec, rng, size)
-        for lo in range(0, size, chunk):
-            yield {k: v[lo : lo + chunk] for k, v in theta.items()}
-        return
-    laws = [(name, spec.laws[name]) for name in required_params(spec.family, spec.dimension)]
-    gens = []
-    for _, law in laws[:-1]:
-        gens.append(copy.deepcopy(rng))
-        for lo in range(0, size, chunk):
-            rnd.sample(law, rng, min(chunk, size - lo))
-    gens.append(rng)
-    for lo in range(0, size, chunk):
-        m = min(chunk, size - lo)
-        values = {name: rnd.sample(law, g, m) for (name, law), g in zip(laws, gens)}
-        yield _check_domain(spec.family, values)
 
 
 def _check_domain(fam, values):

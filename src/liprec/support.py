@@ -111,7 +111,7 @@ def _fixed_points(spec, tables, words, lips, tol):
     stops once its step shrinks below tol * (1 - L) / L, the a posteriori
     bound for its Lipschitz product L, and then leaves the active set.
     """
-    d = models.point_dim(spec)
+    d = spec.dimension
     x = np.zeros(len(words) if d == 1 else (len(words), d))
     threshold = np.full(len(words), math.inf)
     positive = lips > 0

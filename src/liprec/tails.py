@@ -5,8 +5,8 @@ C = E(|psi_theta(S)|^alpha - |M_theta S|^alpha) / (alpha m_alpha)
 with theta drawn fresh and *paired* against each stationary sample: both
 terms must see the same (theta, S) or the cancellation that makes the
 expectation finite is destroyed. The fresh draws are made a chunk at a
-time (`models.sample_theta_chunks`), with the values of one whole-batch
-draw, so the estimator's memory does not grow with a full theta batch.
+time, chunk c from its own stream `(master_seed, c, purpose)`, so the
+estimator's memory does not grow with a full theta batch.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ DEFAULT_HILL_POINTS = 24
 _PLATEAU_Q = (0.99, 0.9999)  # radius quantiles bounding the plateau window
 _DIRECTION_Q = 0.999  # radius quantile above which samples give directions
 _DIRECTION_BINS = 64  # bins per angular coordinate in d >= 2
-# Samples per chunk of the paired differences (_paired_gap)
+# Pairs per chunk of the paired differences (_paired_gap); chunk c draws
+# its theta from stream (master_seed, c, purpose), so this is part of the
+# stream layout, as chains.BLOCK_SIZE is
 _PAIR_CHUNK = 1 << 16
 
 
@@ -149,21 +151,21 @@ class GoldieEstimate:
     se_unreliable: bool = False
 
 
-def _paired_gap(spec, rng, x, s):
+def _paired_gap(spec, master_seed, purpose, x, s):
     """|psi_theta(x)|^s - |M_theta x|^s, one term per (theta, x) pair.
 
-    theta is `sample_theta(spec, rng, len(x))`, drawn and used a chunk at
-    a time, so neither the draw nor the maps' temporaries hold more than
-    a chunk; every term is computed as on the whole batch, with the same
-    operations.
+    Chunk c of `_PAIR_CHUNK` pairs draws its theta as
+    `sample_theta(spec, stream(master_seed, c, purpose), m)`, as a
+    sampler block draws, so neither the draw nor the maps' temporaries
+    hold more than a chunk.
     """
     d = np.empty(len(x))
-    chunks = models.sample_theta_chunks(spec, rng, len(x), _PAIR_CHUNK)
-    for lo, th in zip(range(0, len(x), _PAIR_CHUNK), chunks):
-        part = slice(lo, lo + _PAIR_CHUNK)
-        lhs = models.radius(spec, models.apply(spec, th, x[part])) ** s
-        rhs = models.radius(spec, models.linear_apply(spec, th, x[part])) ** s
-        d[part] = lhs - rhs
+    for c, lo in enumerate(range(0, len(x), _PAIR_CHUNK)):
+        xc = x[lo : lo + _PAIR_CHUNK]
+        th = models.sample_theta(spec, stream(master_seed, c, purpose), len(xc))
+        lhs = models.radius(spec, models.apply(spec, th, xc)) ** s
+        rhs = models.radius(spec, models.linear_apply(spec, th, xc)) ** s
+        d[lo : lo + len(xc)] = lhs - rhs
     return d
 
 
@@ -181,7 +183,7 @@ def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0):
             f"goldie_constant needs at least {MOM_BLOCKS} samples for its "
             f"standard error, got {len(x)}"
         )
-    d = _paired_gap(spec, stream(master_seed, 0, "goldie"), x, alpha)
+    d = _paired_gap(spec, master_seed, "goldie", x, alpha)
     d /= alpha * m_alpha
     value = float(d.mean())
     se, block_means = _mom_se(d)
@@ -263,7 +265,7 @@ def moment_identity_residual(spec, s, batch_samples, kappa_s, master_seed=0):
         )
     x = np.asarray(batch_samples)
     n = len(x)
-    gap = _paired_gap(spec, stream(master_seed, 0, "identity"), x, s)
+    gap = _paired_gap(spec, master_seed, "identity", x, s)
     diff = models.radius(spec, x) ** s * (1.0 - kappa_s) - gap
     se = float(diff.std() / math.sqrt(n))
     mean = float(diff.mean())

@@ -46,7 +46,7 @@ class Trajectory:
 
 def forward_chain(spec, x0, n, rng):
     """Iterate X_k = psi_{theta_k}(X_{k-1}) one scalar draw at a time."""
-    d = models.point_dim(spec)
+    d = spec.dimension
     shape = (n + 1,) if d == 1 else (n + 1, d)
     states = np.empty(shape)
     sums = np.empty(shape)
@@ -128,7 +128,7 @@ def fixed_point(spec, word, x0=None, tol=support.FIXPOINT_TOL, max_iter=support.
 
 
 def _where_points(spec, mask, a, b):
-    if models.point_dim(spec) == 1:
+    if spec.dimension == 1:
         return np.where(mask, a, b)
     return np.where(mask[:, None], a, b)
 
@@ -219,6 +219,16 @@ def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=Non
 # tails._paired_gap, which draws and uses theta a chunk at a time
 
 
+def reference_chunked_theta(spec, master_seed, purpose, n, chunk):
+    """The theta batch of n pairs as tails._paired_gap draws it: chunk c
+    is `sample_theta` on stream (master_seed, c, purpose), concatenated."""
+    parts = [
+        models.sample_theta(spec, stream(master_seed, c, purpose), min(chunk, n - lo))
+        for c, lo in enumerate(range(0, n, chunk))
+    ]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
 def reference_paired_gap(spec, theta, x, s):
     """|psi_theta(x)|^s - |M_theta x|^s, one term per (theta, x) pair."""
     lhs = models.radius(spec, models.apply(spec, theta, x)) ** s
@@ -244,11 +254,10 @@ def _mean_se(p):
 
 def reference_cramer_report(law, s_grid, bracket, master_seed, n_samples, tol=1e-3):
     """(kappa values, kappa se, alpha, m_alpha, m_alpha se, s_infinity) of the
-    sampled cramer_report, each from its own stream, with every moment finite."""
-    x = _abs_draws(law, stream(master_seed, 0, "kappa-grid"), n_samples)
+    sampled cramer_report: the grid, the root and m_alpha from one |M| sample
+    on the "moments" stream, with every moment finite."""
+    x = _abs_draws(law, stream(master_seed, 0, "moments"), n_samples)
     curve = [_mean_se(x**s) for s in s_grid]
-
-    x = _abs_draws(law, stream(master_seed, 0, "cramer-root"), n_samples)
     lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -257,8 +266,6 @@ def reference_cramer_report(law, s_grid, bracket, master_seed, n_samples, tol=1e
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-
-    x = _abs_draws(law, stream(master_seed, 0, "m-alpha"), n_samples)
     m_alpha, m_alpha_se = _mean_se(x**alpha * np.log(x))
 
     if law.kind != "uniform":
@@ -285,7 +292,7 @@ def reference_cramer_report(law, s_grid, bracket, master_seed, n_samples, tol=1e
 
 def reference_arch1_m_alpha(gamma, lam, sd, alpha, master_seed, n_samples):
     """E M^alpha log M for arch1 with a ~ normal(0, sd): M = |gamma + sqrt(lam) a|."""
-    a = stream(master_seed, 0, "m-alpha").normal(0.0, sd, n_samples)
+    a = stream(master_seed, 0, "moments").normal(0.0, sd, n_samples)
     m = np.abs(gamma + math.sqrt(lam) * a)
     return float((m**alpha * np.log(m)).mean())
 

@@ -317,7 +317,7 @@ def test_composite_block_memory_is_flat_in_depth(name, tol, bench_spec, letac_sp
         spec, models.zero_point(spec), tol, chains.DEFAULT_MAX_DEPTH,
         stream(0, 0, "stationary"), count,
     )
-    assert peak < (100 + 120 * models.point_dim(spec)) * count
+    assert peak < (100 + 120 * spec.dimension) * count
 
 
 def _not_contracting(name):
@@ -370,7 +370,7 @@ def test_draw_counter_quantiles_match_inverted_cdf(n):
 
 
 def _seed_point(spec):
-    x0 = np.linspace(0.7, -0.4, models.point_dim(spec))
+    x0 = np.linspace(0.7, -0.4, spec.dimension)
     return float(x0[0]) if x0.size == 1 else x0
 
 

@@ -80,6 +80,37 @@ params = 0.0, 1.0
 """
 
 
+# arch1 with a ~ normal: no law of |M| is representable, so m_alpha
+# comes from theta draws
+ARCH1_NORMAL_MODEL = """\
+[model]
+family = arch1
+gamma = 0.1
+beta = 1.0
+lambda = 1.0
+
+[distributions.a]
+kind = normal
+params = 0.0, 1.0
+"""
+
+
+# extremal with a ~ uniform: |M| has no closed-form moments, so the
+# moment curve is sampled
+SAMPLED_SCALE_MODEL = """\
+[model]
+family = extremal
+
+[distributions.a]
+kind = uniform
+params = 0.2, 1.5
+
+[distributions.b]
+kind = uniform
+params = 1.0, 2.0
+"""
+
+
 AFFINE_2D_MODEL = """\
 [model]
 family = affine
@@ -220,6 +251,8 @@ def test_typed_getters(tmp_path):
     assert config.get_floats(cfg, "experiment", "missing") is None
     assert config.get_floats(cfg, "experiment", "missing", (1.0, 2.0), length=2) == (1.0, 2.0)
     assert config.get_floats(cfg, "experiment", "grid", length=2) == (1.0, 2.5)
+    assert config.get_float(cfg, "experiment", "missing") is None
+    assert config.get_float(cfg, "experiment", "missing", default=0.25) == 0.25
     with pytest.raises(ConfigError, match="missing required key"):
         config.get_int(cfg, "experiment", "missing")
     with pytest.raises(ConfigError):
@@ -241,6 +274,10 @@ def test_typed_getters(tmp_path):
     with pytest.raises(ConfigError) as exc:
         config.get_floats(bad, "experiment", "three", length=2)
     assert str(exc.value) == "b.cfg:5: [experiment] three: expected 2 number(s), got 3"
+    empty = config.parse_config("[experiment]\ngrid =\n", "e.cfg")
+    with pytest.raises(ConfigError) as exc:
+        config.get_floats(empty, "experiment", "grid", default=(1.0,))
+    assert str(exc.value) == "e.cfg:2: [experiment] grid: expected at least one number, got none"
 
 
 def test_config_digest_semantics():
@@ -352,6 +389,76 @@ def test_cli_mode_typo_fails_before_any_output(tmp_path, capsys):
     assert f"{path}:13: [experiment] mode: expected one of" in err
     assert "'montecarlo'" in err
     assert not (out / "cramer.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["cramer", "check"])
+def test_cli_empty_list_exits_2_with_its_line(tmp_path, capsys, verb):
+    # an empty s_grid died in check (IndexError on its last row) and gave
+    # cramer a header-only cramer.csv
+    text = LETAC_MODEL + "\n[experiment]\ncount = 256\nmc_samples = 1000\ns_grid =\n"
+    path = _write(tmp_path, text)
+    line = text.splitlines().index("s_grid =") + 1
+    out = tmp_path / "o"
+    assert _run([verb, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"liprec {verb}: error: {path}:{line}: [experiment] s_grid: "
+        "expected at least one number, got none\n"
+    )
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "verb, model, setting, message",
+    [
+        ("tail", BENCH_MODEL, "t_points = 0", "t_points must be positive, got 0"),
+        ("tail", BENCH_MODEL, "t_points = -1", "t_points must be positive, got -1"),
+        ("tail", BENCH_MODEL, "hill_points = 0", "hill_points must be positive, got 0"),
+        ("tail", BENCH_MODEL, "hill_points = -1", "hill_points must be positive, got -1"),
+        ("cramer", BENCH_MODEL, "solver_tol = 0", "solver_tol must be positive, got 0.0"),
+        ("tail", BENCH_MODEL, "solver_tol = -4", "solver_tol must be positive, got -4.0"),
+        ("cramer", SAMPLED_SCALE_MODEL, "mc_samples = 0", "mc_samples must be positive, got 0"),
+        ("cramer", SAMPLED_SCALE_MODEL, "mc_samples = -5", "mc_samples must be positive, got -5"),
+        ("tail", SAMPLED_SCALE_MODEL, "mc_samples = 0", "mc_samples must be positive, got 0"),
+        ("tail", ARCH1_NORMAL_MODEL + "\n[experiment]\nalpha = 1.5", "mc_samples = -5",
+         "mc_samples must be positive, got -5"),
+        ("check", SAMPLED_SCALE_MODEL, "mc_samples = 0", "mc_samples must be positive, got 0"),
+    ],
+    ids=[
+        "t_points0", "t_points-1", "hill_points0", "hill_points-1", "solver_tol0",
+        "solver_tol-4", "cramer-mc_samples0", "cramer-mc_samples-5", "tail-mc_samples0",
+        "tail-theta-mc_samples-5", "check-mc_samples0",
+    ],
+)
+def test_cli_nonpositive_sizes_exit_2(tmp_path, capsys, verb, model, setting, message):
+    # t_points = 0 died in max() of an empty sequence, -1 in numpy's
+    # geomspace; hill_points = 0 wrote a header-only hill.csv; mc_samples
+    # = 0 warned and then blamed a divergent moment; solver_tol <= 0 was
+    # read as "the default"
+    if "[experiment]" not in model:
+        model += "\n[experiment]"
+    path = _write(tmp_path, model + "\ncount = 2000\n" + setting + "\n")
+    out = tmp_path / "o"
+    assert _run([verb, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == f"liprec {verb}: error: [experiment] {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("setting", ["", "solver_tol = 1e-5\n"], ids=["default-tol", "solver-tol"])
+def test_cli_cramer_and_tail_share_one_moment_curve(tmp_path, setting):
+    # the |M| law is sampled: both verbs draw its one sample from the same
+    # stream and solve it to the same tolerance, so they agree to the bit
+    text = SAMPLED_SCALE_MODEL + "\n[experiment]\nmc_samples = 200000\ncount = 2000\n" + setting
+    path = _write(tmp_path, text)
+    assert _run(["cramer", "--config", path, "--seed", 3, "--out", tmp_path / "c"]) == 0
+    assert _run(["tail", "--config", path, "--seed", 3, "--out", tmp_path / "t"]) == 0
+    with open(tmp_path / "c" / "cramer_solution.csv", newline="") as fh:
+        sol = next(csv.DictReader(fh))
+    with open(tmp_path / "t" / "goldie.csv", newline="") as fh:
+        gold = next(csv.DictReader(fh))
+    assert (gold["alpha"], gold["m_alpha"]) == (sol["alpha"], sol["m_alpha"])
+    assert (sol["method"], float(sol["solver_tolerance"])) == (
+        "monte_carlo", 1e-5 if setting else 1e-3
+    )
 
 
 @pytest.mark.parametrize(
@@ -827,6 +934,7 @@ def test_manifest_records_each_stage(tmp_path):
         "backward_block": 16384,
         "forward_block": 4096,
         "forward_steps": 16,
+        "pair_chunk": 65536,
         "backward_form": "composite",  # extremal carries its composed map
     }
     assert entry["numpy"]["version"] == np.__version__

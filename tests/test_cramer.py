@@ -25,7 +25,7 @@ def letac_scale_law():
 
 def test_kappa_at_zero_is_one():
     for law in (BENCH_LAW, letac_scale_law(), rnd.constant(0.5)):
-        value, se = cramer.kappa(law, 0.0)
+        value, se = cramer.moments(law)(0.0)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert se == 0.0
 
@@ -37,25 +37,28 @@ def test_kappa_at_zero_is_one():
 def test_kappa_log_convex_on_closed_laws(s1, s2):
     # log kappa((s1+s2)/2) <= (log kappa(s1) + log kappa(s2)) / 2
     for law in (BENCH_LAW, letac_scale_law()):
+        curve = cramer.moments(law)
         mid = 0.5 * (s1 + s2)
-        k1 = math.log(cramer.kappa(law, s1)[0])
-        k2 = math.log(cramer.kappa(law, s2)[0])
-        km = math.log(cramer.kappa(law, mid)[0])
+        k1 = math.log(curve(s1)[0])
+        k2 = math.log(curve(s2)[0])
+        km = math.log(curve(mid)[0])
         assert km <= 0.5 * (k1 + k2) + 1e-9
 
 
 def test_letac_root_and_derivative():
-    alpha = cramer.solve_cramer(letac_scale_law(), bracket=(0.5, 3.0), tol=1e-9)
+    curve = cramer.moments(letac_scale_law())
+    alpha = cramer.solve_cramer(curve, bracket=(0.5, 3.0), tol=1e-9)
     assert alpha == pytest.approx(LETAC_ALPHA, abs=1e-6)
-    ma, se = cramer.m_alpha(letac_scale_law(), alpha)
+    ma, se = curve.m_alpha(alpha)
     assert ma == pytest.approx(LETAC_M_ALPHA, abs=1e-6)
     assert se == 0.0
 
 
 def test_lognormal_root_closed_form():
-    alpha = cramer.solve_cramer(BENCH_LAW, bracket=(0.5, 3.0), tol=1e-9)
+    curve = cramer.moments(BENCH_LAW)
+    alpha = cramer.solve_cramer(curve, bracket=(0.5, 3.0), tol=1e-9)
     assert alpha == pytest.approx(1.5, abs=1e-8)
-    ma, _ = cramer.m_alpha(BENCH_LAW, alpha)
+    ma, _ = curve.m_alpha(alpha)
     # (mu + s sigma^2) kappa(s) at the root, kappa = 1 there
     assert ma == pytest.approx(0.75, abs=1e-7)
 
@@ -63,49 +66,63 @@ def test_lognormal_root_closed_form():
 def test_root_shifts_down_when_scale_grows():
     # multiplying M by c > 1 shifts mu by log c; alpha = -2 mu / sigma^2 drops
     bumped = rnd.lognormal(-0.75 + math.log(1.1), 1.0)
-    a0 = cramer.solve_cramer(BENCH_LAW, bracket=(0.1, 3.0))
-    a1 = cramer.solve_cramer(bumped, bracket=(0.1, 3.0))
+    a0 = cramer.solve_cramer(cramer.moments(BENCH_LAW), bracket=(0.1, 3.0))
+    a1 = cramer.solve_cramer(cramer.moments(bumped), bracket=(0.1, 3.0))
     assert a1 < a0
     assert a1 == pytest.approx(2 * (0.75 - math.log(1.1)), abs=1e-5)
 
 
 def test_monte_carlo_solve_tracks_closed_truth():
-    rng = stream(201, 0, "mc-root")
-    alpha = cramer.solve_cramer(
-        BENCH_LAW, bracket=(0.5, 3.0), mode="monte_carlo", rng=rng, n_samples=400_000
-    )
+    curve = cramer.moments(BENCH_LAW, "monte_carlo", stream(201, 0, "mc-root"), 400_000)
+    assert curve.tol == cramer.MONTE_CARLO_TOL
+    alpha = cramer.solve_cramer(curve, bracket=(0.5, 3.0))
     assert alpha == pytest.approx(1.5, abs=0.05)
 
 
 def test_monte_carlo_solve_is_seed_reproducible():
-    kw = dict(bracket=(0.5, 3.0), mode="monte_carlo", n_samples=50_000)
-    a = cramer.solve_cramer(BENCH_LAW, rng=stream(7, 0, "r"), **kw)
-    b = cramer.solve_cramer(BENCH_LAW, rng=stream(7, 0, "r"), **kw)
+    a, b = (
+        cramer.solve_cramer(
+            cramer.moments(BENCH_LAW, "monte_carlo", stream(7, 0, "r"), 50_000), (0.5, 3.0)
+        )
+        for _ in range(2)
+    )
     assert a == b
 
 
 def test_bracket_and_divergence_errors():
+    curve = cramer.moments(letac_scale_law())
     with pytest.raises(BracketError):
-        cramer.solve_cramer(letac_scale_law(), bracket=(0.01, 0.1))
+        cramer.solve_cramer(curve, bracket=(0.01, 0.1))
     with pytest.raises(PreconditionError):
-        cramer.solve_cramer(letac_scale_law(), bracket=(2.0, 1.0))
+        cramer.solve_cramer(curve, bracket=(2.0, 1.0))
     # sigma = 50: some draw has s log|M| past the double range at s = 4,
     # so the empirical moment overflows and the solver must say so
     heavy = rnd.lognormal(0.0, 50.0)
     with pytest.raises(MomentDivergenceError):
         cramer.solve_cramer(
-            heavy,
+            cramer.moments(heavy, "monte_carlo", stream(5, 0, "heavy"), 200_000),
             bracket=(0.5, 4.0),
-            mode="monte_carlo",
-            rng=stream(5, 0, "heavy"),
-            n_samples=200_000,
         )
 
 
 def test_m_alpha_rejects_subcritical_point():
     # below the root the derivative-type moment is negative for this law
     with pytest.raises(PreconditionError):
-        cramer.m_alpha(BENCH_LAW, 0.2)
+        cramer.moments(BENCH_LAW).m_alpha(0.2)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_sampled_moments_need_one_draw(n_samples):
+    # 0 draws gave a nan mean (and a misleading divergence error); -5 died in numpy
+    with pytest.raises(PreconditionError, match=f"mc_samples must be at least 1, got {n_samples}"):
+        cramer.moments(rnd.uniform(0.2, 1.6), rng=stream(3, 0, "m"), n_samples=n_samples)
+    assert cramer.moments(BENCH_LAW, n_samples=n_samples).tol == cramer.CLOSED_FORM_TOL
+
+
+def test_bisection_stops_at_adjacent_floats():
+    # a tolerance below the spacing of doubles near the root used to loop forever
+    alpha = cramer.solve_cramer(cramer.moments(BENCH_LAW), (0.5, 3.0), tol=1e-300)
+    assert alpha == pytest.approx(1.5, abs=1e-12)
 
 
 def test_s_infinity_probe():
@@ -154,8 +171,8 @@ def test_resolve_alpha_sampled_m_alpha_matches_plain_numpy():
     cfg = config.parse_config(text)
     spec = config.build_model(cfg)
     assert models.linear_scale_law(spec) is None
-    alpha, m_al, method = experiments._resolve_alpha(cfg, spec, 3)
-    assert (alpha, method) == (1.5, "given")
+    alpha, m_al = experiments._resolve_alpha(cfg, spec, 3)
+    assert alpha == 1.5
     assert m_al == reference_arch1_m_alpha(0.1, 1.0, 1.0, 1.5, 3, 200_000)
 
 

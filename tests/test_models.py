@@ -114,7 +114,7 @@ DILATION_MODELS = {
 @pytest.mark.parametrize("name", sorted(DILATION_MODELS))
 def test_apply_dilated_matches_closed_form_reference_bitwise(name):
     spec = DILATION_MODELS[name]
-    d = models.point_dim(spec)
+    d = spec.dimension
     n = 512
     g = stream(61, 0, f"dilref-{name}")
     th = models.sample_theta(spec, g, n)
@@ -220,68 +220,6 @@ def test_rotation_preserves_length_and_axis_d3():
     assert np.allclose(np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), rtol=1e-12)
     # the rotation axis component is untouched
     assert np.allclose(y[:, 2], x[:, 2], rtol=1e-12)
-
-
-# the catalog's families in d = 1, affine in d = 2 and 3, and constant
-# and discrete laws in first, middle and last position
-CHUNK_MODELS = {
-    **CATALOG,
-    "affine_d2": models.make_model(
-        "affine",
-        dimension=2,
-        laws={
-            "scale": rnd.constant(0.6),
-            "angle": rnd.uniform(-1.0, 1.0),
-            "shift_1": rnd.normal(1.0, 0.5),
-            "shift_2": rnd.discrete((0.0, 0.5), (0.3, 0.7)),
-        },
-    ),
-    "affine_d3": models.make_model(
-        "affine",
-        dimension=3,
-        laws={
-            "scale": rnd.lognormal(-0.7, 0.4),
-            "angle": rnd.constant(0.4),
-            "shift_1": rnd.uniform(-1.0, 1.0),
-            "shift_2": rnd.normal(0.0, 0.5),
-            "shift_3": rnd.constant(1.0),
-        },
-        constants={"axis": (1.0, 2.0, 0.5)},
-    ),
-    "letac_atomic": models.make_model(
-        "letac",
-        laws={
-            "a": rnd.discrete((1.0 / 3.0, 2.0), (0.75, 0.25)),
-            "b": rnd.constant(0.5),
-            "c": rnd.constant(-1.0),
-        },
-    ),
-    "sqrt_quadratic_redraws": models.make_model(
-        "sqrt_quadratic",
-        laws={
-            "a": rnd.uniform(-0.1, 0.7),  # some draws redrawn: a <= 0
-            "b": rnd.uniform(-0.2, 0.2),
-            "c": rnd.constant(0.8),
-        },
-    ),
-}
-
-
-@pytest.mark.parametrize("size, chunk", [(2500, 1000), (700, 1024), (2048, 512)])
-@pytest.mark.parametrize("name", sorted(CHUNK_MODELS))
-def test_theta_chunks_concatenate_to_the_whole_draw(name, size, chunk):
-    spec = CHUNK_MODELS[name]
-    whole_rng, chunk_rng = stream(5, 0, "chunks"), stream(5, 0, "chunks")
-    want = models.sample_theta(spec, whole_rng, size)
-    parts = list(models.sample_theta_chunks(spec, chunk_rng, size, chunk))
-    lengths = [min(chunk, size - lo) for lo in range(0, size, chunk)]
-    assert [{k: len(v) for k, v in p.items()} for p in parts] == [
-        {k: m for k in want} for m in lengths
-    ]
-    for k, v in want.items():
-        assert np.concatenate([p[k] for p in parts]).tobytes() == np.asarray(v).tobytes()
-    # the stream is left where the whole draw leaves it
-    assert chunk_rng.random(3).tobytes() == whole_rng.random(3).tobytes()
 
 
 def test_sqrt_quadratic_discriminant_guard():

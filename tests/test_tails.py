@@ -8,7 +8,7 @@ from liprec.chains import stationary_batch
 from liprec.errors import DomainError, PreconditionError
 from liprec.randomness import stream
 
-from _util import reference_paired_gap
+from _util import reference_chunked_theta, reference_paired_gap
 
 ALPHA_BENCH = 1.5
 M_ALPHA_BENCH = 0.75
@@ -145,10 +145,11 @@ PAIRED_MODELS = {
 
 
 def _check_paired_chunks(spec, alpha, monkeypatch):
-    # theta is drawn and used a chunk at a time; a ragged last chunk must
-    # leave every term as the whole-batch draw and expression give it
+    # theta is drawn and used a chunk at a time, chunk c from stream
+    # (seed, c, purpose); a ragged last chunk must leave every term as the
+    # whole-batch expression gives it on the concatenated draws
     x = stationary_batch(spec, 4567, master_seed=9).samples
-    theta = models.sample_theta(spec, stream(3, 0, "goldie"), len(x))
+    theta = reference_chunked_theta(spec, 3, "goldie", len(x), 1000)
     d = reference_paired_gap(spec, theta, x, alpha) / (alpha * M_ALPHA_BENCH)
     monkeypatch.setattr(tails, "_PAIR_CHUNK", 1000)
     est = tails.goldie_constant(spec, x, alpha, M_ALPHA_BENCH, master_seed=3)
@@ -156,7 +157,7 @@ def _check_paired_chunks(spec, alpha, monkeypatch):
     assert est.se == tails._mom_se(d)[0]
     # the moment identity shares the chunked pairs; any kappa(s) < 1 will do
     s, kappa_s = alpha / 2, 0.6
-    theta = models.sample_theta(spec, stream(11, 0, "identity"), len(x))
+    theta = reference_chunked_theta(spec, 11, "identity", len(x), 1000)
     diff = models.radius(spec, x) ** s * (1.0 - kappa_s) - reference_paired_gap(spec, theta, x, s)
     se = float(diff.std() / math.sqrt(len(x)))
     z, mean, got_se = tails.moment_identity_residual(spec, s, x, kappa_s, master_seed=11)
