@@ -12,19 +12,19 @@ blocks, and a larger batch's leading blocks repeat a smaller batch's full
 blocks. Block sizes are constants, never derived from the thread count or
 the batch size.
 
-Draw layout of the backward sampler: every step draws theta for the whole
-block, members that have already stopped included, so member i's step-j
-draw is fixed by the block's stream, the block size, i and j. A member's
-draws therefore depend neither on x0 nor on when the other members stop;
-runs from two seed points, or at two tolerances, see the same thetas.
-Only the draw spans the whole block: the stop rule and the composition
-run on the members still running, so that work scales with the draws
-used, not the draws made. Extremal, letac and affine maps compose in
-closed form (`models.composite`): each live member carries its composed
-map Z_j = psi_1 o ... o psi_j, a few numbers, and its sample is Z(x0) at
-its stop depth, so a block's memory does not grow with depth. The
-sample rounds once where nested maps round at every step, so it can
-differ from the nested value in the last bits. sqrt_quadratic and arch1
+Draw layout of the backward sampler: step j of block b makes one
+`models.sample_theta` call on the (master_seed, b, "stationary") stream,
+sized to the members still running, which take its values in ascending
+member index. A member's step-j draw is therefore fixed by the stream
+and the live counts of steps 1..j, and those depend on x0 and tol: runs
+from two seed points, or at two tolerances, draw from the same law but
+not the same thetas. Draws, stop rule and composition all cover the live
+members only, so every draw made is used. Extremal, letac and affine
+maps compose in closed form (`models.composite`): each live member
+carries its composed map Z_j = psi_1 o ... o psi_j, a few numbers, and
+its sample is Z(x0) at its stop depth, so a block's memory does not grow
+with depth. The sample rounds once where nested maps round at every
+step, so it can differ from the nested value in the last bits. sqrt_quadratic and arch1
 store each step's live random draws and replay them innermost-first: a
 member runs at step j exactly when its stop depth is at least j, so the
 live sets are rebuilt from the depths, and a constant law's parameter is
@@ -58,9 +58,10 @@ FORWARD_STEPS = 16
 
 _Q_CAP = 0.95  # contraction-rate clip for the oscillation envelope
 _R_ENVELOPE = 1e9  # hard cap on the oscillation envelope
-# Draw budget per block: draw scalars made (step * size * params), the same
-# trip step for every family. It bounds what a replay stores, which is
-# only the live members' random thetas; a composite stores no draws.
+# Draw budget per block: the draw scalars made, live count times parameter
+# count summed over the steps, so a composite and a replay family trip at
+# the same step. It bounds what a replay stores, the live members' random
+# thetas; a composite stores no draws.
 _STORAGE_CAP = 1 << 27
 
 
@@ -70,22 +71,16 @@ class StationaryBatch:
     stop_depths: np.ndarray
     residual_bounds: np.ndarray
     tol: float
-    block_size: int = BLOCK_SIZE
 
     def draw_counters(self):
-        """Stop-depth mean, quantiles and max, and theta draws made vs used.
+        """Stop-depth mean, quantiles and max, and the theta draws made.
 
         A quantile is the smallest depth at which at least that share of
-        the members have stopped.
-
-        A block draws theta for all its members until its deepest member
-        stops, so it makes size * max-depth draws; members use their depths.
-        Only the draws follow `theta_drawn`: the stop rule, the composition
-        or the stored draws and the replay cover the live members, so they
-        follow `theta_used`.
+        the members have stopped. A member draws theta at each step down
+        to its stop depth, so `theta_used`, the sum of the depths, counts
+        every draw the sampler made.
         """
         d = self.stop_depths
-        blocks = (d[lo:lo + self.block_size] for lo in range(0, len(d), self.block_size))
         # np.quantile(d, ..., method="inverted_cdf") without its full copy
         # of d: the first depth whose running count reaches len(d) * p
         ranks = np.cumsum(np.bincount(d))
@@ -96,7 +91,6 @@ class StationaryBatch:
             "stop_depth_p90": int(p90),
             "stop_depth_p99": int(p99),
             "stop_depth_max": int(d.max()),
-            "theta_drawn": sum(len(b) * int(b.max()) for b in blocks),
             "theta_used": int(d.sum()),
         }
 
@@ -174,13 +168,13 @@ def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
 def _backward_block(spec, x0, tol, max_depth, rng, count):
     """Certified backward samples for one block; returns (points, depths, bounds).
 
-    Only the theta draw spans the whole block. The stop rule runs on
-    `live`, the ascending indices of the members still running, and on
-    the arrays kept beside it. A family with a composite carries each
-    live member's composed map and evaluates it at x0 when the member
-    stops. The other families store each step's random parameters' live
-    draws and replay them: the replay rebuilds the live sets from the
-    stop depths, and a constant law's parameter is the law's value.
+    Everything runs on `live`, the ascending indices of the members
+    still running, and on the arrays kept beside it: each step draws
+    theta for the live members only, in that order. A family with a
+    composite carries each live member's composed map and evaluates it
+    at x0 when the member stops. The other families store each step's
+    random draws and replay them: the replay rebuilds the live sets from
+    the stop depths, and a constant law's parameter is the law's value.
     """
     comp = models.composite(spec)
     x0_pts = _as_points(spec, x0, count)  # every row is x0
@@ -197,22 +191,23 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
         state = init(spec, count)
     steps = []  # replay only: the live members' random draws per step
     n_param = len(models.required_params(spec.family, spec.dimension))
-    # the law's value, not a slice of the block's batch, which may be a
-    # full-block copy that a slice would keep alive; a float broadcasts
-    # with the same bits as a gathered array
+    # the law's value, not the step's batch, which for sqrt_quadratic is a
+    # copy that the replay storage would keep alive; a float broadcasts
+    # with the same bits as an array of it
     fixed = {k: law.params[0] for k, law in spec.laws.items() if law.kind == "constant"}
 
-    step = 0
+    step = made = 0
     while step < max_depth:
         step += 1
-        if step * count * n_param > _STORAGE_CAP:
+        made += len(live) * n_param
+        if made > _STORAGE_CAP:
             raise CapacityError(
                 "backward draw storage guard tripped; lower [experiment] count "
                 f"below {count}, the block size, or raise tol so the chains "
                 "stop sooner"
             )
         drawn = {
-            k: v[live] for k, v in models.sample_theta(spec, rng, count).items() if k not in fixed
+            k: v for k, v in models.sample_theta(spec, rng, len(live)).items() if k not in fixed
         }
         theta = {**drawn, **fixed}
         x0_live = x0_pts[: len(live)]
@@ -298,4 +293,4 @@ def stationary_batch(
         )
 
     _run_blocks(worker, count, block_size, threads)
-    return StationaryBatch(samples, depths, certs, tol, block_size)
+    return StationaryBatch(samples, depths, certs, tol)

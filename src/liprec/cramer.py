@@ -66,16 +66,22 @@ class Moments:
         return value, se
 
 
+def require_sampling(mode, kind):
+    """Refuse an unknown moment `mode`, and `closed_form` for |M| drawn from
+    a law of `kind` whose moments have no closed form."""
+    if mode not in MODES:
+        raise PreconditionError(f"unknown moment mode {mode!r}")
+    if mode == "closed_form":
+        raise PreconditionError(f"no closed-form moments for kind {kind!r}")
+
+
 def moments(m_law, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
     """The law's Moments under `mode`: closed form, or one |M| sample of
     `n_samples` drawn now from `rng` (common random numbers keep the
     empirical curve convex, so bisection on it is safe)."""
-    if mode not in MODES:
-        raise PreconditionError(f"unknown moment mode {mode!r}")
-    if mode != "monte_carlo" and rnd.abs_moment(m_law, 1.0) is not None:
+    if mode in ("auto", "closed_form") and rnd.abs_moment(m_law, 1.0) is not None:
         return Moments(law=m_law)
-    if mode == "closed_form":
-        raise PreconditionError(f"no closed-form moments for kind {m_law.kind!r}")
+    require_sampling(mode, m_law.kind)
     if rng is None:
         raise PreconditionError("monte carlo moments need a stream")
     if n_samples < 1:

@@ -255,6 +255,9 @@ def _resolve_alpha(cfg, spec, seed):
     if m_law is not None:
         curve = cramer.moments(m_law, mode, rng, n_samples)
     else:
+        # the families without an |M| law, sqrt_quadratic and arch1, read
+        # |M| from the law of a, so a sampled curve is the only one
+        cramer.require_sampling(mode, spec.laws["a"].kind)
         th = models.sample_theta(spec, rng, n_samples)
         curve = cramer.Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
     if text == "solve":

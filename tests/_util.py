@@ -124,7 +124,7 @@ def fixed_point(spec, word, x0=None, tol=support.FIXPOINT_TOL, max_iter=support.
 
 
 # ---------------------------------------------------------------------------
-# whole-block backward sampler: the reference for chains._backward_block
+# masked whole-block backward sampler: the reference for chains._backward_block
 
 
 def _where_points(spec, mask, a, b):
@@ -136,13 +136,16 @@ def _where_points(spec, mask, a, b):
 def reference_backward_block(spec, x0, tol, max_depth, rng, count, replay=False):
     """The backward block with every step on every member; same outputs.
 
-    The stop rule runs on the whole block under a mask. A family with a
-    composite updates every member's composed map at every step and
-    evaluates it at x0 for the members that stop there, in the update
-    order of `models.composite`. With `replay`, or for the other
-    families, every full draw is stored, and the replay applies each draw
-    to all members and keeps the result with `where` for those still
-    running at that step.
+    Each step draws theta for the `active` members only, in ascending
+    index, and scatters the draws into full-block arrays under that mask;
+    a stopped member's entries are NaN, so one that reached an output
+    would show there. The stop rule runs on the whole block under the
+    mask. A family with a composite updates every member's composed map
+    at every step and evaluates it at x0 for the members that stop there,
+    in the update order of `models.composite`. With `replay`, or for the
+    other families, every scattered draw is stored, and the replay
+    applies each draw to all members and keeps the result with `where`
+    for those still running at that step.
     """
     comp = None if replay else models.composite(spec)
     x0_pts = chains._as_points(spec, x0, count)
@@ -158,16 +161,21 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count, replay=False)
         init, update, evaluate = comp
         state = init(spec, count)
 
-    step = 0
+    step = made = 0
     while step < max_depth:
         step += 1
-        if step * count * n_param > chains._STORAGE_CAP:
+        n_live = int(active.sum())
+        made += n_live * n_param
+        if made > chains._STORAGE_CAP:
             raise CapacityError(
                 "backward draw storage guard tripped; lower [experiment] count "
                 f"below {count}, the block size, or raise tol so the chains "
                 "stop sooner"
             )
-        theta = models.sample_theta(spec, rng, count)
+        theta = {}
+        for k, v in models.sample_theta(spec, rng, n_live).items():
+            theta[k] = np.full(count, np.nan)
+            theta[k][active] = v
         lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
         osc = models.radius(spec, models.apply(spec, theta, x0_pts) - x0_pts)
         with np.errstate(divide="ignore"):

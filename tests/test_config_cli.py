@@ -443,6 +443,24 @@ def test_cli_nonpositive_sizes_exit_2(tmp_path, capsys, verb, model, setting, me
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("verb", ["tail", "limit"])
+def test_cli_closed_form_mode_without_a_scale_law_exits_2(tmp_path, capsys, verb):
+    # arch1 with a normal a has no |M| law, so m_alpha comes from theta
+    # draws, which closed_form forbids as it does in cramer
+    text = ARCH1_NORMAL_MODEL + (
+        "\n[experiment]\nalpha = 2.0\nmode = closed_form\ncount = 2000\nn = 64\nreplicas = 256\n"
+    )
+    path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert _run([verb, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"liprec {verb}: error: no closed-form moments for kind 'normal'\n"
+    )
+    assert not list(out.glob("*.csv"))
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (entry["status"], entry["exit_code"]) == ("failed", 2)
+
+
 @pytest.mark.parametrize("setting", ["", "solver_tol = 1e-5\n"], ids=["default-tol", "solver-tol"])
 def test_cli_cramer_and_tail_share_one_moment_curve(tmp_path, setting):
     # the |M| law is sampled: both verbs draw its one sample from the same
@@ -946,7 +964,7 @@ def test_manifest_records_each_stage(tmp_path):
     digest = entry["outputs"]["samples.csv"]
     got = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
     assert digest == got
-    # one block: it draws 300 thetas per step down to the deepest member
+    # one block: each member draws one theta per step down to its depth
     depths = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 1]
     ranked = np.sort(depths)  # p-quantile: the depth of rank ceil(p * 300)
     assert entry["backward"] == {
@@ -955,7 +973,6 @@ def test_manifest_records_each_stage(tmp_path):
         "stop_depth_p90": int(ranked[269]),
         "stop_depth_p99": int(ranked[296]),
         "stop_depth_max": int(depths.max()),
-        "theta_drawn": 300 * int(depths.max()),
         "theta_used": int(depths.sum()),
     }
     # arch1 has no composite and replays its draws; a forward run draws no

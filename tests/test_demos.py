@@ -1,6 +1,9 @@
-"""Every demo runs to the end and writes nothing to stderr."""
+"""Every demo runs to the end and writes nothing to stderr, and README's
+library example runs as written."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +11,8 @@ import pytest
 
 import liprec
 
-DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO_DIR = os.path.join(ROOT, "demos")
 DEMOS = sorted(f for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
 
 
@@ -23,3 +27,14 @@ def test_demo_runs_clean(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_library_example_runs(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    alpha, c, se = (float(v) for v in capsys.readouterr().out.split())
+    # the example's model solves alpha = 1.5 in closed form
+    assert abs(alpha - 1.5) < 1e-6
+    assert math.isfinite(c) and 0 < se < c
