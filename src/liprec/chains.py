@@ -30,6 +30,13 @@ member runs at step j exactly when its stop depth is at least j, so the
 live sets are rebuilt from the depths, and a constant law's parameter is
 its value, a float that numpy broadcasts.
 
+A batch keeps its samples and each member's stop depth, and keeps the
+residual bounds only when its caller asks, since only `simulate` writes
+them. Stop depths are int32: the storage guard `_STORAGE_CAP` (2^27)
+counts at least one draw per live member per step, so no block runs
+2^31 steps. After the blocks finish, the heap pages their temporaries
+freed in the worker threads' malloc arenas are handed back to the OS.
+
 Draw layout of the forward engine: blocks of FORWARD_BLOCK members, each
 drawing FORWARD_STEPS steps per `sample_theta` call, so that a step's
 Python work is paid once per chunk of steps and two threads can share a
@@ -68,8 +75,8 @@ _STORAGE_CAP = 1 << 27
 @dataclass(frozen=True)
 class StationaryBatch:
     samples: np.ndarray
-    stop_depths: np.ndarray
-    residual_bounds: np.ndarray
+    stop_depths: np.ndarray  # int32
+    residual_bounds: np.ndarray | None  # None unless the caller kept them
     tol: float
 
     def draw_counters(self):
@@ -181,7 +188,7 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     # the replay runs in place on x0's rows; the composite writes each
     # member's sample as it stops
     z = x0_pts if comp is None else np.empty_like(x0_pts)
-    depth = np.zeros(count, dtype=np.int64)
+    depth = np.zeros(count, dtype=np.int32)  # see the module docstring
     cert = np.full(count, np.inf)
     live = np.arange(count)
     log_prod = np.zeros(count)
@@ -258,6 +265,20 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     return z, depth, cert
 
 
+def _trim_heap():
+    """Hand freed heap pages back to the OS; a no-op without glibc's malloc_trim.
+
+    The blocks' temporaries are freed in the worker threads' malloc
+    arenas, which keep the pages resident until trimmed.
+    """
+    import ctypes  # here, so that start-up does not load it
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def stationary_batch(
     spec,
     count,
@@ -267,11 +288,14 @@ def stationary_batch(
     x0=None,
     threads=1,
     block_size=BLOCK_SIZE,
+    keep_bounds=False,
 ):
     """`count` certified draws from the stationary law, deterministically.
 
     Block b uses the (master_seed, b, "stationary") stream; merging is by
-    block index, so thread count cannot change a single output bit.
+    block index, so thread count cannot change a single output bit. The
+    residual bounds are kept only with `keep_bounds`; they do not change
+    the samples or the stop depths.
     """
     if count <= 0:
         raise PreconditionError("count must be positive")
@@ -280,17 +304,20 @@ def stationary_batch(
 
     d = spec.dimension
     samples = np.empty((count,) if d == 1 else (count, d))
-    depths = np.empty(count, dtype=np.int64)
-    certs = np.empty(count)
+    depths = np.empty(count, dtype=np.int32)
+    certs = np.empty(count) if keep_bounds else None
 
     # each block writes its slice as it finishes, so no block's outputs
     # stay alive on its worker thread's heap until a final concatenation
     def worker(block, size):
         rng = stream(master_seed, block, "stationary")
         part = slice(block * block_size, block * block_size + size)
-        samples[part], depths[part], certs[part] = _backward_block(
+        samples[part], depths[part], cert = _backward_block(
             spec, x0, tol, max_depth, rng, size
         )
+        if keep_bounds:
+            certs[part] = cert
 
     _run_blocks(worker, count, block_size, threads)
+    _trim_heap()
     return StationaryBatch(samples, depths, certs, tol)

@@ -219,6 +219,11 @@ def _positive(key, value):
     return value
 
 
+def _backward_tol(cfg):
+    """The backward sampler's [experiment] tol, which must be positive."""
+    return _positive("tol", get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL))
+
+
 def _moment_settings(cfg):
     """The root bracket, moment mode, Monte Carlo sample count and solver
     tolerance (None: the moment curve's own)."""
@@ -349,8 +354,10 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
 def run_simulate(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
-    max_depth = get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
+    tol = _backward_tol(cfg)
+    max_depth = _positive(
+        "max_depth", get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
+    )
     mode = get_str(cfg, "experiment", "sampler", default="backward")
     dim = spec.dimension
     x0_cfg = get_floats(cfg, "experiment", "x0", length=dim)
@@ -359,7 +366,7 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
     )
     with _Stage(out_dir, "simulate", digest, seed, threads) as st:
         if mode == "backward":
-            batch = st.backward(spec, count, tol, max_depth=max_depth, x0=x0)
+            batch = st.backward(spec, count, tol, max_depth=max_depth, x0=x0, keep_bounds=True)
             columns = _point_columns(batch.samples) + [
                 batch.stop_depths,
                 batch.residual_bounds,
@@ -378,7 +385,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     _require_nonarithmetic(cfg, spec)
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
+    tol = _backward_tol(cfg)
     t_points = _positive(
         "t_points", get_int(cfg, "experiment", "t_points", default=tails.DEFAULT_T_POINTS)
     )
@@ -387,7 +394,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     )
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
-        # only the samples: the depths and bounds are freed before the report
+        # only the samples: the stop depths are freed before the report
         samples = st.backward(spec, count, tol).samples
         rep = tails.tail_report(
             spec, samples, alpha, m_al, master_seed=seed,
@@ -421,7 +428,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     n = get_int(cfg, "experiment", "n")
     replicas = get_int(cfg, "experiment", "replicas")
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
+    tol = _backward_tol(cfg)
     center_text = get_str(cfg, "experiment", "center", default="auto")
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
@@ -503,7 +510,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
     max_depth = get_int(cfg, "experiment", "max_cloud_depth", default=12)
     epsilon = get_float(cfg, "experiment", "epsilon", default=1e-6)
     count = get_int(cfg, "experiment", "count", default=10000)
-    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
+    tol = _backward_tol(cfg)
     word_guard = get_int(cfg, "experiment", "word_guard", default=support.WORD_GUARD)
     dim = spec.dimension
     with _Stage(out_dir, "support", digest, seed, threads) as st:
@@ -540,7 +547,7 @@ def run_check(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     n_theta = _positive("mc_samples", get_int(cfg, "experiment", "mc_samples", default=100000))
     count = get_int(cfg, "experiment", "count", default=4096)
-    tol = get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL)
+    tol = _backward_tol(cfg)
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]

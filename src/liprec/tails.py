@@ -45,7 +45,11 @@ def default_hill_k(n):
 
 def survival_curve(samples, t_grid, alpha):
     """Rows (t, p_hat, t^alpha * p_hat) with p_hat = P(sample > t)."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    return _survival_sorted(np.sort(np.asarray(samples, dtype=float)), t_grid, alpha)
+
+
+def _survival_sorted(x, t_grid, alpha):
+    """survival_curve of the ascending array x."""
     n = len(x)
     rows = []
     for t in t_grid:
@@ -99,6 +103,12 @@ def hill_curve(samples, ks):
     ks = [int(k) for k in ks]
     k_max = max((k for k in ks if 1 <= k < n), default=None)
     top = None if k_max is None else _sorted_top(x, k_max)
+    return _hill_ladder(top, n, ks)
+
+
+def _hill_ladder(top, n, ks):
+    """hill_curve of n samples, given an ascending array whose last
+    k + 1 values are the top order statistics for every in-range rung k."""
     ladder = []
     for k in ks:
         _check_rung(k, n)
@@ -108,8 +118,11 @@ def hill_curve(samples, ks):
 
 def plateau_window(samples):
     """Default diagnostic window: between the two _PLATEAU_Q quantiles."""
-    x = np.asarray(samples, dtype=float)
-    lo, hi = np.quantile(x, _PLATEAU_Q)
+    return _window(np.quantile(np.asarray(samples, dtype=float), _PLATEAU_Q))
+
+
+def _window(quantiles):
+    lo, hi = quantiles
     if not 0 < lo < hi:
         raise PreconditionError("plateau window is degenerate for these samples")
     return float(lo), float(hi)
@@ -169,20 +182,24 @@ def _paired_gap(spec, master_seed, purpose, x, s):
     return d
 
 
+def _require_goldie_inputs(x, alpha, m_alpha):
+    if alpha <= 0 or m_alpha <= 0:
+        raise PreconditionError("goldie_constant needs alpha > 0 and m_alpha > 0")
+    if len(x) < MOM_BLOCKS:
+        raise PreconditionError(
+            f"goldie_constant needs at least {MOM_BLOCKS} samples for its "
+            f"standard error, got {len(x)}"
+        )
+
+
 def goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed=0):
     """Pairwise estimator of the tail constant; returns a GoldieEstimate.
 
     Its standard error splits the terms into MOM_BLOCKS blocks, so it
     needs at least MOM_BLOCKS samples.
     """
-    if alpha <= 0 or m_alpha <= 0:
-        raise PreconditionError("goldie_constant needs alpha > 0 and m_alpha > 0")
     x = np.asarray(batch_samples)
-    if len(x) < MOM_BLOCKS:
-        raise PreconditionError(
-            f"goldie_constant needs at least {MOM_BLOCKS} samples for its "
-            f"standard error, got {len(x)}"
-        )
+    _require_goldie_inputs(x, alpha, m_alpha)
     d = _paired_gap(spec, master_seed, "goldie", x, alpha)
     d /= alpha * m_alpha
     value = float(d.mean())
@@ -308,16 +325,29 @@ def tail_report(
     t_points=DEFAULT_T_POINTS,
     hill_points=DEFAULT_HILL_POINTS,
 ):
-    """Survival grid, Hill ladder, tail constant and plateau diagnostics."""
-    radii = models.radius(spec, np.asarray(batch_samples))
-    est = goldie_constant(spec, batch_samples, alpha, m_alpha, master_seed)
-    window = plateau_window(radii)
+    """Survival grid, Hill ladder, tail constant and plateau diagnostics.
+
+    The radii are sorted once, in place, and the window, the survival
+    grid and the ladder all read that array, with the bits of
+    plateau_window, survival_curve and hill_curve. They are freed
+    before the tail constant, so the two full-length arrays are never
+    held together.
+    """
+    x = np.asarray(batch_samples)
+    _require_goldie_inputs(x, alpha, m_alpha)
+    radii = models.radius(spec, x)  # a new array, so ours to reorder
+    # the quantiles partition the radii in place; the values they read, and
+    # so their bits, do not depend on the order numpy leaves behind
+    window = _window(np.quantile(radii, _PLATEAU_Q, overwrite_input=True))
+    radii.sort()
     t_grid = np.geomspace(window[0], window[1], t_points)
-    surv = survival_curve(radii, t_grid, alpha)
+    surv = _survival_sorted(radii, t_grid, alpha)
     n = len(radii)
     k_top = default_hill_k(n)
     ks = np.unique(np.geomspace(max(8, k_top // 64), k_top, hill_points).astype(int))
-    hill = hill_curve(radii, ks)
+    hill = _hill_ladder(radii, n, [int(k) for k in ks])
+    del radii
+    est = goldie_constant(spec, x, alpha, m_alpha, master_seed)
     if est.constant > 0:
         dev = max(abs(r[2] / est.constant - 1.0) for r in surv)
     else:

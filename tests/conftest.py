@@ -40,7 +40,9 @@ def letac_spec():
 
 @pytest.fixture(scope="session")
 def bench_batch_100k(bench_spec):
-    return chains.stationary_batch(bench_spec, 100_000, tol=1e-9, master_seed=1001, threads=4)
+    return chains.stationary_batch(
+        bench_spec, 100_000, tol=1e-9, master_seed=1001, threads=4, keep_bounds=True
+    )
 
 
 @pytest.fixture(scope="session")

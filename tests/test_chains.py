@@ -218,16 +218,41 @@ def test_blocks_write_disjoint_slices_under_thread_switching(bench_spec):
     # every block writes its own slice of the shared outputs; with many
     # small blocks, more threads than cores and frequent switches, a lost
     # or misplaced write would break equality with the serial run
-    one = chains.stationary_batch(bench_spec, 5000, master_seed=3, block_size=64)
+    one = chains.stationary_batch(bench_spec, 5000, master_seed=3, block_size=64, keep_bounds=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = chains.stationary_batch(bench_spec, 5000, master_seed=3, threads=8, block_size=64)
+        many = chains.stationary_batch(
+            bench_spec, 5000, master_seed=3, threads=8, block_size=64, keep_bounds=True
+        )
     finally:
         sys.setswitchinterval(interval)
     assert many.samples.tobytes() == one.samples.tobytes()
     assert many.stop_depths.tobytes() == one.stop_depths.tobytes()
     assert many.residual_bounds.tobytes() == one.residual_bounds.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["smooth", "arch1"])
+def test_batch_without_bounds_keeps_samples_and_depths(name, threads):
+    # a composite and a replay family: dropping the bounds must not move
+    # a sample or a depth, and the depths are int32
+    spec = SMOOTH if name == "smooth" else ORACLE_MODELS[name]
+    full = chains.stationary_batch(spec, 5000, master_seed=23, block_size=1024, keep_bounds=True)
+    lean = chains.stationary_batch(spec, 5000, master_seed=23, threads=threads, block_size=1024)
+    assert lean.residual_bounds is None
+    assert full.residual_bounds.shape == (5000,)
+    assert lean.stop_depths.dtype == full.stop_depths.dtype == np.int32
+    assert lean.samples.tobytes() == full.samples.tobytes()
+    assert lean.stop_depths.tobytes() == full.stop_depths.tobytes()
+    assert lean.draw_counters() == full.draw_counters()
+
+
+def test_heap_trim_twice_is_harmless(bench_spec):
+    chains._trim_heap()
+    chains._trim_heap()
+    batch = chains.stationary_batch(bench_spec, 3000, master_seed=4, threads=2, block_size=1024)
+    assert np.isfinite(batch.samples).all()
 
 
 def test_block_boundary_is_seed_stable(bench_spec):
@@ -406,7 +431,9 @@ def test_backward_block_matches_whole_block_reference(name, tol, from_zero, benc
         "extremal": bench_spec, "letac_atomic": letac_spec, **ORACLE_MODELS, **CONSTANT_LAW_MODELS
     }[name]
     x0 = None if from_zero else _seed_point(spec)
-    batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024)
+    batch = chains.stationary_batch(
+        spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024, keep_bounds=True
+    )
     samples, depths, bounds = reference_stationary_batch(spec, 2500, tol, 19, 1024, x0=x0)
     assert batch.samples.tobytes() == samples.tobytes()
     assert np.array_equal(batch.stop_depths, depths)
@@ -458,7 +485,9 @@ def test_composite_matches_replay_reference(name, tol, bench_spec, letac_spec):
     }[name]
     assert models.composite(spec) is not None
     x0 = _seed_point(spec)
-    batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024)
+    batch = chains.stationary_batch(
+        spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024, keep_bounds=True
+    )
     samples, depths, bounds = reference_stationary_batch(
         spec, 2500, tol, 19, 1024, x0=x0, replay=True
     )

@@ -443,6 +443,36 @@ def test_cli_nonpositive_sizes_exit_2(tmp_path, capsys, verb, model, setting, me
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "verb, setting, message",
+    [
+        ("simulate", "tol = 0", "tol must be positive, got 0.0"),
+        ("simulate", "tol = -1e-9", "tol must be positive, got -1e-09"),
+        ("simulate", "tol = nan", "tol must be positive, got nan"),
+        ("simulate", "max_depth = 0", "max_depth must be positive, got 0"),
+        ("tail", "tol = 0", "tol must be positive, got 0.0"),
+        ("limit", "tol = nan", "tol must be positive, got nan"),
+        ("support", "tol = -1e-9", "tol must be positive, got -1e-09"),
+        ("check", "tol = 0", "tol must be positive, got 0.0"),
+    ],
+    ids=[
+        "tol0", "tol-1e-9", "tol-nan", "max_depth0", "tail-tol0", "limit-tol-nan",
+        "support-tol-1e-9", "check-tol0",
+    ],
+)
+def test_cli_backward_tol_and_max_depth_must_be_positive(tmp_path, capsys, verb, setting, message):
+    # tol = 0 sampled for seconds until the storage guard tripped (exit 4),
+    # tol = nan ran every member to max_depth (exit 3), and max_depth = 0
+    # exited 3; each is refused before any sampling
+    text = BENCH_MODEL + "\n[experiment]\ncount = 1000\nn = 64\nreplicas = 256\n" + setting + "\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert _run([verb, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == f"liprec {verb}: error: [experiment] {message}\n"
+    assert not (out / "samples.csv").exists()
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("verb", ["tail", "limit"])
 def test_cli_closed_form_mode_without_a_scale_law_exits_2(tmp_path, capsys, verb):
     # arch1 with a normal a has no |M| law, so m_alpha comes from theta

@@ -8,7 +8,7 @@ from liprec.chains import stationary_batch
 from liprec.errors import DomainError, PreconditionError
 from liprec.randomness import stream
 
-from _util import reference_chunked_theta, reference_paired_gap
+from _util import reference_chunked_theta, reference_paired_gap, traced_peak
 
 ALPHA_BENCH = 1.5
 M_ALPHA_BENCH = 0.75
@@ -321,3 +321,51 @@ def test_tail_report_bundle(bench_spec, bench_batch_100k):
     assert rep.plateau[0] < rep.plateau[1]
     assert all(k1 < k2 for (k1, _), (k2, _) in zip(rep.hill, rep.hill[1:]))
     assert math.isfinite(rep.plateau_deviation)
+
+
+@pytest.mark.parametrize("name", ["smooth", "affine_d2", "tied"])
+def test_tail_report_reads_the_public_bits(name, bench_spec):
+    # the report sorts the radii once, in place; its window, survival rows
+    # and ladder must be what the public readers give on the radii
+    spec = {
+        "smooth": models.make_model(
+            "extremal", laws={"a": rnd.lognormal(-0.75, 1.0), "b": rnd.uniform(1.0, 2.0)}
+        ),
+        "affine_d2": PAIRED_MODELS["affine_d2"],
+        "tied": bench_spec,  # constant b: many samples equal b exactly
+    }[name]
+    x = stationary_batch(spec, 30_000, master_seed=17).samples
+    before = x.tobytes()
+    radii = models.radius(spec, x)
+    if name == "tied":
+        assert len(np.unique(radii)) < len(radii) // 2
+    rep = tails.tail_report(spec, x, 1.2, 0.5, master_seed=3)
+    assert x.tobytes() == before
+    window = tails.plateau_window(radii)
+    grid = np.geomspace(window[0], window[1], tails.DEFAULT_T_POINTS)
+    ks = [k for k, _ in rep.hill]
+    assert rep.plateau == window
+    assert rep.survival == tails.survival_curve(radii, grid, 1.2)  # float == is bit equality
+    assert rep.hill == tails.hill_curve(radii, ks)
+    assert rep.goldie == tails.goldie_constant(spec, x, 1.2, 0.5, master_seed=3)
+    # the public readers leave their input as it was
+    assert radii.tobytes() == models.radius(spec, x).tobytes()
+
+
+def test_tail_report_checks_goldie_inputs_first(bench_spec):
+    # the tail constant now runs last, but its errors still come first
+    with pytest.raises(PreconditionError, match="alpha > 0 and m_alpha > 0"):
+        tails.tail_report(bench_spec, np.ones(10), 0.0, 0.5)
+    with pytest.raises(PreconditionError, match="at least 32 samples .* got 10"):
+        tails.tail_report(bench_spec, np.ones(10), 1.5, 0.5)
+
+
+def test_tail_report_traced_peak_at_1e6_samples(bench_spec):
+    # the radii are sorted in place and freed before the tail constant, so
+    # the peak is the tail constant's own: its 8 MB of paired gaps plus a
+    # chunk's temporaries, 11.7 MB; holding the radii beside the gaps and
+    # sorting copies of them read 18.6 MB
+    x = 1.0 + _pareto(1.5, 10**6, seed=41)
+    rep, peak = traced_peak(tails.tail_report, bench_spec, x, ALPHA_BENCH, M_ALPHA_BENCH)
+    assert rep.goldie.constant > 0
+    assert peak < 13e6
