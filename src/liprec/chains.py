@@ -39,15 +39,26 @@ freed in the worker threads' malloc arenas are handed back to the OS.
 
 Draw layout of the forward engine: blocks of FORWARD_BLOCK members, each
 drawing FORWARD_STEPS steps per `sample_theta` call, so that a step's
-Python work is paid once per chunk of steps and two threads can share a
-run of about 1e4 chains. Member i of block b takes its step-s draw from
-element (s mod FORWARD_STEPS) * size + i of chunk s // FORWARD_STEPS of
-the (master_seed, b, purpose) stream, where size is the block's member
-count; the last chunk has the steps left.
+Python work is paid once per chunk of steps. Member i of block b takes
+its step-s draw from element (s mod FORWARD_STEPS) * size + i of chunk
+s // FORWARD_STEPS of the (master_seed, b, purpose) stream, where size
+is the block's member count; the last chunk has the steps left.
+
+Schedule of the forward engine: a turn (`_forward_block`) runs one chunk
+of one block. The blocks wait in one first-in, first-out queue, and each
+worker thread takes the next block, runs its turn and puts it back if
+steps are left. A block's turns thus run in order, one thread at a time,
+and read its stream in the layout above for any thread count, while
+blocks of unequal size (1e4 chains are 4096 + 4096 + 1808) keep every
+thread busy until the run ends. A step updates the block's states in
+place (`models.apply(..., out=)`), and the states and running sums are
+the block's slices of the run's output arrays.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -114,58 +125,112 @@ def _as_points(spec, x0, count):
 # forward iteration
 
 
-def _forward_block(spec, x0, n, rng, count, want_sums):
-    z = _as_points(spec, x0, count)
-    acc = np.zeros_like(z) if want_sums else None
-    for first in range(0, n, FORWARD_STEPS):
-        k = min(FORWARD_STEPS, n - first)
-        chunk = models.sample_theta(spec, rng, k * count)
-        for j in range(k):
-            part = slice(j * count, (j + 1) * count)
-            z = models.apply(spec, {name: v[part] for name, v in chunk.items()}, z)
-            if want_sums:
-                acc += z
-    return acc if want_sums else z
+@dataclass(slots=True)
+class _ForwardBlock:
+    """One forward block between turns: its stream and its chains."""
+
+    rng: np.random.Generator
+    z: np.ndarray  # the members' states
+    acc: np.ndarray | None  # their running sums; None for endpoints
+    step: int = 0  # the steps taken
 
 
-def _require_sizes(n, label, count):
+def _forward_block(spec, block, n):
+    """One turn: the block's next chunk of up to FORWARD_STEPS steps.
+
+    The steps update `block.z` and `block.acc` in place. Returns whether
+    steps are left.
+    """
+    size = len(block.z)
+    k = min(FORWARD_STEPS, n - block.step)
+    chunk = models.sample_theta(spec, block.rng, k * size)
+    rows = {name: v.reshape(k, size) for name, v in chunk.items()}  # row j: step j
+    z, acc = block.z, block.acc
+    for j in range(k):
+        models.apply(spec, {name: r[j] for name, r in rows.items()}, z, out=z)
+        if acc is not None:
+            acc += z
+    block.step += k
+    return block.step < n
+
+
+def _take_turns(turn, blocks, threads):
+    """Call `turn(block)` on every block until it returns False.
+
+    At most one worker per block, and no more than `threads`, share one
+    first-in, first-out queue of the blocks (see the module docstring).
+    A turn that raises stops every worker before its next turn, and the
+    exception is re-raised here.
+    """
+    ready = deque(blocks)
+    lock = threading.Lock()
+    failed = []
+
+    def work():
+        while True:
+            with lock:
+                if failed or not ready:
+                    return
+                block = ready.popleft()
+            try:
+                more = turn(block)
+            except BaseException as exc:
+                with lock:
+                    failed.append(exc)
+                return
+            if more:
+                with lock:
+                    ready.append(block)
+
+    workers = min(threads, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(work) for _ in range(workers)]:
+                future.result()
+    else:
+        work()
+    if failed:
+        raise failed[0]
+
+
+def _forward_run(spec, x0, n, count, master_seed, purpose, want_sums, threads):
+    """The sums, or the endpoints, of `count` forward chains of n steps.
+
+    Block b's states, and its running sums, are its slices of one array
+    each, so the blocks' results need no concatenation.
+    """
+    states = _as_points(spec, x0, count)
+    sums = np.zeros_like(states) if want_sums else None
+    blocks = [
+        _ForwardBlock(
+            stream(master_seed, b, purpose),
+            states[s : s + FORWARD_BLOCK],
+            None if sums is None else sums[s : s + FORWARD_BLOCK],
+        )
+        for b, s in enumerate(range(0, count, FORWARD_BLOCK))
+    ]
+    _take_turns(lambda block: _forward_block(spec, block, n), blocks, threads)
+    return states if sums is None else sums
+
+
+def require_forward_sizes(n, label, count):
+    """Refuse forward chains of fewer than one step, or fewer than one chain."""
     if n < 1 or count < 1:
         raise PreconditionError(
             f"forward chains need n >= 1 and {label} >= 1, got n = {n}, {label} = {count}"
         )
 
 
-def _run_blocks(worker, count, block_size, threads):
-    starts = list(range(0, count, block_size))
-    jobs = [(b, min(block_size, count - s)) for b, s in enumerate(starts)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: worker(*j), jobs))
-    else:
-        parts = [worker(*j) for j in jobs]
-    return parts
-
-
 def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1):
     """S_n = X_1 + ... + X_n for `replicas` independent chains."""
-    _require_sizes(n, "replicas", replicas)
-
-    def worker(block, size):
-        rng = stream(master_seed, block, "birkhoff")
-        return _forward_block(spec, x0, n, rng, size, want_sums=True)
-
-    return np.concatenate(_run_blocks(worker, replicas, FORWARD_BLOCK, threads))
+    require_forward_sizes(n, "replicas", replicas)
+    return _forward_run(spec, x0, n, replicas, master_seed, "birkhoff", True, threads)
 
 
 def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
     """X_n for `count` independent forward chains (law comparison helper)."""
-    _require_sizes(n, "count", count)
-
-    def worker(block, size):
-        rng = stream(master_seed, block, "forward")
-        return _forward_block(spec, x0, n, rng, size, want_sums=False)
-
-    return np.concatenate(_run_blocks(worker, count, FORWARD_BLOCK, threads))
+    require_forward_sizes(n, "count", count)
+    return _forward_run(spec, x0, n, count, master_seed, "forward", False, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +328,16 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
         idx = np.flatnonzero(depth >= len(steps))
         z[idx] = models.apply(spec, {**steps.pop(), **fixed}, z[idx])
     return z, depth, cert
+
+
+def _run_blocks(worker, count, block_size, threads):
+    jobs = [(b, min(block_size, count - s)) for b, s in enumerate(range(0, count, block_size))]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda j: worker(*j), jobs))  # re-raises a block's error
+    else:
+        for job in jobs:
+            worker(*job)
 
 
 def _trim_heap():

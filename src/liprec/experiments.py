@@ -297,6 +297,26 @@ def _require_linearity(cfg, spec, pilot):
             )
 
 
+def _limit_center(text):
+    """[experiment] center: a finite number, or None for 'auto' and 'stationary_mean'."""
+    if text in ("auto", "stationary_mean"):
+        return None
+    try:
+        center = float(text)
+    except ValueError:
+        raise ConfigError(
+            f"[experiment] center must be a number, 'auto' or 'stationary_mean', got {text!r}"
+        ) from None
+    if not math.isfinite(center):
+        raise ConfigError(f"[experiment] center must be finite, got {text!r}")
+    return center
+
+
+def _replicas_error(replicas, exc):
+    """`exc`, an index fit's refusal, as an error that names [experiment] replicas."""
+    return PreconditionError(f"[experiment] replicas = {replicas}: {exc}")
+
+
 def _closed_center(spec):
     """E S for scalar affine models with closed-form means, else None."""
     if spec.family != "affine" or spec.dimension != 1:
@@ -431,7 +451,16 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     tol = _backward_tol(cfg)
     center_text = get_str(cfg, "experiment", "center", default="auto")
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
+        # refusals that need no pilot or chain come before either is drawn
+        center = _limit_center(center_text)
+        chains.require_forward_sizes(n, "replicas", replicas)
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
+        regime = stable.limit_params(alpha).regime
+        stable.require_normalizable(n, regime)
+        try:
+            stable.require_fit_samples(replicas)
+        except PreconditionError as exc:
+            raise _replicas_error(replicas, exc) from None
 
         @functools.cache
         def pilot():
@@ -439,16 +468,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
             return st.backward(spec, count, tol).samples
 
         _require_linearity(cfg, spec, pilot)
-        center = None  # a number, or None for 'auto' and 'stationary_mean'
-        if center_text not in ("auto", "stationary_mean"):
-            try:
-                center = float(center_text)
-            except ValueError:
-                raise ConfigError(
-                    f"[experiment] center must be a number, 'auto' or "
-                    f"'stationary_mean', got {center_text!r}"
-                ) from None
-        if stable.limit_params(alpha).regime not in ("mid", "eq2"):
+        if regime not in ("mid", "eq2"):
             center = 0.0
         elif center is None:
             closed = _closed_center(spec) if center_text == "auto" else None
@@ -464,7 +484,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         try:
             fit = stable.stable_index_fit(norm)
         except PreconditionError as exc:
-            raise PreconditionError(f"[experiment] replicas = {replicas}: {exc}") from None
+            raise _replicas_error(replicas, exc) from None
         lines = [f"regime {params.regime}, alpha = {alpha:.6f}"]
         if params.regime == "eq2":
             chk = stable.gaussian_check(norm)

@@ -139,15 +139,15 @@ def _rotate(spec, theta, x):
     return x * c + kx * s + np.multiply.outer(kdot, k) * (1.0 - c)
 
 
-def _affine_linear(spec, theta, x):
+def _affine_linear(spec, theta, x, out=None):
     """scale * R x for an affine draw: its linear part applied to x."""
     rx = _rotate(spec, theta, x)
-    if spec.dimension == 1:
-        return theta["scale"] * rx
-    scale = np.asarray(theta["scale"], dtype=float)
-    if scale.ndim:
-        scale = scale[..., None]
-    return scale * rx
+    scale = theta["scale"]
+    if spec.dimension > 1:
+        scale = np.asarray(scale, dtype=float)
+        if scale.ndim:
+            scale = scale[..., None]
+    return scale * rx if out is None else np.multiply(scale, rx, out=out)
 
 
 def _shift_vector(spec, theta):
@@ -235,9 +235,17 @@ def _check_sqrtquad(theta):
 # the maps
 
 
-def apply(spec, theta, x):
-    """psi_theta(x), in closed form per family."""
+def apply(spec, theta, x, out=None):
+    """psi_theta(x), in closed form per family.
+
+    With `out`, x must be a float array and `out` an array of its shape.
+    The map is written into `out`, which is returned and may be x
+    itself: only the operations that no longer read x write into it.
+    The bits are those of `out=None`.
+    """
     fam = spec.family
+    if out is not None:
+        return _APPLY_INTO[fam](spec, theta, x, out)
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     if fam == "affine":
         shift = theta["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
@@ -253,6 +261,51 @@ def apply(spec, theta, x):
     beta = spec.constants["beta"]
     lam = spec.constants["lambda"]
     return np.abs(g * np.abs(x) + np.sqrt(beta + lam * x * x) * theta["a"])
+
+
+# `apply` into `out`, one per family: the same operations in the same
+# order, with each temporary reused, so a step allocates little
+
+
+def _affine_into(spec, theta, x, out):
+    shift = theta["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
+    return np.add(_affine_linear(spec, theta, x, out), shift, out=out)
+
+
+def _extremal_into(spec, theta, x, out):
+    return np.maximum(np.multiply(theta["a"], x, out=out), theta["b"], out=out)
+
+
+def _letac_into(spec, theta, x, out):
+    np.multiply(theta["a"], np.maximum(x, theta["b"], out=out), out=out)
+    return np.add(out, theta["c"], out=out)
+
+
+def _sqrtquad_into(spec, theta, x, out):
+    _check_sqrtquad(theta)
+    t = theta["a"] * x
+    t *= x
+    np.add(t, theta["b"] * x, out=out)
+    out += theta["c"]
+    return np.sqrt(out, out=out)
+
+
+def _arch1_into(spec, theta, x, out):
+    r = spec.constants["lambda"] * x
+    r *= x
+    np.sqrt(np.add(spec.constants["beta"], r, out=r), out=r)
+    r *= theta["a"]
+    np.add(spec.constants["gamma"] * np.abs(x), r, out=out)
+    return np.abs(out, out=out)
+
+
+_APPLY_INTO = {
+    "affine": _affine_into,
+    "extremal": _extremal_into,
+    "letac": _letac_into,
+    "sqrt_quadratic": _sqrtquad_into,
+    "arch1": _arch1_into,
+}
 
 
 def apply_dilated(spec, theta, x, t):

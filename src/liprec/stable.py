@@ -345,6 +345,12 @@ def limit_params(alpha, center=0.0):
     return LimitParams(float(alpha), "mid", center)
 
 
+def require_normalizable(n, regime):
+    """Refuse a chain length that the regime's normalization cannot scale."""
+    if regime == "eq2" and n < 2:
+        raise PreconditionError("the alpha = 2 normalization sqrt(n log n) needs n >= 2")
+
+
 def normalize_birkhoff(sums, n, params, xi_value=None):
     """Map raw Birkhoff sums S_n to the regime's normalized statistic."""
     s = np.asarray(sums, dtype=float)
@@ -356,8 +362,7 @@ def normalize_birkhoff(sums, n, params, xi_value=None):
         return s / n - n * xi_value
     if params.regime == "mid":
         return (s - n * params.center) * n ** (-1.0 / params.alpha)
-    if n < 2:
-        raise PreconditionError("the alpha = 2 normalization sqrt(n log n) needs n >= 2")
+    require_normalizable(n, params.regime)
     return (s - n * params.center) / math.sqrt(n * math.log(n))
 
 
@@ -397,6 +402,15 @@ def _cf_modulus(ts, x):
     return np.abs([np.exp(1j * (t * x)).mean() for t in ts])
 
 
+def require_fit_samples(n):
+    """Refuse an index fit on fewer than FIT_MIN_SAMPLES samples."""
+    if n < FIT_MIN_SAMPLES:
+        raise PreconditionError(
+            f"the stable index fit needs at least {FIT_MIN_SAMPLES} samples, "
+            f"got {n}: below that the empirical |CF| is noise in its band"
+        )
+
+
 def stable_index_fit(samples, t_window=None):
     """Slope of log(-log |CF|) against log t: the stable index.
 
@@ -407,11 +421,7 @@ def stable_index_fit(samples, t_window=None):
     meaningless and a precondition error is raised.
     """
     x = np.asarray(samples, dtype=float)
-    if len(x) < FIT_MIN_SAMPLES:
-        raise PreconditionError(
-            f"the stable index fit needs at least {FIT_MIN_SAMPLES} samples, "
-            f"got {len(x)}: below that the empirical |CF| is noise in its band"
-        )
+    require_fit_samples(len(x))
     if t_window is None:
         t_ref = 1.0 / max(np.quantile(np.abs(x), 0.9), 1e-12)
         ladder = t_ref * 2.0 ** np.arange(-24.0, 25.0)

@@ -63,6 +63,31 @@ def forward_chain(spec, x0, n, rng):
     return Trajectory(states, sums)
 
 
+def reference_forward(spec, x0, n, count, master_seed, purpose, want_sums):
+    """Forward chains one block after another, a new state array per step.
+
+    The reference for the bytes of chains.birkhoff_sums (purpose
+    "birkhoff", want_sums) and chains.forward_endpoints ("forward"):
+    block b draws chunks of up to FORWARD_STEPS steps from the
+    (master_seed, b, purpose) stream, and the blocks are concatenated.
+    """
+    parts = []
+    for b, start in enumerate(range(0, count, chains.FORWARD_BLOCK)):
+        size = min(chains.FORWARD_BLOCK, count - start)
+        rng = stream(master_seed, b, purpose)
+        z = np.broadcast_to(np.asarray(x0, dtype=float), (size, *np.shape(x0))).copy()
+        acc = np.zeros_like(z)
+        for first in range(0, n, chains.FORWARD_STEPS):
+            k = min(chains.FORWARD_STEPS, n - first)
+            chunk = models.sample_theta(spec, rng, k * size)
+            for j in range(k):
+                part = slice(j * size, (j + 1) * size)
+                z = models.apply(spec, {p: v[part] for p, v in chunk.items()}, z)
+                acc += z
+        parts.append(acc if want_sums else z)
+    return np.concatenate(parts)
+
+
 # ---------------------------------------------------------------------------
 # the dilated map written per family with t: the reference for
 # models.apply_dilated, which dilates the parameters and calls apply

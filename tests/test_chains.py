@@ -1,17 +1,19 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from liprec import chains, models, randomness as rnd
-from liprec.errors import CapacityError, ConvergenceError, PreconditionError
+from liprec.errors import CapacityError, ConvergenceError, DomainError, PreconditionError
 from liprec.randomness import stream
 
 from _util import (
     forward_chain,
     ks_critical_two,
     reference_backward_block,
+    reference_forward,
     reference_stationary_batch,
     traced_peak,
 )
@@ -561,6 +563,97 @@ def test_forward_draw_layout():
             theta = {p: float(v[(s % k) * size + i]) for p, v in chunks[s // k].items()}
             x = models.apply(SMOOTH, theta, x)
         assert x == got[i]
+
+
+FORWARD_MODELS = {**ORACLE_MODELS, **CONSTANT_LAW_MODELS, "extremal": SMOOTH}
+# 1, 2, 3 and 10 forward blocks, the last one short
+FORWARD_COUNTS = (100, 5000, 10_000, 9 * chains.FORWARD_BLOCK + 1000)
+FORWARD_RUNS = ((chains.birkhoff_sums, "birkhoff", True), (chains.forward_endpoints, "forward", False))
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_MODELS))
+def test_forward_turns_keep_the_block_by_block_bytes(name):
+    # blocks take turns on whichever thread is free; neither that nor
+    # frequent thread switches may move a byte of the serial run
+    spec = FORWARD_MODELS[name]
+    x0 = np.full(spec.dimension, 0.5) if spec.dimension > 1 else 0.5
+    n = 21  # a ragged last chunk
+    assert n % chains.FORWARD_STEPS
+    interval = sys.getswitchinterval()
+    for count in FORWARD_COUNTS:
+        for forward, purpose, want_sums in FORWARD_RUNS:
+            want = reference_forward(spec, x0, n, count, 3, purpose, want_sums).tobytes()
+            for threads in (1, 2, 3, 8):
+                assert forward(spec, x0, n, count, 3, threads=threads).tobytes() == want
+            sys.setswitchinterval(1e-6)
+            try:
+                runs = [forward(spec, x0, n, count, 3, threads=t) for t in (2, 8)]
+            finally:
+                sys.setswitchinterval(interval)
+            assert all(r.tobytes() == want for r in runs)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_forward_turns_run_in_order_one_thread_at_a_time(monkeypatch, threads):
+    turn = chains._forward_block
+    lock = threading.Lock()
+    busy, log = set(), []  # the blocks in a turn; (block, steps taken) per turn
+
+    def watched(spec, block, n):
+        with lock:
+            assert id(block) not in busy, "a block ran on two threads at once"
+            busy.add(id(block))
+            log.append((id(block), block.step))
+        try:
+            return turn(spec, block, n)
+        finally:
+            with lock:
+                busy.discard(id(block))
+
+    monkeypatch.setattr(chains, "_forward_block", watched)
+    n, count = 101, 9 * chains.FORWARD_BLOCK + 1000  # 7 chunks, 10 blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        chains.birkhoff_sums(SMOOTH, 0.0, n, count, master_seed=5, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = list(dict.fromkeys(b for b, _ in log))
+    chunks = list(range(0, n, chains.FORWARD_STEPS))
+    assert len(blocks) == 10
+    for b in blocks:
+        assert [step for c, step in log if c == b] == chunks
+    if threads == 1:
+        # one queue, first in first out: each chunk of every block in turn
+        assert log == [(b, step) for step in chunks for b in blocks]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_turn_stops_the_other_workers(monkeypatch, threads):
+    # the first turn to reach a block's third chunk fails while every
+    # other block could still run
+    turn = chains._forward_block
+    lock = threading.Lock()
+    log = []
+
+    def failing(spec, block, n):
+        with lock:
+            log.append("start")
+            fail = block.step == 2 * chains.FORWARD_STEPS and "raise" not in log
+            if fail:
+                log.append("raise")
+        if fail:
+            raise DomainError("the third chunk fails")
+        return turn(spec, block, n)
+
+    monkeypatch.setattr(chains, "_forward_block", failing)
+    count = 9 * chains.FORWARD_BLOCK + 1000  # 10 blocks of 7 chunks
+    with pytest.raises(DomainError, match="^the third chunk fails$"):
+        chains.birkhoff_sums(SMOOTH, 0.0, 101, count, master_seed=5, threads=threads)
+    late = log[log.index("raise") + 1 :]
+    # alone, nothing starts after it; the other worker may start the turn
+    # it was taking, and one more before the failure is on record
+    assert len(late) <= 2 * (threads - 1)
 
 
 def test_paired_theta_independent_of_batch(bench_spec):

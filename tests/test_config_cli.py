@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import liprec
 from liprec import chains, cli, config, experiments, tails
 from liprec import randomness as rnd
 from liprec._version import VERSION
-from liprec.errors import ConfigError
+from liprec.errors import ConfigError, DomainError
 
 LETAC_MODEL = """\
 [model]
@@ -556,6 +557,74 @@ def test_cli_forward_sizes_exit_2(tmp_path, capsys, verb, model, setting, needle
     assert entry["error_type"] == "PreconditionError"
     assert entry["exit_code"] == 2
     assert entry["outputs"] == {}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cli_forward_domain_error_stops_every_turn(tmp_path, capsys, monkeypatch, threads):
+    # scale ~ normal(0.5, 0.2) is not positive in about 0.6% of draws, so
+    # the first chunk of each of the ten blocks fails its domain check;
+    # each worker stops at its first failing turn and starts no other
+    turn = chains._forward_block
+    lock = threading.Lock()
+    log = []
+
+    def watched(spec, block, n):
+        with lock:
+            log.append("start")
+        try:
+            return turn(spec, block, n)
+        except DomainError:
+            with lock:
+                log.append("raise")
+            raise
+
+    monkeypatch.setattr(chains, "_forward_block", watched)
+    model = AFFINE_ALPHA2_MODEL.replace(
+        "kind = lognormal\nparams = -1.0, 1.0", "kind = normal\nparams = 0.5, 0.2"
+    )
+    assert model != AFFINE_ALPHA2_MODEL
+    text = model + "\n[experiment]\nsampler = forward\nn = 64\ncount = 40000\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", path, "--out", out, "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err == "liprec simulate: error: affine parameter scale must be positive\n"
+    assert log.count("start") == log.count("raise") <= threads
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (entry["status"], entry["error_type"], entry["exit_code"]) == (
+        "failed", "DomainError", 2
+    )
+    assert entry["outputs"] == {}
+
+
+@pytest.mark.parametrize("center", ["nan", "inf", "-inf"])
+def test_cli_limit_refuses_a_center_that_is_not_finite(tmp_path, capsys, center):
+    # a non-finite center used to run every chain, write non-finite
+    # samples and then blame [experiment] replicas
+    text = f"alpha = 1.5\nn = 100\nreplicas = 1000\ncenter = {center}"
+    path = _write(tmp_path, AFFINE_ALPHA2_MODEL + "\n[experiment]\n" + text + "\n")
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", path, "--out", out]) == 2
+    message = f"[experiment] center must be finite, got '{center}'"
+    assert capsys.readouterr().err == f"liprec limit: error: {message}\n"
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (entry["status"], entry["error_type"], entry["error"]) == (
+        "failed", "ConfigError", message
+    )
+    assert not (out / "limit_samples.csv").exists()
+
+
+def test_cli_limit_refuses_too_few_replicas_before_sampling(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("birkhoff_sums called")
+
+    monkeypatch.setattr(chains, "birkhoff_sums", refuse)
+    text = "alpha = 1.5\nn = 100\nreplicas = 100"
+    path = _write(tmp_path, AFFINE_ALPHA2_MODEL + "\n[experiment]\n" + text + "\n")
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", path, "--out", out]) == 2
+    assert "[experiment] replicas = 100: the stable index fit needs" in capsys.readouterr().err
+    assert not (out / "limit_samples.csv").exists()
 
 
 @pytest.mark.parametrize("replicas", [3, 16])

@@ -137,6 +137,36 @@ def test_apply_dilated_matches_closed_form_reference_bitwise(name):
         same(shaped, grid, t)
 
 
+@pytest.mark.parametrize("draws", ["batch", "single"])
+@pytest.mark.parametrize("name", sorted(DILATION_MODELS))
+def test_apply_into_out_matches_apply_bitwise(name, draws):
+    # the forward engine's in-place step: a batch holds random parameters
+    # and constant-law views; a single draw's floats broadcast over x
+    spec = DILATION_MODELS[name]
+    d = spec.dimension
+    n = 512
+    g = stream(73, 0, f"into-{name}-{draws}")
+    th = models.sample_theta(spec, g, n if draws == "batch" else None)
+    x = g.normal(scale=3.0, size=(n,) if d == 1 else (n, d))
+    want = models.apply(spec, th, x)
+    fresh = np.empty_like(x)
+    assert models.apply(spec, th, x, out=fresh) is fresh
+    assert fresh.tobytes() == want.tobytes()
+    same = x.copy()
+    assert models.apply(spec, th, same, out=same) is same
+    assert same.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(CATALOG))
+def test_apply_on_a_scalar_keeps_its_type_and_value(family):
+    spec = CATALOG[family]
+    th = models.sample_theta(spec, stream(79, 0, f"scalar-{family}"))
+    got = models.apply(spec, th, 0.7)
+    # affine's closed form is float arithmetic; the others pass numpy ufuncs
+    assert type(got) is (float if family == "affine" else np.float64)
+    assert got == models.apply(spec, th, np.array([0.7]))[0]
+
+
 @pytest.mark.parametrize("family", sorted(CATALOG))
 def test_cancellation_bound_on_positive_axis(family):
     # (H2) on the nonnegative axis, where every catalog family's
