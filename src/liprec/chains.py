@@ -24,11 +24,11 @@ maps compose in closed form (`models.composite`): each live member
 carries its composed map Z_j = psi_1 o ... o psi_j, a few numbers, and
 its sample is Z(x0) at its stop depth, so a block's memory does not grow
 with depth. The sample rounds once where nested maps round at every
-step, so it can differ from the nested value in the last bits. sqrt_quadratic and arch1
-store each step's live random draws and replay them innermost-first: a
-member runs at step j exactly when its stop depth is at least j, so the
-live sets are rebuilt from the depths, and a constant law's parameter is
-its value, a float that numpy broadcasts.
+step, so it can differ from the nested value in the last bits.
+sqrt_quadratic and arch1 store each step's draw and replay it
+innermost-first: a member runs at step j exactly when its stop depth is
+at least j, so the live sets are rebuilt from the depths; a constant
+law's stored draw is a read-only view of one value.
 
 A batch keeps its samples and each member's stop depth, and keeps the
 residual bounds only when its caller asks, since only `simulate` writes
@@ -44,15 +44,18 @@ its step-s draw from element (s mod FORWARD_STEPS) * size + i of chunk
 s // FORWARD_STEPS of the (master_seed, b, purpose) stream, where size
 is the block's member count; the last chunk has the steps left.
 
-Schedule of the forward engine: a turn (`_forward_block`) runs one chunk
-of one block. The blocks wait in one first-in, first-out queue, and each
-worker thread takes the next block, runs its turn and puts it back if
-steps are left. A block's turns thus run in order, one thread at a time,
-and read its stream in the layout above for any thread count, while
-blocks of unequal size (1e4 chains are 4096 + 4096 + 1808) keep every
-thread busy until the run ends. A step updates the block's states in
-place (`models.apply(..., out=)`), and the states and running sums are
-the block's slices of the run's output arrays.
+Schedule of both engines: the blocks wait in one first-in, first-out
+queue, and each worker thread takes the next block, runs its turn and
+puts it back if work is left. A forward turn (`_forward_block`) is one
+chunk of steps, a backward turn (`_backward_block`) the whole block. A
+block's turns thus run in order, one thread at a time, and read its
+stream in the layouts above for any thread count, while blocks of
+unequal size (1e4 chains are 4096 + 4096 + 1808) keep every thread busy
+until the run ends. The run raises the error of the lowest-index block
+that raised, so errors do not depend on the thread count either. A
+forward step updates the block's states in place (`models.apply(...,
+out=)`); the states, running sums and backward samples are the block's
+slices of the run's output arrays.
 """
 
 from __future__ import annotations
@@ -113,12 +116,12 @@ class StationaryBatch:
         }
 
 
+def _points_shape(spec, count):
+    return (count,) if spec.dimension == 1 else (count, spec.dimension)
+
+
 def _as_points(spec, x0, count):
-    d = spec.dimension
-    x0 = np.asarray(x0, dtype=float)
-    if d == 1:
-        return np.broadcast_to(x0, (count,)).copy()
-    return np.broadcast_to(x0, (count, d)).copy()
+    return np.broadcast_to(np.asarray(x0, dtype=float), _points_shape(spec, count)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +162,32 @@ def _take_turns(turn, blocks, threads):
 
     At most one worker per block, and no more than `threads`, share one
     first-in, first-out queue of the blocks (see the module docstring).
-    A turn that raises stops every worker before its next turn, and the
-    exception is re-raised here.
+    A turn that raises drops the blocks after its own from the queue,
+    and those before it run on, so the exception re-raised here, that
+    of the lowest-index block that raised, is the same at every thread
+    count.
     """
-    ready = deque(blocks)
+    ready = deque(enumerate(blocks))
     lock = threading.Lock()
-    failed = []
+    failed = {}  # block index -> the exception its turn raised
 
     def work():
         while True:
             with lock:
-                if failed or not ready:
+                if not ready:
                     return
-                block = ready.popleft()
+                i, block = ready.popleft()
+                if failed and i > min(failed):
+                    continue
             try:
                 more = turn(block)
-            except BaseException as exc:
+            except Exception as exc:  # Ctrl-C at one thread stops at once
                 with lock:
-                    failed.append(exc)
-                return
+                    failed[i] = exc
+                continue
             if more:
                 with lock:
-                    ready.append(block)
+                    ready.append((i, block))
 
     workers = min(threads, len(blocks))
     if workers > 1:
@@ -190,7 +197,7 @@ def _take_turns(turn, blocks, threads):
     else:
         work()
     if failed:
-        raise failed[0]
+        raise failed[min(failed)]
 
 
 def _forward_run(spec, x0, n, count, master_seed, purpose, want_sums, threads):
@@ -242,17 +249,16 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
 
     Everything runs on `live`, the ascending indices of the members
     still running, and on the arrays kept beside it: each step draws
-    theta for the live members only, in that order. A family with a
-    composite carries each live member's composed map and evaluates it
-    at x0 when the member stops. The other families store each step's
-    random draws and replay them: the replay rebuilds the live sets from
-    the stop depths, and a constant law's parameter is the law's value.
+    theta for the live members only, in that order, and x0 broadcasts
+    against the draw. A family with a composite carries each live
+    member's composed map and evaluates it at x0 when the member stops.
+    The other families store each step's draw and replay it: the replay
+    rebuilds the live sets from the stop depths.
     """
     comp = models.composite(spec)
-    x0_pts = _as_points(spec, x0, count)  # every row is x0
-    # the replay runs in place on x0's rows; the composite writes each
+    # the replay runs in place on rows of x0; the composite writes each
     # member's sample as it stops
-    z = x0_pts if comp is None else np.empty_like(x0_pts)
+    z = _as_points(spec, x0, count) if comp is None else np.empty(_points_shape(spec, count))
     depth = np.zeros(count, dtype=np.int32)  # see the module docstring
     cert = np.full(count, np.inf)
     live = np.arange(count)
@@ -261,12 +267,8 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     if comp is not None:
         init, update, evaluate = comp
         state = init(spec, count)
-    steps = []  # replay only: the live members' random draws per step
+    steps = []  # replay only: the live members' draw per step
     n_param = len(models.required_params(spec.family, spec.dimension))
-    # the law's value, not the step's batch, which for sqrt_quadratic is a
-    # copy that the replay storage would keep alive; a float broadcasts
-    # with the same bits as an array of it
-    fixed = {k: law.params[0] for k, law in spec.laws.items() if law.kind == "constant"}
 
     step = made = 0
     while step < max_depth:
@@ -278,13 +280,9 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
                 f"below {count}, the block size, or raise tol so the chains "
                 "stop sooner"
             )
-        drawn = {
-            k: v for k, v in models.sample_theta(spec, rng, len(live)).items() if k not in fixed
-        }
-        theta = {**drawn, **fixed}
-        x0_live = x0_pts[: len(live)]
-        lip = np.asarray(models.lipschitz_bound(spec, theta), dtype=float)
-        osc = models.radius(spec, models.apply(spec, theta, x0_live) - x0_live)
+        theta = models.sample_theta(spec, rng, len(live))
+        lip = models.lipschitz_bound(spec, theta)
+        osc = models.radius(spec, models.apply(spec, theta, x0) - x0)
         np.maximum(osc_max, osc, out=osc_max)
         # on a model that does not contract, exp(log_prod) overflows to inf;
         # an inf bound stops no member, so the depth guards end the run
@@ -294,7 +292,7 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
             envelope = np.minimum(osc_max / (1.0 - q), _R_ENVELOPE)
             bound = np.exp(log_prod) * envelope
         if comp is None:
-            steps.append(drawn)
+            steps.append(theta)
         else:
             # there the composed scale overflows too, and inf - inf or
             # inf * 0 in a translation part is nan; such members never stop
@@ -308,8 +306,7 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
             keep = ~stop
             live, log_prod, osc_max = live[keep], log_prod[keep], osc_max[keep]
             if comp is not None:
-                stopped = {k: v[stop] for k, v in state.items()}
-                z[done] = evaluate(spec, stopped, x0_pts[: len(done)])
+                z[done] = evaluate(spec, {k: v[stop] for k, v in state.items()}, x0)
                 state = {k: v[keep] for k, v in state.items()}
             if not len(live):
                 break
@@ -326,18 +323,8 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     # ascending order the live set had; popping frees the newest storage first
     while steps:
         idx = np.flatnonzero(depth >= len(steps))
-        z[idx] = models.apply(spec, {**steps.pop(), **fixed}, z[idx])
+        z[idx] = models.apply(spec, steps.pop(), z[idx])
     return z, depth, cert
-
-
-def _run_blocks(worker, count, block_size, threads):
-    jobs = [(b, min(block_size, count - s)) for b, s in enumerate(range(0, count, block_size))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda j: worker(*j), jobs))  # re-raises a block's error
-    else:
-        for job in jobs:
-            worker(*job)
 
 
 def _trim_heap():
@@ -362,7 +349,6 @@ def stationary_batch(
     max_depth=DEFAULT_MAX_DEPTH,
     x0=None,
     threads=1,
-    block_size=BLOCK_SIZE,
     keep_bounds=False,
 ):
     """`count` certified draws from the stationary law, deterministically.
@@ -377,22 +363,23 @@ def stationary_batch(
     if x0 is None:
         x0 = models.zero_point(spec)
 
-    d = spec.dimension
-    samples = np.empty((count,) if d == 1 else (count, d))
+    samples = np.empty(_points_shape(spec, count))
     depths = np.empty(count, dtype=np.int32)
     certs = np.empty(count) if keep_bounds else None
 
-    # each block writes its slice as it finishes, so no block's outputs
-    # stay alive on its worker thread's heap until a final concatenation
-    def worker(block, size):
-        rng = stream(master_seed, block, "stationary")
-        part = slice(block * block_size, block * block_size + size)
+    # one turn per block, which writes its slice as it finishes, so no
+    # block's outputs stay alive on its worker thread's heap until a
+    # final concatenation
+    def turn(part):
+        rng = stream(master_seed, part.start // BLOCK_SIZE, "stationary")
         samples[part], depths[part], cert = _backward_block(
-            spec, x0, tol, max_depth, rng, size
+            spec, x0, tol, max_depth, rng, part.stop - part.start
         )
         if keep_bounds:
             certs[part] = cert
+        return False
 
-    _run_blocks(worker, count, block_size, threads)
+    parts = [slice(s, min(s + BLOCK_SIZE, count)) for s in range(0, count, BLOCK_SIZE)]
+    _take_turns(turn, parts, threads)
     _trim_heap()
     return StationaryBatch(samples, depths, certs, tol)

@@ -212,11 +212,18 @@ def _want_svg(cfg):
 # alpha resolution and assertion gates shared by tail and limit runs
 
 
+def _finite(key, values):
+    """`values`, the number list of [experiment] `key`, which must be finite."""
+    if values is not None and not np.isfinite(values).all():
+        raise ConfigError(f"[experiment] {key} must be finite, got {', '.join(map(str, values))}")
+    return values
+
+
 def _positive(key, value):
-    """`value` of [experiment] `key`, which must be positive."""
+    """`value` of [experiment] `key`, which must be positive and finite."""
     if value is not None and not value > 0:
         raise ConfigError(f"[experiment] {key} must be positive, got {value}")
-    return value
+    return value if value is None else _finite(key, (value,))[0]
 
 
 def _backward_tol(cfg):
@@ -227,7 +234,7 @@ def _backward_tol(cfg):
 def _moment_settings(cfg):
     """The root bracket, moment mode, Monte Carlo sample count and solver
     tolerance (None: the moment curve's own)."""
-    bracket = get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2)
+    bracket = _finite("bracket", get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2))
     mode = get_str(cfg, "experiment", "mode", default="auto")
     n_samples = _positive(
         "mc_samples", get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
@@ -249,7 +256,7 @@ def _resolve_alpha(cfg, spec, seed):
     bracket, mode, n_samples, tol = _moment_settings(cfg)
     if text != "solve":
         try:
-            alpha = float(text)
+            alpha = _positive("alpha", float(text))
         except ValueError:
             raise ConfigError(
                 f"[experiment] alpha must be a number or 'solve', got {text!r}"
@@ -338,7 +345,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
     if m_law is None:
         raise ConfigError("no representable scale law; the moment curve needs one")
     bracket, mode, n_samples, tol = _moment_settings(cfg)
-    s_grid = get_floats(cfg, "experiment", "s_grid", default=None)
+    s_grid = _finite("s_grid", get_floats(cfg, "experiment", "s_grid", default=None))
     if s_grid is None:
         s_grid = tuple(np.linspace(bracket[0], bracket[1], 25))
     with _Stage(out_dir, "cramer", digest, seed, threads) as st:
@@ -380,7 +387,7 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
     )
     mode = get_str(cfg, "experiment", "sampler", default="backward")
     dim = spec.dimension
-    x0_cfg = get_floats(cfg, "experiment", "x0", length=dim)
+    x0_cfg = _finite("x0", get_floats(cfg, "experiment", "x0", length=dim))
     x0 = models.zero_point(spec) if x0_cfg is None else (
         float(x0_cfg[0]) if dim == 1 else np.asarray(x0_cfg, dtype=float)
     )
@@ -527,8 +534,10 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
 
 def run_support(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    max_depth = get_int(cfg, "experiment", "max_cloud_depth", default=12)
-    epsilon = get_float(cfg, "experiment", "epsilon", default=1e-6)
+    max_depth = _positive(
+        "max_cloud_depth", get_int(cfg, "experiment", "max_cloud_depth", default=12)
+    )
+    epsilon = _positive("epsilon", get_float(cfg, "experiment", "epsilon", default=1e-6))
     count = get_int(cfg, "experiment", "count", default=10000)
     tol = _backward_tol(cfg)
     word_guard = get_int(cfg, "experiment", "word_guard", default=support.WORD_GUARD)
@@ -568,6 +577,11 @@ def run_check(cfg, out_dir, seed=None, threads=1):
     n_theta = _positive("mc_samples", get_int(cfg, "experiment", "mc_samples", default=100000))
     count = get_int(cfg, "experiment", "count", default=4096)
     tol = _backward_tol(cfg)
+    # the moment-ratio probe's grid, read here so a bad one stops the run
+    # before any sampling
+    s_grid = _finite(
+        "s_grid", get_floats(cfg, "experiment", "s_grid", default=(0.25, 0.5, 1.0, 2.0))
+    )
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]
@@ -584,7 +598,6 @@ def run_check(cfg, out_dir, seed=None, threads=1):
         m_law = models.linear_scale_law(spec)
         n_law = models.cancellation_law(spec)
         if m_law is not None and n_law is not None:
-            s_grid = get_floats(cfg, "experiment", "s_grid", default=(0.25, 0.5, 1.0, 2.0))
             rows, bounded = cramer.nontriviality_probe(
                 n_law, m_law, s_grid, rng=rng, n_samples=n_theta
             )

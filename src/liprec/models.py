@@ -191,29 +191,29 @@ def _require_positive(v, fam, name):
 
 
 def _sample_sqrtquad(spec, rng, size):
+    """a, b and c in turn, then the draws with a <= 0 or b^2 - 4ac >= 0
+    redrawn. Only the random parameters are redrawn, in place: a constant
+    law's batch stays a read-only view, and drawing it reads nothing."""
     laws = spec.laws
     n = 1 if size is None else int(size)
-    # copies: the redraws below write in place, and a constant law's
-    # batch is a read-only view
-    a = np.array(rnd.sample(laws["a"], rng, n), dtype=float, ndmin=1)
-    b = np.array(rnd.sample(laws["b"], rng, n), dtype=float, ndmin=1)
-    c = np.array(rnd.sample(laws["c"], rng, n), dtype=float, ndmin=1)
+    theta = {k: rnd.sample(laws[k], rng, n) for k in ("a", "b", "c")}
+    random = [k for k in theta if laws[k].kind != "constant"]
     for _ in range(_SQRTQUAD_MAX_REDRAWS):
+        a, b, c = theta.values()
         bad = (a <= 0) | (b * b - 4.0 * a * c >= 0)
         k = int(np.count_nonzero(bad))
         if k == 0:
             break
-        a[bad] = rnd.sample(laws["a"], rng, k)
-        b[bad] = rnd.sample(laws["b"], rng, k)
-        c[bad] = rnd.sample(laws["c"], rng, k)
+        for name in random:
+            theta[name][bad] = rnd.sample(laws[name], rng, k)
     else:
         raise ConfigError(
             "sqrt_quadratic laws keep violating b^2 - 4ac < 0 after "
             f"{_SQRTQUAD_MAX_REDRAWS} redraws"
         )
     if size is None:
-        return {"a": float(a[0]), "b": float(b[0]), "c": float(c[0])}
-    return {"a": a, "b": b, "c": c}
+        return {k: float(v[0]) for k, v in theta.items()}
+    return theta
 
 
 def _check_sqrtquad(theta):

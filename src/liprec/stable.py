@@ -334,7 +334,7 @@ class LimitParams:
 
 def limit_params(alpha, center=0.0):
     """Resolve the regime from alpha; snaps to the boundary cases."""
-    if alpha <= 0 or alpha > 2 + _SNAP_TOL:
+    if not 0 < alpha <= 2 + _SNAP_TOL:
         raise PreconditionError("alpha must lie in (0, 2]")
     if abs(alpha - 1.0) <= _SNAP_TOL:
         return LimitParams(1.0, "eq1", center)

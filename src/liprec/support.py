@@ -220,7 +220,7 @@ def _nearest_distance(points, samples):
 
 def coverage_check(cloud, samples, epsilon):
     """Fraction of samples within epsilon of the cloud, and the worst gap."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
     dist = _nearest_distance(cloud.points, samples)
     return CoverageReport(

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from liprec import chains, models, stable, support
-from liprec.errors import CapacityError, ConvergenceError, PreconditionError
+from liprec import randomness as rnd
+from liprec.errors import CapacityError, ConfigError, ConvergenceError, PreconditionError
 from liprec.randomness import stream
 
 KS_C99 = 1.6276236115189503  # sqrt(-ln(0.005)/2)
@@ -110,6 +111,29 @@ def reference_apply_dilated(spec, theta, x, t):
     beta = spec.constants["beta"]
     lam = spec.constants["lambda"]
     return np.abs(g * np.abs(x) + np.sqrt((t * t) * beta + lam * x * x) * theta["a"])
+
+
+# ---------------------------------------------------------------------------
+# sqrt_quadratic draws with every parameter copied and every parameter
+# redrawn: the reference for models._sample_sqrtquad, which keeps a
+# constant law's read-only view and redraws only the random parameters
+
+
+def reference_sample_sqrtquad(spec, rng, size):
+    """(a, b, c) batches of `size` draws, each a writable float copy."""
+    laws = spec.laws
+    a = np.array(rnd.sample(laws["a"], rng, size), dtype=float)
+    b = np.array(rnd.sample(laws["b"], rng, size), dtype=float)
+    c = np.array(rnd.sample(laws["c"], rng, size), dtype=float)
+    for _ in range(models._SQRTQUAD_MAX_REDRAWS):
+        bad = (a <= 0) | (b * b - 4.0 * a * c >= 0)
+        k = int(np.count_nonzero(bad))
+        if k == 0:
+            return {"a": a, "b": b, "c": c}
+        a[bad] = rnd.sample(laws["a"], rng, k)
+        b[bad] = rnd.sample(laws["b"], rng, k)
+        c[bad] = rnd.sample(laws["c"], rng, k)
+    raise ConfigError("sqrt_quadratic rejection did not finish")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +257,10 @@ def reference_backward_block(spec, x0, tol, max_depth, rng, count, replay=False)
     return z, depth, cert
 
 
-def reference_stationary_batch(spec, count, tol, master_seed, block_size, x0=None, replay=False):
-    """(samples, depths, bounds) of chains.stationary_batch, block by block."""
+def reference_stationary_batch(spec, count, tol, master_seed, x0=None, replay=False):
+    """(samples, depths, bounds) of chains.stationary_batch, block by block
+    in blocks of chains.BLOCK_SIZE."""
+    block_size = chains.BLOCK_SIZE
     if x0 is None:
         x0 = models.zero_point(spec)
     parts = [

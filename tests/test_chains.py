@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -182,7 +183,8 @@ def test_draw_counters_count_the_draws_made(bench_spec, monkeypatch):
         return real(spec, rng, size)
 
     monkeypatch.setattr(models, "sample_theta", counting)
-    batch = chains.stationary_batch(bench_spec, 2500, master_seed=5, block_size=1024)
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 1024)
+    batch = chains.stationary_batch(bench_spec, 2500, master_seed=5)
     got = batch.draw_counters()
     ranked = np.sort(batch.stop_depths)
     assert got == {
@@ -216,16 +218,17 @@ def test_thread_count_cannot_change_bytes(bench_spec):
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
 
-def test_blocks_write_disjoint_slices_under_thread_switching(bench_spec):
+def test_blocks_write_disjoint_slices_under_thread_switching(bench_spec, monkeypatch):
     # every block writes its own slice of the shared outputs; with many
     # small blocks, more threads than cores and frequent switches, a lost
     # or misplaced write would break equality with the serial run
-    one = chains.stationary_batch(bench_spec, 5000, master_seed=3, block_size=64, keep_bounds=True)
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 64)
+    one = chains.stationary_batch(bench_spec, 5000, master_seed=3, keep_bounds=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         many = chains.stationary_batch(
-            bench_spec, 5000, master_seed=3, threads=8, block_size=64, keep_bounds=True
+            bench_spec, 5000, master_seed=3, threads=8, keep_bounds=True
         )
     finally:
         sys.setswitchinterval(interval)
@@ -236,12 +239,13 @@ def test_blocks_write_disjoint_slices_under_thread_switching(bench_spec):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", ["smooth", "arch1"])
-def test_batch_without_bounds_keeps_samples_and_depths(name, threads):
+def test_batch_without_bounds_keeps_samples_and_depths(name, threads, monkeypatch):
     # a composite and a replay family: dropping the bounds must not move
     # a sample or a depth, and the depths are int32
     spec = SMOOTH if name == "smooth" else ORACLE_MODELS[name]
-    full = chains.stationary_batch(spec, 5000, master_seed=23, block_size=1024, keep_bounds=True)
-    lean = chains.stationary_batch(spec, 5000, master_seed=23, threads=threads, block_size=1024)
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 1024)
+    full = chains.stationary_batch(spec, 5000, master_seed=23, keep_bounds=True)
+    lean = chains.stationary_batch(spec, 5000, master_seed=23, threads=threads)
     assert lean.residual_bounds is None
     assert full.residual_bounds.shape == (5000,)
     assert lean.stop_depths.dtype == full.stop_depths.dtype == np.int32
@@ -250,10 +254,11 @@ def test_batch_without_bounds_keeps_samples_and_depths(name, threads):
     assert lean.draw_counters() == full.draw_counters()
 
 
-def test_heap_trim_twice_is_harmless(bench_spec):
+def test_heap_trim_twice_is_harmless(bench_spec, monkeypatch):
     chains._trim_heap()
     chains._trim_heap()
-    batch = chains.stationary_batch(bench_spec, 3000, master_seed=4, threads=2, block_size=1024)
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 1024)
+    batch = chains.stationary_batch(bench_spec, 3000, master_seed=4, threads=2)
     assert np.isfinite(batch.samples).all()
 
 
@@ -426,17 +431,18 @@ def _seed_point(spec):
 @pytest.mark.parametrize(
     "name", ["extremal", "letac_atomic", *ORACLE_MODELS, *CONSTANT_LAW_MODELS]
 )
-def test_backward_block_matches_whole_block_reference(name, tol, from_zero, bench_spec, letac_spec):
+def test_backward_block_matches_whole_block_reference(
+    name, tol, from_zero, bench_spec, letac_spec, monkeypatch
+):
     # the live-set sampler must give the masked reference's bytes; 2500
     # members in blocks of 1024 leave a partial last block of 452
     spec = {
         "extremal": bench_spec, "letac_atomic": letac_spec, **ORACLE_MODELS, **CONSTANT_LAW_MODELS
     }[name]
     x0 = None if from_zero else _seed_point(spec)
-    batch = chains.stationary_batch(
-        spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024, keep_bounds=True
-    )
-    samples, depths, bounds = reference_stationary_batch(spec, 2500, tol, 19, 1024, x0=x0)
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 1024)
+    batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, keep_bounds=True)
+    samples, depths, bounds = reference_stationary_batch(spec, 2500, tol, 19, x0=x0)
     assert batch.samples.tobytes() == samples.tobytes()
     assert np.array_equal(batch.stop_depths, depths)
     assert batch.residual_bounds.tobytes() == bounds.tobytes()
@@ -478,7 +484,7 @@ AFFINE_ALPHA_04 = models.make_model(
     "name", ["extremal", "smooth", "letac_atomic", "letac", "affine", "affine_d2", "affine_d3",
              "affine_alpha_04", "letac_const_b", "letac_const_c", "affine_d2_const_angle"]
 )
-def test_composite_matches_replay_reference(name, tol, bench_spec, letac_spec):
+def test_composite_matches_replay_reference(name, tol, bench_spec, letac_spec, monkeypatch):
     # the composed map is the same function as the nested draws: values
     # agree to rounding, while depths, bounds and counters are exact
     spec = {
@@ -487,12 +493,9 @@ def test_composite_matches_replay_reference(name, tol, bench_spec, letac_spec):
     }[name]
     assert models.composite(spec) is not None
     x0 = _seed_point(spec)
-    batch = chains.stationary_batch(
-        spec, 2500, tol=tol, master_seed=19, x0=x0, block_size=1024, keep_bounds=True
-    )
-    samples, depths, bounds = reference_stationary_batch(
-        spec, 2500, tol, 19, 1024, x0=x0, replay=True
-    )
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 1024)
+    batch = chains.stationary_batch(spec, 2500, tol=tol, master_seed=19, x0=x0, keep_bounds=True)
+    samples, depths, bounds = reference_stationary_batch(spec, 2500, tol, 19, x0=x0, replay=True)
     assert np.allclose(batch.samples, samples, rtol=COMPOSITE_RTOL, atol=COMPOSITE_ATOL)
     assert np.array_equal(batch.stop_depths, depths)
     assert batch.residual_bounds.tobytes() == bounds.tobytes()
@@ -630,23 +633,28 @@ def test_forward_turns_run_in_order_one_thread_at_a_time(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failing_turn_stops_the_other_workers(monkeypatch, threads):
-    # the first turn to reach a block's third chunk fails while every
-    # other block could still run
-    turn = chains._forward_block
+    # the first block's third chunk fails while every other block could
+    # still run; the blocks after a failing one are dropped
+    turn, take_turns = chains._forward_block, chains._take_turns
     lock = threading.Lock()
-    log = []
+    log, first = [], []
 
     def failing(spec, block, n):
         with lock:
             log.append("start")
-            fail = block.step == 2 * chains.FORWARD_STEPS and "raise" not in log
+            fail = block is first[0] and block.step == 2 * chains.FORWARD_STEPS
             if fail:
                 log.append("raise")
         if fail:
             raise DomainError("the third chunk fails")
         return turn(spec, block, n)
 
+    def recording(fn, blocks, threads):
+        first.append(blocks[0])
+        return take_turns(fn, blocks, threads)
+
     monkeypatch.setattr(chains, "_forward_block", failing)
+    monkeypatch.setattr(chains, "_take_turns", recording)
     count = 9 * chains.FORWARD_BLOCK + 1000  # 10 blocks of 7 chunks
     with pytest.raises(DomainError, match="^the third chunk fails$"):
         chains.birkhoff_sums(SMOOTH, 0.0, 101, count, master_seed=5, threads=threads)
@@ -654,6 +662,51 @@ def test_a_failing_turn_stops_the_other_workers(monkeypatch, threads):
     # alone, nothing starts after it; the other worker may start the turn
     # it was taking, and one more before the failure is on record
     assert len(late) <= 2 * (threads - 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_turns_raise_the_lowest_failing_blocks_error(threads):
+    # block 4 fails on its first turn, block 2 on its second and block 1
+    # on its third: block 1's error is raised whichever fails first in
+    # time, and block 0, below it, runs all four of its turns
+    fail_at = {1: 2, 2: 1, 4: 0}
+    for _ in range(5):
+        taken = [0] * 6
+
+        def turn(i):
+            t = taken[i]
+            taken[i] += 1
+            if fail_at.get(i) == t:
+                raise DomainError(f"block {i} fails on turn {t}")
+            time.sleep(1e-3)
+            return taken[i] < 4
+
+        with pytest.raises(DomainError, match="^block 1 fails on turn 2$"):
+            chains._take_turns(turn, list(range(6)), threads)
+        assert taken[0] == 4
+
+
+def test_backward_error_is_the_first_blocks_at_every_thread_count(monkeypatch):
+    # every block hits the depth guard, each with its own worst bound; the
+    # batch must report block 0's at any thread count, however the
+    # blocks' failures are ordered in time
+    spec = models.make_model(
+        "extremal", laws={"a": rnd.lognormal(-0.05, 1.0), "b": rnd.uniform(1.0, 2.0)}
+    )
+    monkeypatch.setattr(chains, "BLOCK_SIZE", 512)
+    messages = []
+    for b in range(4):
+        with pytest.raises(ConvergenceError) as exc:
+            chains._backward_block(spec, 0.0, 1e-12, 40, stream(3, b, "stationary"), 512)
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 4
+    for threads in (1, 2, 8):
+        for _ in range(5):
+            with pytest.raises(ConvergenceError) as exc:
+                chains.stationary_batch(
+                    spec, 4 * 512, tol=1e-12, master_seed=3, max_depth=40, threads=threads
+                )
+            assert str(exc.value) == messages[0]
 
 
 def test_paired_theta_independent_of_batch(bench_spec):

@@ -423,18 +423,41 @@ def test_cli_empty_list_exits_2_with_its_line(tmp_path, capsys, verb):
         ("tail", ARCH1_NORMAL_MODEL + "\n[experiment]\nalpha = 1.5", "mc_samples = -5",
          "mc_samples must be positive, got -5"),
         ("check", SAMPLED_SCALE_MODEL, "mc_samples = 0", "mc_samples must be positive, got 0"),
+        ("tail", BENCH_MODEL, "solver_tol = inf", "solver_tol must be finite, got inf"),
+        ("cramer", BENCH_MODEL, "solver_tol = inf", "solver_tol must be finite, got inf"),
+        ("support", LETAC_MODEL, "epsilon = nan", "epsilon must be positive, got nan"),
+        ("support", LETAC_MODEL, "epsilon = inf", "epsilon must be finite, got inf"),
+        ("support", LETAC_MODEL, "epsilon = 0", "epsilon must be positive, got 0.0"),
+        ("support", LETAC_MODEL, "max_cloud_depth = 0", "max_cloud_depth must be positive, got 0"),
+        ("simulate", BENCH_MODEL, "x0 = nan", "x0 must be finite, got nan"),
+        ("simulate", BENCH_MODEL, "x0 = inf", "x0 must be finite, got inf"),
+        ("tail", BENCH_MODEL, "bracket = 0.05, inf", "bracket must be finite, got 0.05, inf"),
+        ("cramer", BENCH_MODEL, "s_grid = 0.5, inf", "s_grid must be finite, got 0.5, inf"),
+        ("check", LETAC_MODEL, "s_grid = 0.5, nan", "s_grid must be finite, got 0.5, nan"),
+        ("tail", BENCH_MODEL, "alpha = nan", "alpha must be positive, got nan"),
+        ("tail", BENCH_MODEL, "alpha = inf\n\n[output]\nsvg = true", "alpha must be finite, got inf"),
+        ("tail", BENCH_MODEL, "alpha = -1", "alpha must be positive, got -1.0"),
+        ("limit", BENCH_MODEL, "n = 64\nreplicas = 256\nalpha = nan", "alpha must be positive, got nan"),
     ],
     ids=[
         "t_points0", "t_points-1", "hill_points0", "hill_points-1", "solver_tol0",
         "solver_tol-4", "cramer-mc_samples0", "cramer-mc_samples-5", "tail-mc_samples0",
-        "tail-theta-mc_samples-5", "check-mc_samples0",
+        "tail-theta-mc_samples-5", "check-mc_samples0", "solver_tol-inf", "cramer-solver_tol-inf",
+        "epsilon-nan", "epsilon-inf", "epsilon0", "max_cloud_depth0", "x0-nan", "x0-inf",
+        "bracket-inf", "cramer-s_grid-inf", "check-s_grid-nan", "tail-alpha-nan",
+        "tail-alpha-inf-svg", "tail-alpha-1", "limit-alpha-nan",
     ],
 )
 def test_cli_nonpositive_sizes_exit_2(tmp_path, capsys, verb, model, setting, message):
     # t_points = 0 died in max() of an empty sequence, -1 in numpy's
     # geomspace; hill_points = 0 wrote a header-only hill.csv; mc_samples
     # = 0 warned and then blamed a divergent moment; solver_tol <= 0 was
-    # read as "the default"
+    # read as "the default". Non-finite numbers: solver_tol = inf solved
+    # to the bracket's midpoint; epsilon = nan gave coverage 0 (exit 0);
+    # max_cloud_depth = 0 exited 3 after enumerating; x0 = nan or inf
+    # sampled until the storage guard tripped (exit 4); a bracket end at
+    # inf exited 3; alpha = nan wrote a nan tail constant in tail and
+    # blamed replicas in limit, and alpha = inf crashed the svg axis
     if "[experiment]" not in model:
         model += "\n[experiment]"
     path = _write(tmp_path, model + "\ncount = 2000\n" + setting + "\n")
@@ -455,16 +478,19 @@ def test_cli_nonpositive_sizes_exit_2(tmp_path, capsys, verb, model, setting, me
         ("limit", "tol = nan", "tol must be positive, got nan"),
         ("support", "tol = -1e-9", "tol must be positive, got -1e-09"),
         ("check", "tol = 0", "tol must be positive, got 0.0"),
+        ("simulate", "tol = inf", "tol must be finite, got inf"),
+        ("tail", "tol = inf", "tol must be finite, got inf"),
     ],
     ids=[
         "tol0", "tol-1e-9", "tol-nan", "max_depth0", "tail-tol0", "limit-tol-nan",
-        "support-tol-1e-9", "check-tol0",
+        "support-tol-1e-9", "check-tol0", "tol-inf", "tail-tol-inf",
     ],
 )
 def test_cli_backward_tol_and_max_depth_must_be_positive(tmp_path, capsys, verb, setting, message):
     # tol = 0 sampled for seconds until the storage guard tripped (exit 4),
-    # tol = nan ran every member to max_depth (exit 3), and max_depth = 0
-    # exited 3; each is refused before any sampling
+    # tol = nan ran every member to max_depth (exit 3), max_depth = 0
+    # exited 3, and tol = inf stopped every member at depth 1 (exit 0);
+    # each is refused before any sampling
     text = BENCH_MODEL + "\n[experiment]\ncount = 1000\nn = 64\nreplicas = 256\n" + setting + "\n"
     path = _write(tmp_path, text)
     out = tmp_path / "o"

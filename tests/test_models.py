@@ -9,7 +9,7 @@ from liprec import models, randomness as rnd
 from liprec.errors import ConfigError, DomainError
 from liprec.randomness import stream
 
-from _util import reference_apply_dilated
+from _util import reference_apply_dilated, reference_sample_sqrtquad
 
 
 def _catalog():
@@ -270,6 +270,40 @@ def test_sqrt_quadratic_rejection_exhaustion():
     )
     with pytest.raises(ConfigError):
         models.sample_theta(spec, stream(73, 0, "rej"), 8)
+
+
+SQRTQUAD_LAWS = {
+    # lognormal a and uniform b break b^2 - 4ac < 0 in about 1 draw in 10,
+    # so each batch takes redraws
+    "all_random": {
+        "a": rnd.lognormal(-1.5, 1.0), "b": rnd.uniform(-0.6, 0.6), "c": rnd.uniform(0.5, 1.5)
+    },
+    "c_constant": {"a": rnd.lognormal(-1.5, 1.0), "b": rnd.uniform(-0.6, 0.6), "c": rnd.constant(1.0)},
+    "b_constant": {"a": rnd.lognormal(-1.5, 1.0), "b": rnd.constant(0.5), "c": rnd.normal(1.0, 0.3)},
+    "a_b_constant": {"a": rnd.constant(0.25), "b": rnd.constant(0.5), "c": rnd.normal(1.0, 0.8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQRTQUAD_LAWS))
+def test_sqrt_quadratic_sample_matches_copying_reference(name):
+    # the same values and stream reads as a sampler that copies every
+    # parameter and redraws all three; a constant law's batch stays the
+    # read-only view that every other family's constant batch is
+    laws = SQRTQUAD_LAWS[name]
+    spec = models.make_model("sqrt_quadratic", laws=laws)
+    for seed in range(3):
+        rng, ref_rng, first_rng = (stream(seed, 0, "sq") for _ in range(3))
+        got = models.sample_theta(spec, rng, 5000)
+        want = reference_sample_sqrtquad(spec, ref_rng, 5000)
+        for k, law in laws.items():
+            assert got[k].tobytes() == want[k].tobytes()
+            assert got[k].flags.writeable == (law.kind != "constant")
+        assert rng.random() == ref_rng.random()  # the streams read as far
+        # the first draws break the discriminant, so the batch took redraws
+        a, b, c = (rnd.sample(laws[k], first_rng, 5000) for k in "abc")
+        assert np.count_nonzero(b * b - 4.0 * a * c >= 0) > 50
+    one = models.sample_theta(spec, stream(7, 0, "sq"))
+    assert all(type(v) is float for v in one.values())
 
 
 def test_arch1_requires_symmetric_innovation():

@@ -326,8 +326,9 @@ def test_limit_params_regimes():
     assert stable.limit_params(0.7, center=5.0).center == 0.0  # no centering below 1
     with pytest.raises(PreconditionError):
         stable.limit_params(0.0)
-    with pytest.raises(PreconditionError):
-        stable.limit_params(2.5)
+    for alpha in (2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            stable.limit_params(alpha)
 
 
 def test_normalize_birkhoff_exact_values():

@@ -129,6 +129,8 @@ def test_coverage_check_guards(letac_spec):
     cloud = support.enumerate_fixed_points(letac_spec, max_depth=4)
     with pytest.raises(PreconditionError):
         support.coverage_check(cloud, np.zeros(4), epsilon=0.0)
+    with pytest.raises(PreconditionError):  # nan compares false with 0 too
+        support.coverage_check(cloud, np.zeros(4), epsilon=float("nan"))
 
 
 def _two_dimensional_affine():
