@@ -181,7 +181,8 @@ def get_floats(cfg, section, key, default=None, length=None):
 # model construction
 
 _DIST_KEYS = {"kind", "params", "atoms", "weights"}
-_MODEL_CONSTANT_KEYS = {"arch1": ("gamma", "beta", "lambda"), "affine": ("axis",)}
+# a model constant's getter, by the type its family row gives it
+_GETTERS = {float: get_float, tuple: get_floats}
 # the keys the runners read in the other top sections; any other is a typo
 _RUNNER_KEYS = {
     "experiment": {
@@ -227,12 +228,12 @@ def build_model(cfg):
                 _fail(cfg, section, key, cv, "unknown key")
     family = get_str(cfg, "model", "family")
     dimension = get_int(cfg, "model", "dimension", default=1)
-    keys = _MODEL_CONSTANT_KEYS.get(family, ())
+    row = models.FAMILY_TABLE.get(family)
+    types = row.constants if row is not None else {}
     for key, cv in cfg.model.items():
-        if key not in ("family", "dimension") + keys:
+        if key not in ("family", "dimension", *types):
             _fail(cfg, "model", key, cv, f"unknown key for family {family!r}")
-    getter = get_floats if family == "affine" else get_float
-    constants = {key: getter(cfg, "model", key) for key in keys if key in cfg.model}
+    constants = {k: _GETTERS[t](cfg, "model", k) for k, t in types.items() if k in cfg.model}
     laws = {
         param: _build_distribution(cfg, param, entries)
         for param, entries in cfg.distributions.items()

@@ -292,7 +292,7 @@ def _require_nonarithmetic(cfg, spec):
 
 def _require_linearity(cfg, spec, pilot):
     """Gate on the pilot's support; `pilot()` is drawn only when checked."""
-    if spec.family == "affine":
+    if models.FAMILY_TABLE[spec.family].linear_maps:
         return
     x = np.asarray(pilot())
     if (x > 0).any() and (x < 0).any():
@@ -325,8 +325,8 @@ def _replicas_error(replicas, exc):
 
 
 def _closed_center(spec):
-    """E S for scalar affine models with closed-form means, else None."""
-    if spec.family != "affine" or spec.dimension != 1:
+    """E S for scalar models with linear maps (scale x + shift) and closed-form means."""
+    if not models.FAMILY_TABLE[spec.family].linear_maps or spec.dimension != 1:
         return None
     em = rnd.signed_mean(spec.laws["scale"])
     en = rnd.signed_mean(spec.laws["shift"])

@@ -10,14 +10,14 @@ arch1           psi(x) = |gamma |x| + sqrt(beta + lambda x^2) a|
 
 A draw theta is a dict from parameter name (in `required_params` order)
 to a float, or to an array for a batch of draws; all operations accept
-either and broadcast against the point argument. `sample_theta` draws a
-batch parameter after parameter from one stream. `apply` holds the one
-closed form per family. `apply_dilated` forms t * psi_theta(x / t) as
-`apply` on dilated translation parameters: the same products that a
-closed form written with t forms, so the two agree bit for bit, and at
-t = 1 it is bit-identical to `apply`. `composite` gives, for extremal,
-letac and affine, the closed form of a backward composition
-psi_1 o ... o psi_n, which the backward sampler carries per member.
+either and broadcast against the point argument. A family is one
+`Family` row of `FAMILY_TABLE`, and each public function below looks the
+row up. A row's map is written once and serves `apply` with and without
+`out`. `apply_dilated` is `apply` on dilated translation parameters, so
+it agrees bit for bit with a closed form written with t, and at t = 1
+with `apply`. A row's `composite` is the closed form of a backward
+composition psi_1 o ... o psi_n (extremal, letac and affine), which the
+backward sampler carries per member.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import randomness as rnd
 from .errors import ConfigError, DomainError, PreconditionError
 
-FAMILIES = ("affine", "extremal", "letac", "sqrt_quadratic", "arch1")
-
 _SQRTQUAD_MAX_REDRAWS = 100
-# the power of t each translation parameter takes in the dilated map
-_DILATION_POWERS = {
-    "extremal": {"b": 1},
-    "letac": {"b": 1, "c": 1},
-    "sqrt_quadratic": {"b": 1, "c": 2},
-}
 
 
 @dataclass(frozen=True)
@@ -51,55 +44,57 @@ class ModelSpec:
 
 
 def required_params(family, dimension=1):
-    if family == "affine":
-        names = ["scale"]
-        if dimension >= 2:
-            names.append("angle")
-        if dimension == 1:
-            names.append("shift")
-        else:
-            names.extend(f"shift_{i}" for i in range(1, dimension + 1))
-        return names
-    if family == "extremal":
-        return ["a", "b"]
-    if family in ("letac", "sqrt_quadratic"):
-        return ["a", "b", "c"]
-    if family == "arch1":
-        return ["a"]
-    raise ConfigError(f"unknown family {family!r}")
+    return FAMILY_TABLE[family].params(dimension)
 
 
 def make_model(family, dimension=1, laws=None, constants=None):
     """Validated ModelSpec constructor; raises ConfigError on bad input."""
     laws = dict(laws or {})
     constants = dict(constants or {})
-    if family not in FAMILIES:
+    row = FAMILY_TABLE.get(family)
+    if row is None:
         raise ConfigError(f"unknown family {family!r}")
-    if family == "affine":
-        if dimension not in (1, 2, 3):
-            raise ConfigError("affine dimension must be 1, 2 or 3")
-    elif dimension != 1:
-        raise ConfigError(f"family {family} is one-dimensional")
-    missing = [p for p in required_params(family, dimension) if p not in laws]
+    if dimension not in row.dimensions:
+        *rest, last = map(str, row.dimensions)
+        raise ConfigError(
+            f"{family} dimension must be {', '.join(rest)} or {last}"
+            if rest else f"family {family} is one-dimensional"
+        )
+    names = row.params(dimension)
+    missing = [p for p in names if p not in laws]
     if missing:
         raise ConfigError(f"missing parameter law(s): {', '.join(missing)}")
-    extra = [p for p in laws if p not in required_params(family, dimension)]
+    extra = [p for p in laws if p not in names]
     if extra:
         raise ConfigError(f"unknown parameter law(s): {', '.join(sorted(extra))}")
-    if family == "arch1":
-        for name in ("gamma", "beta", "lambda"):
-            if name not in constants:
-                raise ConfigError(f"arch1 needs model constant {name!r}")
-            if constants[name] < 0:
-                raise ConfigError(f"arch1 constant {name} must be >= 0")
-        if not rnd.is_symmetric(laws["a"]):
-            raise ConfigError("arch1 innovation law must be symmetric")
-    if family == "affine" and dimension == 3:
+    if row.check is not None:
+        constants = row.check(dimension, laws, constants)
+    return ModelSpec(family, dimension, laws, constants)
+
+
+def _arch1_check(dimension, laws, constants):
+    for name in FAMILY_TABLE["arch1"].constants:
+        if name not in constants:
+            raise ConfigError(f"arch1 needs model constant {name!r}")
+        if constants[name] < 0:
+            raise ConfigError(f"arch1 constant {name} must be >= 0")
+        if not math.isfinite(constants[name]):
+            raise ConfigError(f"arch1 constant {name} must be finite, got {constants[name]}")
+    if not rnd.is_symmetric(laws["a"]):
+        raise ConfigError("arch1 innovation law must be symmetric")
+    return constants
+
+
+def _affine_check(dimension, laws, constants):
+    """The d = 3 rotation axis, normalized; d < 3 reads no axis."""
+    if dimension == 3:
         axis = np.asarray(constants.get("axis", (0.0, 0.0, 1.0)), dtype=float)
         if axis.shape != (3,) or not np.linalg.norm(axis) > 0:
             raise ConfigError("affine d=3 needs a nonzero 3-vector axis")
+        if not np.isfinite(axis).all():
+            raise ConfigError(f"affine d=3 axis must be finite, got {', '.join(map(str, axis))}")
         constants["axis"] = tuple(axis / np.linalg.norm(axis))
-    return ModelSpec(family, dimension, laws, constants)
+    return constants
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +142,14 @@ def _affine_linear(spec, theta, x, out=None):
         scale = np.asarray(scale, dtype=float)
         if scale.ndim:
             scale = scale[..., None]
-    return scale * rx if out is None else np.multiply(scale, rx, out=out)
+    return np.multiply(scale, rx, out=out)
 
 
 def _shift_vector(spec, theta):
+    """The shift in 1-d; the shift_i stacked along the last axis else."""
     d = spec.dimension
     if d == 1:
-        return np.asarray(theta["shift"], dtype=float)
+        return theta["shift"]
     comps = [np.asarray(theta[f"shift_{i}"], dtype=float) for i in range(1, d + 1)]
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
@@ -164,30 +160,15 @@ def _shift_vector(spec, theta):
 
 def sample_theta(spec, rng, size=None):
     """Draw theta (or a batch of `size` draws) in a fixed parameter order."""
-    fam = spec.family
-    laws = spec.laws
-    if fam == "sqrt_quadratic":
-        return _sample_sqrtquad(spec, rng, size)
-    values = {}
-    for name in required_params(fam, spec.dimension):
-        values[name] = rnd.sample(laws[name], rng, size)
-    return _check_domain(fam, values)
-
-
-def _check_domain(fam, values):
-    """`values` after the per-family domain checks of a theta draw."""
-    if fam in ("extremal", "letac"):
-        _require_positive(values["a"], fam, "a")
-    if fam == "affine":
-        _require_positive(values["scale"], fam, "scale")
-    if fam == "letac" and np.any(np.asarray(values["b"]) < 0):
-        raise DomainError("letac parameter b must be >= 0")
+    row = FAMILY_TABLE[spec.family]
+    if row.sample is not None:
+        return row.sample(spec, rng, size)
+    values = {name: rnd.sample(spec.laws[name], rng, size) for name in row.params(spec.dimension)}
+    for name, bound in row.domain.items():
+        v = np.asarray(values[name])
+        if np.any(v <= 0 if bound == "positive" else v < 0):
+            raise DomainError(f"{spec.family} parameter {name} must be {bound}")
     return values
-
-
-def _require_positive(v, fam, name):
-    if np.any(np.asarray(v) <= 0):
-        raise DomainError(f"{fam} parameter {name} must be positive")
 
 
 def _sample_sqrtquad(spec, rng, size):
@@ -217,18 +198,12 @@ def _sample_sqrtquad(spec, rng, size):
 
 
 def _check_sqrtquad(theta):
-    a = np.asarray(theta["a"], dtype=float)
-    b = np.asarray(theta["b"], dtype=float)
-    c = np.asarray(theta["c"], dtype=float)
+    a, b, c = (np.asarray(theta[k], dtype=float) for k in "abc")
     bad = b * b - 4.0 * a * c >= 0
     if np.any(bad):
-        i = int(np.argmax(np.atleast_1d(bad)))
-        aa = float(np.atleast_1d(a)[i if a.ndim else 0])
-        bb = float(np.atleast_1d(b)[i if b.ndim else 0])
-        cc = float(np.atleast_1d(c)[i if c.ndim else 0])
-        raise DomainError(
-            f"sqrt_quadratic tuple (a={aa}, b={bb}, c={cc}) violates b^2 - 4ac < 0"
-        )
+        i = np.argmax(bad)  # the first bad tuple, in the broadcast shape
+        a, b, c = (float(np.broadcast_to(v, bad.shape).flat[i]) for v in (a, b, c))
+        raise DomainError(f"sqrt_quadratic tuple (a={a}, b={b}, c={c}) violates b^2 - 4ac < 0")
 
 
 # ---------------------------------------------------------------------------
@@ -236,95 +211,69 @@ def _check_sqrtquad(theta):
 
 
 def apply(spec, theta, x, out=None):
-    """psi_theta(x), in closed form per family.
+    """psi_theta(x), by the map of the family's row.
 
     With `out`, x must be a float array and `out` an array of its shape.
     The map is written into `out`, which is returned and may be x
     itself: only the operations that no longer read x write into it.
-    The bits are those of `out=None`.
+    The bits are those of `out=None`. On a Python scalar x and scalar
+    draws the result is an np.float64.
     """
-    fam = spec.family
-    if out is not None:
-        return _APPLY_INTO[fam](spec, theta, x, out)
-    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    if fam == "affine":
-        shift = theta["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
-        return _affine_linear(spec, theta, x) + shift
-    if fam == "extremal":
-        return np.maximum(theta["a"] * x, theta["b"])
-    if fam == "letac":
-        return theta["a"] * np.maximum(x, theta["b"]) + theta["c"]
-    if fam == "sqrt_quadratic":
-        _check_sqrtquad(theta)
-        return np.sqrt(theta["a"] * x * x + theta["b"] * x + theta["c"])
-    g = spec.constants["gamma"]
-    beta = spec.constants["beta"]
-    lam = spec.constants["lambda"]
-    return np.abs(g * np.abs(x) + np.sqrt(beta + lam * x * x) * theta["a"])
+    if out is None and not np.isscalar(x):
+        x = np.asarray(x, dtype=float)
+    return FAMILY_TABLE[spec.family].map(spec, theta, x, out)
 
 
-# `apply` into `out`, one per family: the same operations in the same
-# order, with each temporary reused, so a step allocates little
+# A row's map updates temporaries of x's shape in place with `*=` and `+=`,
+# which rebind on scalars; an operation that may broadcast wider than x (a
+# batch of draws against a grid of points) writes into `out` or allocates.
 
 
-def _affine_into(spec, theta, x, out):
-    shift = theta["shift"] if spec.dimension == 1 else _shift_vector(spec, theta)
-    return np.add(_affine_linear(spec, theta, x, out), shift, out=out)
+def _affine_map(spec, theta, x, out=None):
+    return np.add(_affine_linear(spec, theta, x, out), _shift_vector(spec, theta), out=out)
 
 
-def _extremal_into(spec, theta, x, out):
+def _extremal_map(spec, theta, x, out=None):
     return np.maximum(np.multiply(theta["a"], x, out=out), theta["b"], out=out)
 
 
-def _letac_into(spec, theta, x, out):
-    np.multiply(theta["a"], np.maximum(x, theta["b"], out=out), out=out)
-    return np.add(out, theta["c"], out=out)
+def _letac_map(spec, theta, x, out=None):
+    m = np.maximum(x, theta["b"], out=out)
+    return np.add(np.multiply(theta["a"], m, out=out), theta["c"], out=out)
 
 
-def _sqrtquad_into(spec, theta, x, out):
+def _sqrtquad_map(spec, theta, x, out=None):
     _check_sqrtquad(theta)
     t = theta["a"] * x
     t *= x
-    np.add(t, theta["b"] * x, out=out)
-    out += theta["c"]
-    return np.sqrt(out, out=out)
+    q = np.add(np.add(t, theta["b"] * x, out=out), theta["c"], out=out)
+    return np.sqrt(q, out=out)
 
 
-def _arch1_into(spec, theta, x, out):
-    r = spec.constants["lambda"] * x
+def _arch1_map(spec, theta, x, out=None):
+    k = spec.constants
+    r = k["lambda"] * x
     r *= x
-    np.sqrt(np.add(spec.constants["beta"], r, out=r), out=r)
-    r *= theta["a"]
-    np.add(spec.constants["gamma"] * np.abs(x), r, out=out)
-    return np.abs(out, out=out)
-
-
-_APPLY_INTO = {
-    "affine": _affine_into,
-    "extremal": _extremal_into,
-    "letac": _letac_into,
-    "sqrt_quadratic": _sqrtquad_into,
-    "arch1": _arch1_into,
-}
+    s = np.sqrt(k["beta"] + r)  # a dilated beta may be wider than x
+    g = np.abs(x)
+    g *= k["gamma"]  # read x before `out`, which may be x, is written
+    return np.abs(np.add(g, np.multiply(s, theta["a"], out=out), out=out), out=out)
 
 
 def apply_dilated(spec, theta, x, t):
     """t * psi_theta(x / t) for t > 0: `apply` with dilated parameters.
 
-    The affine shifts, extremal b and letac b and c are multiplied by t,
-    sqrt_quadratic b by t and c by t^2, and arch1's constant beta by t^2.
+    The row's `dilation` gives the power of t that multiplies each
+    translation parameter, or constant (arch1's beta).
     """
     if np.any(np.asarray(t) <= 0):
         raise PreconditionError("dilation parameter t must be positive")
-    if spec.family == "arch1":
-        beta = (t * t) * spec.constants["beta"]
-        return apply(replace(spec, constants={**spec.constants, "beta": beta}), theta, x)
-    if spec.family == "affine":
-        powers = {k: 1 for k in theta if k.startswith("shift")}
-    else:
-        powers = _DILATION_POWERS[spec.family]
-    scaled = {k: (t if p == 1 else t * t) * theta[k] for k, p in powers.items()}
-    return apply(spec, {**theta, **scaled}, x)
+    theta, constants = dict(theta), dict(spec.constants)
+    for name, power in FAMILY_TABLE[spec.family].dilation.items():
+        for values in (theta, constants):
+            if name in values:
+                values[name] = (t if power == 1 else t * t) * values[name]
+    return apply(replace(spec, constants=constants), theta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -385,125 +334,85 @@ def _affine_evaluate(spec, z, x0):
     return _affine_linear(spec, z, x0) + z["shift"]
 
 
-# family -> (init, update, evaluate); an extremal composite is an extremal draw
-_COMPOSITES = {
-    "extremal": (_extremal_init, _extremal_update, apply),
-    "letac": (_letac_init, _letac_update, _letac_evaluate),
-    "affine": (_affine_init, _affine_update, _affine_evaluate),
-}
-
-
 def composite(spec):
     """(init, update, evaluate) of the family's backward composite, or None."""
-    return _COMPOSITES.get(spec.family)
+    return FAMILY_TABLE[spec.family].composite
+
+
+# ---------------------------------------------------------------------------
+# the linear part, the limit map, per-draw bounds and derived scalar laws
+# (None when outside the closed-form algebra)
 
 
 def limit_map(spec, theta, x):
     """The t -> 0 limit of the dilated map; positively homogeneous in x."""
-    fam = spec.family
-    if fam == "affine":
-        return _affine_linear(spec, theta, x)
-    if fam == "extremal":
-        return np.maximum(theta["a"] * x, 0.0)
-    if fam == "letac":
-        return theta["a"] * np.maximum(x, 0.0)
-    return m_scale(spec, theta) * np.abs(x)
+    return FAMILY_TABLE[spec.family].limit_map(spec, theta, x)
 
 
 def m_scale(spec, theta):
     """|M_theta|: modulus of the linear part."""
-    fam = spec.family
-    if fam == "affine":
-        scale = theta["scale"]
-        return np.asarray(scale, dtype=float) if np.ndim(scale) else scale
-    if fam in ("extremal", "letac"):
-        return theta["a"]
-    if fam == "sqrt_quadratic":
-        return np.sqrt(theta["a"])
-    g = spec.constants["gamma"]
-    lam = spec.constants["lambda"]
-    return np.abs(g + math.sqrt(lam) * np.asarray(theta["a"], dtype=float))
+    return FAMILY_TABLE[spec.family].m_scale(spec, theta)
 
 
 def linear_apply(spec, theta, x):
     """M_theta x: the linear part applied to x (signed, rotated)."""
-    if spec.family == "affine":
-        return _affine_linear(spec, theta, x)
-    return m_scale(spec, theta) * np.asarray(x, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# per-draw bounds
+    return FAMILY_TABLE[spec.family].linear(spec, theta, x)
 
 
 def lipschitz_bound(spec, theta):
-    if spec.family != "arch1":
-        return m_scale(spec, theta)
-    g = spec.constants["gamma"]
-    lam = spec.constants["lambda"]
-    return g + math.sqrt(lam) * np.abs(theta["a"])
+    return FAMILY_TABLE[spec.family].lipschitz(spec, theta)
 
 
 def cancellation_bound(spec, theta):
     """Bound on |psi_theta(x) - M_theta x| over the stationary support."""
-    fam = spec.family
-    if fam == "extremal":
-        return 2.0 * np.abs(theta["b"])
-    if fam == "sqrt_quadratic":
-        a, b, c = theta["a"], theta["b"], theta["c"]
-        vmin = c - b * b / (4.0 * a)
-        floor = np.where(np.asarray(b) >= 0, np.sqrt(c), c / np.sqrt(vmin))
-        return np.abs(b) / np.sqrt(a) + floor
-    return smoothness_bound(spec, theta)
+    return FAMILY_TABLE[spec.family].cancellation(spec, theta)
 
 
 def smoothness_bound(spec, theta):
     """Bound Q with |t psi(x/t) - limit_map(x)| <= t Q for all x, t in (0,1]."""
-    fam = spec.family
-    if fam == "affine":
-        return radius(spec, _shift_vector(spec, theta))
-    if fam == "extremal":
-        return np.abs(theta["b"])
-    if fam == "letac":
-        return theta["a"] * theta["b"] + np.abs(theta["c"])
-    if fam == "sqrt_quadratic":
-        a, b, c = theta["a"], theta["b"], theta["c"]
-        vmin = c - b * b / (4.0 * a)
-        return np.abs(b) / np.sqrt(a) + c / np.sqrt(vmin)
-    beta = spec.constants["beta"]
-    return math.sqrt(beta) * np.abs(theta["a"])
+    return FAMILY_TABLE[spec.family].smoothness(spec, theta)
 
 
-# ---------------------------------------------------------------------------
-# derived scalar laws (None when outside the closed-form algebra)
+def _scaled_linear(spec, theta, x):
+    return m_scale(spec, theta) * np.asarray(x, dtype=float)
+
+
+def _abs_limit(spec, theta, x):
+    return m_scale(spec, theta) * np.abs(x)
+
+
+def _sqrtquad_bound(spec, theta, cancellation=False):
+    """|b| / sqrt(a) + c / sqrt(vmin), vmin = c - b^2 / 4a, the smoothness
+    bound; the cancellation bound has sqrt(c) for the second term where b >= 0."""
+    a, b, c = theta["a"], theta["b"], theta["c"]
+    floor = c / np.sqrt(c - b * b / (4.0 * a))
+    if cancellation:
+        floor = np.where(np.asarray(b) >= 0, np.sqrt(c), floor)
+    return np.abs(b) / np.sqrt(a) + floor
+
+
+def _arch1_m_scale(spec, theta):
+    k = spec.constants
+    return np.abs(k["gamma"] + math.sqrt(k["lambda"]) * np.asarray(theta["a"], dtype=float))
+
+
+def _arch1_lipschitz(spec, theta):
+    k = spec.constants
+    return k["gamma"] + math.sqrt(k["lambda"]) * np.abs(theta["a"])
 
 
 def linear_scale_law(spec):
     """Law of |M| as a DistributionSpec, or None when not representable."""
-    fam = spec.family
-    if fam == "affine":
-        return spec.laws["scale"]
-    if fam in ("extremal", "letac"):
-        return spec.laws["a"]
-    if fam == "sqrt_quadratic":
-        return rnd.power_law(spec.laws["a"], 0.5)
-    g = spec.constants["gamma"]
-    lam = spec.constants["lambda"]
-    return rnd.abs_affine_law(spec.laws["a"], g, math.sqrt(lam))
+    return FAMILY_TABLE[spec.family].scale_law(spec)
 
 
 def cancellation_law(spec):
     """Law of the cancellation bound |N|, or None."""
-    fam = spec.family
-    if fam == "affine":
-        if spec.dimension != 1:
-            return None
-        return rnd.abs_law(spec.laws["shift"])
-    if fam == "extremal":
-        return rnd.scaled_abs_law(spec.laws["b"], 2.0)
-    if fam == "arch1":
-        beta = spec.constants["beta"]
-        return rnd.scaled_abs_law(spec.laws["a"], math.sqrt(beta))
+    return FAMILY_TABLE[spec.family].cancellation_law(spec)
+
+
+def _enumerated_cancellation_law(spec):
+    """The cancellation bound's law over the theta atoms, or None."""
     if any(rnd.atoms(law) is None for law in spec.laws.values()):
         return None
     pairs = theta_atoms(spec)
@@ -523,8 +432,93 @@ def theta_atoms(spec):
             raise PreconditionError(
                 f"theta enumeration needs atomic laws; {name} is {spec.laws[name].kind}"
             )
-    out = []
-    for combo in itertools.product(*tables):
-        theta = {name: item[0] for name, item in zip(names, combo)}
-        out.append((theta, math.prod(item[1] for item in combo)))
-    return out
+    return [
+        ({name: v for name, (v, _) in zip(names, combo)}, math.prod(p for _, p in combo))
+        for combo in itertools.product(*tables)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """One map family. Its callables take the ModelSpec, then theta."""
+
+    params: Callable  # dimension -> the parameter names, in draw order
+    map: Callable  # (spec, theta, x, out=None) -> psi_theta(x), see `apply`
+    m_scale: Callable  # |M_theta|, the modulus of the linear part
+    limit_map: Callable  # (spec, theta, x), see `limit_map`
+    smoothness: Callable  # Q of `smoothness_bound`
+    scale_law: Callable  # spec -> the law of |M|, or None
+    dimensions: tuple = (1,)
+    constants: dict = field(default_factory=dict)  # name -> float or tuple, as config parses it
+    check: Callable | None = None  # (dimension, laws, constants) -> constants
+    domain: dict = field(default_factory=dict)  # parameter -> "positive" or ">= 0" for every draw
+    sample: Callable | None = None  # (spec, rng, size) -> theta; None: law by law
+    lipschitz: Callable = m_scale
+    linear: Callable = _scaled_linear  # (spec, theta, x) -> M_theta x
+    cancellation: Callable = smoothness_bound
+    cancellation_law: Callable = _enumerated_cancellation_law
+    dilation: dict = field(default_factory=dict)  # parameter or constant -> power of t
+    composite: tuple | None = None  # (init, update, evaluate); None: replay
+    linear_maps: bool = False  # psi_theta(x) = scale * R x + shift everywhere
+
+
+def _affine_params(d):
+    shifts = ["shift"] if d == 1 else [f"shift_{i}" for i in range(1, d + 1)]
+    return ["scale", *(["angle"] if d >= 2 else []), *shifts]
+
+
+FAMILY_TABLE = {
+    "affine": Family(
+        _affine_params, _affine_map, domain={"scale": "positive"}, dimensions=(1, 2, 3),
+        constants={"axis": tuple}, check=_affine_check, scale_law=lambda spec: spec.laws["scale"],
+        m_scale=lambda spec, th: th["scale"], linear=_affine_linear, limit_map=_affine_linear,
+        smoothness=lambda spec, th: radius(spec, _shift_vector(spec, th)),
+        cancellation_law=lambda spec: (
+            rnd.abs_law(spec.laws["shift"]) if spec.dimension == 1 else None
+        ),
+        dilation={"shift": 1, "shift_1": 1, "shift_2": 1, "shift_3": 1},
+        composite=(_affine_init, _affine_update, _affine_evaluate), linear_maps=True,
+    ),
+    "extremal": Family(
+        lambda d: ["a", "b"], _extremal_map, domain={"a": "positive"},
+        m_scale=lambda spec, th: th["a"], scale_law=lambda spec: spec.laws["a"],
+        limit_map=lambda spec, th, x: np.maximum(th["a"] * x, 0.0),
+        smoothness=lambda spec, th: np.abs(th["b"]), dilation={"b": 1},
+        cancellation=lambda spec, th: 2.0 * np.abs(th["b"]),
+        cancellation_law=lambda spec: rnd.scaled_abs_law(spec.laws["b"], 2.0),
+        # an extremal composite is an extremal draw
+        composite=(_extremal_init, _extremal_update, _extremal_map),
+    ),
+    "letac": Family(
+        lambda d: ["a", "b", "c"], _letac_map, domain={"a": "positive", "b": ">= 0"},
+        m_scale=lambda spec, th: th["a"], scale_law=lambda spec: spec.laws["a"],
+        limit_map=lambda spec, th, x: th["a"] * np.maximum(x, 0.0),
+        smoothness=lambda spec, th: th["a"] * th["b"] + np.abs(th["c"]),
+        dilation={"b": 1, "c": 1}, composite=(_letac_init, _letac_update, _letac_evaluate),
+    ),
+    "sqrt_quadratic": Family(
+        lambda d: ["a", "b", "c"], _sqrtquad_map, sample=_sample_sqrtquad,
+        m_scale=lambda spec, th: np.sqrt(th["a"]), limit_map=_abs_limit,
+        scale_law=lambda spec: rnd.power_law(spec.laws["a"], 0.5),
+        smoothness=_sqrtquad_bound, dilation={"b": 1, "c": 2},
+        cancellation=lambda spec, th: _sqrtquad_bound(spec, th, cancellation=True),
+    ),
+    "arch1": Family(
+        lambda d: ["a"], _arch1_map, check=_arch1_check,
+        constants=dict.fromkeys(("gamma", "beta", "lambda"), float),
+        m_scale=_arch1_m_scale, lipschitz=_arch1_lipschitz, limit_map=_abs_limit,
+        smoothness=lambda spec, th: math.sqrt(spec.constants["beta"]) * np.abs(th["a"]),
+        scale_law=lambda spec: rnd.abs_affine_law(
+            spec.laws["a"], spec.constants["gamma"], math.sqrt(spec.constants["lambda"])
+        ),
+        cancellation_law=lambda spec: rnd.scaled_abs_law(
+            spec.laws["a"], math.sqrt(spec.constants["beta"])
+        ),
+        dilation={"beta": 2},
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)

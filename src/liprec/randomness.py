@@ -51,6 +51,8 @@ class DistributionSpec:
                 raise ConfigError("discrete weights must be nonnegative")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise ConfigError("discrete weights must sum to 1")
+            if not all(map(math.isfinite, (*self.atoms, *self.weights))):
+                raise ConfigError("discrete atoms and weights must be finite")
             return
         n_expected = {"constant": 1, "lognormal": 2, "uniform": 2, "normal": 2}[self.kind]
         if len(self.params) != n_expected:
@@ -66,6 +68,8 @@ class DistributionSpec:
         elif self.kind == "normal":
             if self.params[1] <= 0:
                 raise ConfigError("normal sd must be positive")
+        if not all(map(math.isfinite, self.params)):
+            raise ConfigError(f"{self.kind} law parameters must be finite, got {self.params}")
 
 
 def constant(value):

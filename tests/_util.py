@@ -90,6 +90,36 @@ def reference_forward(spec, x0, n, count, master_seed, purpose, want_sums):
 
 
 # ---------------------------------------------------------------------------
+# each map written per family in plain arithmetic: the reference for
+# models.apply, whose family rows write each map once as ufunc calls that
+# serve both `out=None` and `out=`
+
+
+def reference_apply(spec, theta, x):
+    """psi_theta(x), one closed form per family."""
+    fam = spec.family
+    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
+    if fam == "affine":
+        rx = models._rotate(spec, theta, x)
+        scale = theta["scale"]
+        if spec.dimension > 1 and np.ndim(scale):
+            scale = np.asarray(scale, dtype=float)[..., None]
+        shift = theta["shift"] if spec.dimension == 1 else models._shift_vector(spec, theta)
+        return scale * rx + shift
+    if fam == "extremal":
+        return np.maximum(theta["a"] * x, theta["b"])
+    if fam == "letac":
+        return theta["a"] * np.maximum(x, theta["b"]) + theta["c"]
+    if fam == "sqrt_quadratic":
+        models._check_sqrtquad(theta)
+        return np.sqrt(theta["a"] * x * x + theta["b"] * x + theta["c"])
+    g = spec.constants["gamma"]
+    beta = spec.constants["beta"]
+    lam = spec.constants["lambda"]
+    return np.abs(g * np.abs(x) + np.sqrt(beta + lam * x * x) * theta["a"])
+
+
+# ---------------------------------------------------------------------------
 # the dilated map written per family with t: the reference for
 # models.apply_dilated, which dilates the parameters and calls apply
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import liprec
-from liprec import chains, cli, config, experiments, tails
+from liprec import chains, cli, config, experiments, models, tails
 from liprec import randomness as rnd
 from liprec._version import VERSION
 from liprec.errors import ConfigError, DomainError
@@ -210,6 +210,84 @@ def test_build_model_reports_bad_values(tmp_path):
     cfg = config.parse_config(bad, "p.cfg")
     with pytest.raises(ConfigError):
         config.build_model(cfg)
+
+
+# a valid value for a model constant of each type a family row gives
+_CONSTANT_TEXT = {float: "0.5", tuple: "1.0, 2.0, 0.5"}
+
+
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_build_model_reads_the_family_row(family):
+    # the row alone decides which [model] keys and dimensions config accepts
+    row = models.FAMILY_TABLE[family]
+    others = {
+        k: t for r in models.FAMILY_TABLE.values() for k, t in r.constants.items()
+        if k not in row.constants
+    }
+
+    def build(dimension, extra=()):
+        params = models.required_params(family, dimension if dimension in row.dimensions else 1)
+        text = f"[model]\nfamily = {family}\ndimension = {dimension}\n"
+        for key, kind in [*row.constants.items(), *extra]:
+            text += f"{key} = {_CONSTANT_TEXT[kind]}\n"
+        text += "".join(f"[distributions.{p}]\nkind = constant\nparams = 0.0\n" for p in params)
+        return config.build_model(config.parse_config(text, "p.cfg"))
+
+    for dimension in range(1, 5):
+        if dimension in row.dimensions:
+            spec = build(dimension)
+            assert (spec.family, spec.dimension) == (family, dimension)
+            assert set(spec.constants) == set(row.constants)
+        else:
+            with pytest.raises(ConfigError, match="dimension must be|one-dimensional"):
+                build(dimension)
+    for key, kind in others.items():
+        with pytest.raises(ConfigError, match=f"{key}: unknown key for family '{family}'"):
+            build(1, [(key, kind)])
+
+
+_FINITE_AFFINE = AFFINE_3D_MODEL.replace("kind = uniform\nparams = 0.3, 0.9", "kind = discrete\n"
+                                         "atoms = 0.3, 0.9\nweights = 0.5, 0.5")
+
+
+@pytest.mark.parametrize(
+    "model, old, new, message",
+    [
+        (AFFINE_ALPHA2_MODEL, "params = 1.0\n", "params = inf\n",
+         "[distributions.shift]: constant law parameters must be finite, got (inf,)"),
+        (AFFINE_ALPHA2_MODEL, "params = -1.0, 1.0", "params = nan, 1.0",
+         "[distributions.scale]: lognormal law parameters must be finite, got (nan, 1.0)"),
+        (AFFINE_ALPHA2_MODEL, "params = -1.0, 1.0", "params = 0.0, inf",
+         "[distributions.scale]: lognormal law parameters must be finite, got (0.0, inf)"),
+        (ARCH1_NORMAL_MODEL, "params = 0.0, 1.0", "params = 0.0, nan",
+         "[distributions.a]: normal law parameters must be finite, got (0.0, nan)"),
+        (SAMPLED_SCALE_MODEL, "params = 1.0, 2.0", "params = 1.0, inf",
+         "[distributions.b]: uniform law parameters must be finite, got (1.0, inf)"),
+        (_FINITE_AFFINE, "atoms = 0.3, 0.9", "atoms = 0.3, inf",
+         "[distributions.scale]: discrete atoms and weights must be finite"),
+        (_FINITE_AFFINE, "weights = 0.5, 0.5", "weights = nan, nan",
+         "[distributions.scale]: discrete atoms and weights must be finite"),
+        (ARCH1_NORMAL_MODEL, "gamma = 0.1", "gamma = nan", "arch1 constant gamma must be finite, got nan"),
+        (ARCH1_NORMAL_MODEL, "beta = 1.0", "beta = inf", "arch1 constant beta must be finite, got inf"),
+        (AFFINE_3D_MODEL, "axis = 1.0, 2.0, 0.5", "axis = 1.0, inf, 0.5",
+         "affine d=3 axis must be finite, got 1.0, inf, 0.5"),
+    ],
+    ids=["shift-inf", "lognormal-nan", "lognormal-inf", "normal-nan", "uniform-inf", "atom-inf",
+         "weights-nan", "gamma-nan", "beta-inf", "axis-inf"],
+)
+def test_cli_refuses_non_finite_laws_and_constants(tmp_path, capsys, model, old, new, message):
+    # each passed its <= or < test: shift = inf wrote 20000 inf samples,
+    # each with a residual bound near 1e-10 (exit 0); lognormal(nan, 1)
+    # sampled until the storage guard tripped (exit 4); an inf axis
+    # component normalized to nan. Each is refused before any stage runs
+    assert old in model
+    path = _write(tmp_path, model.replace(old, new, 1) + "\n[experiment]\ncount = 2000\n")
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("liprec simulate: error: ") and err.endswith(f"{message}\n")
+    assert not (out / "manifest.jsonl").exists()
+    assert not list(out.glob("*.csv"))
 
 
 def test_runner_keys_match_the_getters():

@@ -9,7 +9,7 @@ from liprec import models, randomness as rnd
 from liprec.errors import ConfigError, DomainError
 from liprec.randomness import stream
 
-from _util import reference_apply_dilated, reference_sample_sqrtquad
+from _util import reference_apply, reference_apply_dilated, reference_sample_sqrtquad
 
 
 def _catalog():
@@ -135,20 +135,25 @@ def test_apply_dilated_matches_closed_form_reference_bitwise(name):
     grid = radii if d == 1 else np.concatenate([np.outer(radii, e) for e in np.eye(d)])
     for t in np.linspace(0.25, 1.0, 4):
         same(shaped, grid, t)
+    if d == 1:  # and one t per draw, wider than the grid
+        same(shaped, grid, g.uniform(1e-6, 1.0, size=(n, 1)))
 
 
 @pytest.mark.parametrize("draws", ["batch", "single"])
 @pytest.mark.parametrize("name", sorted(DILATION_MODELS))
 def test_apply_into_out_matches_apply_bitwise(name, draws):
     # the forward engine's in-place step: a batch holds random parameters
-    # and constant-law views; a single draw's floats broadcast over x
+    # and constant-law views; a single draw's floats broadcast over x.
+    # Each family's map is written once, so both paths are held to the
+    # map written out in plain arithmetic
     spec = DILATION_MODELS[name]
     d = spec.dimension
     n = 512
     g = stream(73, 0, f"into-{name}-{draws}")
     th = models.sample_theta(spec, g, n if draws == "batch" else None)
     x = g.normal(scale=3.0, size=(n,) if d == 1 else (n, d))
-    want = models.apply(spec, th, x)
+    want = reference_apply(spec, th, x)
+    assert models.apply(spec, th, x).tobytes() == want.tobytes()
     fresh = np.empty_like(x)
     assert models.apply(spec, th, x, out=fresh) is fresh
     assert fresh.tobytes() == want.tobytes()
@@ -162,9 +167,11 @@ def test_apply_on_a_scalar_keeps_its_type_and_value(family):
     spec = CATALOG[family]
     th = models.sample_theta(spec, stream(79, 0, f"scalar-{family}"))
     got = models.apply(spec, th, 0.7)
-    # affine's closed form is float arithmetic; the others pass numpy ufuncs
-    assert type(got) is (float if family == "affine" else np.float64)
+    # every map is ufunc calls, so a Python scalar gives an np.float64, a
+    # float subclass
+    assert type(got) is np.float64
     assert got == models.apply(spec, th, np.array([0.7]))[0]
+    assert got == reference_apply(spec, th, 0.7)
 
 
 @pytest.mark.parametrize("family", sorted(CATALOG))

@@ -139,6 +139,19 @@ def test_distribution_validation():
         rnd.discrete((1.0, 2.0), (0.4, 0.4))  # weights do not sum to 1
     with pytest.raises(ConfigError):
         rnd.DistributionSpec("cauchy", params=(0.0, 1.0))  # unsupported kind
+    # nan and inf pass every <= and < test above, so each is refused by name
+    inf, nan = math.inf, math.nan
+    for make in (
+        lambda: rnd.constant(inf),
+        lambda: rnd.lognormal(nan, 1.0),
+        lambda: rnd.lognormal(0.0, inf),
+        lambda: rnd.normal(0.0, nan),
+        lambda: rnd.uniform(0.0, inf),
+        lambda: rnd.discrete((1.0, inf), (0.5, 0.5)),
+        lambda: rnd.discrete((1.0, 2.0), (nan, nan)),
+    ):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make()
 
 
 @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=0.05, max_value=2))
