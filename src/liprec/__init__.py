@@ -7,7 +7,7 @@ regimes, all from explicit, reproducible estimators.
 """
 
 from ._version import VERSION as __version__
-from .chains import StationaryBatch, birkhoff_sums, stationary_batch
+from .chains import StationaryBatch, birkhoff_sums, exact_batch, stationary_batch
 from .cramer import Moments, cramer_report, moments, solve_cramer
 from .errors import (
     AssertionFlagError,
@@ -75,6 +75,7 @@ __all__ = [
     "direction_masses",
     "discrete",
     "enumerate_fixed_points",
+    "exact_batch",
     "gaussian_check",
     "goldie_constant",
     "hill_estimator",

@@ -1,9 +1,17 @@
-"""Forward and backward iteration engines.
+"""Forward and backward iteration engines, and exact stationary draws.
 
 Backward iteration composes fresh draws innermost, so the iterate is a.s.
 Cauchy once the running Lipschitz product is small; we stop at the first
 depth where product * oscillation-envelope < tol and return that bound as
 a residual certificate.
+
+Where a model has an `models.exact_walk` (extremal, a constant b > 0 and
+a ~ lognormal(mu, sigma) with mu < 0), `exact_batch` draws the stationary
+law b exp(M), M = sup_n (log a_1 + ... + log a_n), with no truncation:
+each member walks under the a^alpha-tilted step law N(-mu, sigma^2) until
+it first goes above 0, keeps that ladder height H with probability
+exp(-alpha H) and walks again, and its first rejected height ends it
+(Ensor & Glynn 2000; Blanchet & Wallwater 2015). Its residual is 0.
 
 Batches run in fixed blocks, one `randomness.stream` per block, read from
 its start and merged by block index: results are a pure function of
@@ -30,6 +38,14 @@ innermost-first: a member runs at step j exactly when its stop depth is
 at least j, so the live sets are rebuilt from the depths; a constant
 law's stored draw is a read-only view of one value.
 
+Draw layout of the exact sampler: step j of block b reads the
+(master_seed, b, "exact") stream, a purpose of its own so that it shares
+no draw with the backward sampler. It draws one standard normal per
+member still walking, in ascending member index, then one uniform per
+member whose walk went above 0 at step j, in the same order. A member's
+stop depth is its walk steps, so the normals drawn are the sum of the
+depths.
+
 A batch keeps its samples and each member's stop depth, and keeps the
 residual bounds only when its caller asks, since only `simulate` writes
 them. Stop depths are int32: the storage guard `_STORAGE_CAP` (2^27)
@@ -44,10 +60,11 @@ its step-s draw from element (s mod FORWARD_STEPS) * size + i of chunk
 s // FORWARD_STEPS of the (master_seed, b, purpose) stream, where size
 is the block's member count; the last chunk has the steps left.
 
-Schedule of both engines: the blocks wait in one first-in, first-out
+Schedule of every engine: the blocks wait in one first-in, first-out
 queue, and each worker thread takes the next block, runs its turn and
 puts it back if work is left. A forward turn (`_forward_block`) is one
-chunk of steps, a backward turn (`_backward_block`) the whole block. A
+chunk of steps, a backward or exact turn (`_backward_block`,
+`_exact_block`) the whole block. A
 block's turns thus run in order, one thread at a time, and read its
 stream in the layouts above for any thread count, while blocks of
 unequal size (1e4 chains are 4096 + 4096 + 1808) keep every thread busy
@@ -99,7 +116,8 @@ class StationaryBatch:
         A quantile is the smallest depth at which at least that share of
         the members have stopped. A member draws theta at each step down
         to its stop depth, so `theta_used`, the sum of the depths, counts
-        every draw the sampler made.
+        every draw the sampler made; for the exact sampler it counts the
+        walk's normals, and leaves out its uniforms.
         """
         d = self.stop_depths
         # np.quantile(d, ..., method="inverted_cdf") without its full copy
@@ -341,6 +359,86 @@ def _trim_heap():
         pass
 
 
+def _exact_block(walk, max_depth, rng, count):
+    """Exact stationary draws for one block; returns (points, walk steps).
+
+    Each member walks under the tilted step law N(drift, sigma^2) and
+    adds each ladder height H it keeps (probability exp(-alpha H)) to its
+    M; its first rejected height ends it with the sample b exp(M). The
+    arrays beside `live` hold the live members' M and their walk since
+    their last kept height.
+    """
+    m_out = np.empty(count)
+    depth = np.zeros(count, dtype=np.int32)
+    live = np.arange(count)
+    m = np.zeros(count)
+    s = np.zeros(count)
+    step = 0
+    while len(live):
+        if step == max_depth:
+            raise ConvergenceError(
+                f"exact walk hit max_depth={max_depth} with {len(live)} of "
+                f"{count} members still walking"
+            )
+        step += 1
+        z = rng.standard_normal(len(live))
+        z *= walk.sigma
+        z += walk.drift
+        s += z
+        up = np.flatnonzero(s > 0)
+        if not len(up):
+            continue
+        h = s[up]
+        kept = rng.random(len(up)) < np.exp(-walk.alpha * h)
+        m[up[kept]] += h[kept]
+        s[up] = 0.0
+        ends = up[~kept]
+        if len(ends):
+            done = live[ends]
+            depth[done] = step
+            m_out[done] = m[ends]
+            going = np.ones(len(live), dtype=bool)
+            going[ends] = False
+            live, m, s = live[going], m[going], s[going]
+    np.exp(m_out, out=m_out)
+    m_out *= walk.b
+    return m_out, depth
+
+
+def _block_parts(count):
+    """The batch's BLOCK_SIZE blocks as slices, in block order."""
+    if count <= 0:
+        raise PreconditionError("count must be positive")
+    return [slice(s, min(s + BLOCK_SIZE, count)) for s in range(0, count, BLOCK_SIZE)]
+
+
+def exact_batch(
+    spec, count, master_seed=0, threads=1, max_depth=DEFAULT_MAX_DEPTH, keep_bounds=False
+):
+    """`count` exact draws from the stationary law, deterministically.
+
+    For a model with an `models.exact_walk` (extremal, a constant b > 0
+    and a ~ lognormal(mu, sigma) with mu < 0). Block b uses the
+    (master_seed, b, "exact") stream. The stop depths are each member's
+    walk steps, and the residual bounds, kept only with `keep_bounds`,
+    are exactly 0.
+    """
+    walk = models.exact_walk(spec)
+    if walk is None:
+        raise PreconditionError(f"no exact stationary draw: {models.exact_refusal(spec)}")
+    parts = _block_parts(count)
+    samples = np.empty(count)
+    depths = np.empty(count, dtype=np.int32)
+
+    def turn(part):
+        rng = stream(master_seed, part.start // BLOCK_SIZE, "exact")
+        samples[part], depths[part] = _exact_block(walk, max_depth, rng, part.stop - part.start)
+        return False
+
+    _take_turns(turn, parts, threads)
+    return StationaryBatch(samples, depths, np.zeros(count) if keep_bounds else None, 0.0)
+
+
 def stationary_batch(
     spec,
     count,
@@ -358,8 +456,7 @@ def stationary_batch(
     residual bounds are kept only with `keep_bounds`; they do not change
     the samples or the stop depths.
     """
-    if count <= 0:
-        raise PreconditionError("count must be positive")
+    parts = _block_parts(count)
     if x0 is None:
         x0 = models.zero_point(spec)
 
@@ -379,7 +476,6 @@ def stationary_batch(
             certs[part] = cert
         return False
 
-    parts = [slice(s, min(s + BLOCK_SIZE, count)) for s in range(0, count, BLOCK_SIZE)]
     _take_turns(turn, parts, threads)
     _trim_heap()
     return StationaryBatch(samples, depths, certs, tol)

@@ -21,7 +21,7 @@ _SECTION_RE = re.compile(r"^\[([a-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _TOP_SECTIONS = ("model", "experiment", "output", "assertions")
 # [experiment] keys that take one of a fixed set of words, checked on parsing
-_CHOICES = {"mode": cramer.MODES, "sampler": ("backward", "forward")}
+_CHOICES = {"mode": cramer.MODES, "sampler": ("backward", "exact", "forward")}
 
 
 @dataclass(frozen=True)

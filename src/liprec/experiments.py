@@ -153,12 +153,21 @@ class _Stage:
         """Write `plot(path, *args)` and record the sha256 it returns."""
         self.outputs[name] = plot(os.path.join(self.out_dir, name), *args)
 
-    def backward(self, spec, count, tol, **kw):
-        """The stage's backward batch, its stop depths and draws recorded."""
-        self.layout["backward_form"] = "replay" if models.composite(spec) is None else "composite"
-        batch = chains.stationary_batch(
-            spec, count, tol=tol, master_seed=self.seed, threads=self.threads, **kw
-        )
+    def backward(self, spec, count, tol, sampler, **kw):
+        """The stage's stationary batch, its stop depths and draws recorded.
+
+        `sampler` is `exact` for `chains.exact_batch`; any other value
+        runs the backward engine, `chains.stationary_batch`, to `tol`.
+        """
+        if sampler == "exact":
+            self.layout["backward_form"] = "exact"
+            batch = chains.exact_batch(spec, count, self.seed, self.threads, **kw)
+        else:
+            form = "replay" if models.composite(spec) is None else "composite"
+            self.layout["backward_form"] = form
+            batch = chains.stationary_batch(
+                spec, count, tol=tol, master_seed=self.seed, threads=self.threads, **kw
+            )
         self.extra["backward"] = batch.draw_counters()
         return batch
 
@@ -187,6 +196,10 @@ class _Stage:
 
 def _prologue(cfg, out_dir, seed):
     spec = cfgmod.build_model(cfg)
+    if models.FAMILY_TABLE[spec.family].outside is not None and all(
+        rnd.atoms(law) is not None for law in spec.laws.values()
+    ):
+        models.theta_atoms(spec)  # refuses atoms with no tuple in the domain
     digest = cfgmod.config_digest(cfg, VERSION)
     if seed is None:
         seed = get_int(cfg, "experiment", "seed", default=0)
@@ -229,6 +242,22 @@ def _positive(key, value):
 def _backward_tol(cfg):
     """The backward sampler's [experiment] tol, which must be positive."""
     return _positive("tol", get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL))
+
+
+def _sampler(cfg, spec):
+    """[experiment] sampler: the one given, else `exact` where the model
+    admits an exact stationary draw and `backward` elsewhere.
+
+    `exact` on a model that admits none is refused, naming the condition
+    that fails. Only `simulate` runs `forward`; the other verbs draw the
+    stationary law, and read it as `backward`.
+    """
+    choice = get_str(cfg, "experiment", "sampler", default="")
+    if choice == "exact":
+        why = models.exact_refusal(spec)
+        if why is not None:
+            raise ConfigError(f"[experiment] sampler = exact needs an exact stationary law: {why}")
+    return choice or ("backward" if models.exact_walk(spec) is None else "exact")
 
 
 def _moment_settings(cfg):
@@ -385,15 +414,23 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
     max_depth = _positive(
         "max_depth", get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
     )
-    mode = get_str(cfg, "experiment", "sampler", default="backward")
+    mode = _sampler(cfg, spec)
     dim = spec.dimension
     x0_cfg = _finite("x0", get_floats(cfg, "experiment", "x0", length=dim))
+    if x0_cfg is not None and mode == "exact":
+        raise ConfigError(
+            "[experiment] x0: the exact sampler has no start point; "
+            "set sampler = backward to iterate from x0"
+        )
     x0 = models.zero_point(spec) if x0_cfg is None else (
         float(x0_cfg[0]) if dim == 1 else np.asarray(x0_cfg, dtype=float)
     )
     with _Stage(out_dir, "simulate", digest, seed, threads) as st:
-        if mode == "backward":
-            batch = st.backward(spec, count, tol, max_depth=max_depth, x0=x0, keep_bounds=True)
+        if mode != "forward":
+            kw = {} if mode == "exact" else {"x0": x0}
+            batch = st.backward(
+                spec, count, tol, mode, max_depth=max_depth, keep_bounds=True, **kw
+            )
             columns = _point_columns(batch.samples) + [
                 batch.stop_depths,
                 batch.residual_bounds,
@@ -419,10 +456,11 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     hill_points = _positive(
         "hill_points", get_int(cfg, "experiment", "hill_points", default=tails.DEFAULT_HILL_POINTS)
     )
+    sampler = _sampler(cfg, spec)
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
         # only the samples: the stop depths are freed before the report
-        samples = st.backward(spec, count, tol).samples
+        samples = st.backward(spec, count, tol, sampler).samples
         rep = tails.tail_report(
             spec, samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
@@ -457,6 +495,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
     tol = _backward_tol(cfg)
     center_text = get_str(cfg, "experiment", "center", default="auto")
+    sampler = _sampler(cfg, spec)
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         # refusals that need no pilot or chain come before either is drawn
         center = _limit_center(center_text)
@@ -472,7 +511,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         @functools.cache
         def pilot():
             # drawn on first use: a closed-form center needs no pilot
-            return st.backward(spec, count, tol).samples
+            return st.backward(spec, count, tol, sampler).samples
 
         _require_linearity(cfg, spec, pilot)
         if regime not in ("mid", "eq2"):
@@ -541,10 +580,11 @@ def run_support(cfg, out_dir, seed=None, threads=1):
     count = get_int(cfg, "experiment", "count", default=10000)
     tol = _backward_tol(cfg)
     word_guard = get_int(cfg, "experiment", "word_guard", default=support.WORD_GUARD)
+    sampler = _sampler(cfg, spec)
     dim = spec.dimension
     with _Stage(out_dir, "support", digest, seed, threads) as st:
         cloud = support.enumerate_fixed_points(spec, max_depth, word_guard=word_guard)
-        samples = st.backward(spec, count, tol).samples
+        samples = st.backward(spec, count, tol, sampler).samples
         cov = support.coverage_check(cloud, samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
         st.csv(
@@ -582,10 +622,11 @@ def run_check(cfg, out_dir, seed=None, threads=1):
     s_grid = _finite(
         "s_grid", get_floats(cfg, "experiment", "s_grid", default=(0.25, 0.5, 1.0, 2.0))
     )
+    sampler = _sampler(cfg, spec)
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]
-        samples = st.backward(spec, count, tol).samples
+        samples = st.backward(spec, count, tol, sampler).samples
         reports.append(cramer.check_cancellation(spec, samples, 256, rng))
         radii = models.radius(spec, samples)
         x_hi = float(np.quantile(radii, 0.9)) + 1.0

@@ -171,17 +171,22 @@ def sample_theta(spec, rng, size=None):
     return values
 
 
+def _sqrtquad_outside(theta):
+    """The draws outside sqrt_quadratic's domain: a <= 0 or b^2 - 4ac >= 0."""
+    a, b, c = (np.asarray(theta[k]) for k in "abc")
+    return (a <= 0) | (b * b - 4.0 * a * c >= 0)
+
+
 def _sample_sqrtquad(spec, rng, size):
-    """a, b and c in turn, then the draws with a <= 0 or b^2 - 4ac >= 0
-    redrawn. Only the random parameters are redrawn, in place: a constant
-    law's batch stays a read-only view, and drawing it reads nothing."""
+    """a, b and c in turn, then the draws outside the domain redrawn.
+    Only the random parameters are redrawn, in place: a constant law's
+    batch stays a read-only view, and drawing it reads nothing."""
     laws = spec.laws
     n = 1 if size is None else int(size)
     theta = {k: rnd.sample(laws[k], rng, n) for k in ("a", "b", "c")}
     random = [k for k in theta if laws[k].kind != "constant"]
     for _ in range(_SQRTQUAD_MAX_REDRAWS):
-        a, b, c = theta.values()
-        bad = (a <= 0) | (b * b - 4.0 * a * c >= 0)
+        bad = _sqrtquad_outside(theta)
         k = int(np.count_nonzero(bad))
         if k == 0:
             break
@@ -340,6 +345,64 @@ def composite(spec):
 
 
 # ---------------------------------------------------------------------------
+# exact stationary draws: psi(x) = max(a x, b) with a constant b > 0 has
+# the stationary law of b exp(M), M = sup_{n >= 0} S_n, S_n = log a_1 + ...
+# + log a_n, and `chains.exact_batch` draws M exactly
+
+
+@dataclass(frozen=True)
+class ExactWalk:
+    """The walk behind an exact stationary draw b exp(M).
+
+    Under the law of log a tilted by a^alpha the walk's steps are
+    N(drift, sigma^2); each ladder height H it reaches is kept with
+    probability exp(-alpha H).
+    """
+
+    b: float
+    drift: float
+    sigma: float
+    alpha: float
+
+
+def _extremal_exact_refusal(spec):
+    """Why the exact sampler does not apply to an extremal model, or None."""
+    b, a = spec.laws["b"], spec.laws["a"]
+    if b.kind != "constant" or not b.params[0] > 0:
+        return f"b must be a positive constant, got {_law_text(b)}"
+    if a.kind != "lognormal" or not a.params[0] < 0:
+        return f"a must be lognormal(mu, sigma) with mu < 0, got {_law_text(a)}"
+    return None
+
+
+def _law_text(law):
+    return f"{law.kind}({', '.join(map(repr, law.params or law.atoms))})"
+
+
+def _extremal_exact(spec):
+    if _extremal_exact_refusal(spec) is not None:
+        return None
+    mu, sigma = spec.laws["a"].params
+    # E a^alpha = exp(alpha mu + alpha^2 sigma^2 / 2) = 1, and tilting
+    # N(mu, sigma^2) by exp(alpha y) shifts its mean to mu + alpha sigma^2,
+    # which is -mu; -mu itself is the drift, free of that sum's rounding
+    return ExactWalk(spec.laws["b"].params[0], -mu, sigma, -2.0 * mu / sigma**2)
+
+
+def exact_walk(spec):
+    """The model's ExactWalk, or None when it admits no exact draw."""
+    exact = FAMILY_TABLE[spec.family].exact
+    return None if exact is None else exact(spec)
+
+
+def exact_refusal(spec):
+    """Why the model admits no exact stationary draw, or None when it does."""
+    if FAMILY_TABLE[spec.family].exact is None:
+        return f"the family must be extremal, got {spec.family}"
+    return _extremal_exact_refusal(spec)
+
+
+# ---------------------------------------------------------------------------
 # the linear part, the limit map, per-draw bounds and derived scalar laws
 # (None when outside the closed-form algebra)
 
@@ -423,19 +486,34 @@ def _enumerated_cancellation_law(spec):
 def theta_atoms(spec):
     """All atoms of the theta law as (theta, probability) pairs.
 
-    Only defined when every parameter law is atomic.
+    Only defined when every parameter law is atomic. A family whose
+    sampler redraws the draws outside its domain (sqrt_quadratic) draws
+    the product law conditioned on the domain, so the tuples outside it
+    are dropped and the others' weights renormalised.
     """
-    names = required_params(spec.family, spec.dimension)
+    row = FAMILY_TABLE[spec.family]
+    names = row.params(spec.dimension)
     tables = [rnd.atoms(spec.laws[name]) for name in names]
     for name, table in zip(names, tables):
         if table is None:
             raise PreconditionError(
                 f"theta enumeration needs atomic laws; {name} is {spec.laws[name].kind}"
             )
-    return [
+    pairs = [
         ({name: v for name, (v, _) in zip(names, combo)}, math.prod(p for _, p in combo))
         for combo in itertools.product(*tables)
     ]
+    if row.outside is None:
+        return pairs
+    outside, domain = row.outside
+    kept = [(th, p) for th, p in pairs if not outside(th)]
+    total = math.fsum(p for _, p in kept)
+    if not total > 0:
+        sections = ", ".join(f"[distributions.{name}]" for name in names)
+        raise ConfigError(f"no atom tuple of {sections} with positive weight has {domain}")
+    if len(kept) < len(pairs):
+        kept = [(th, p / total) for th, p in kept]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +541,10 @@ class Family:
     cancellation_law: Callable = _enumerated_cancellation_law
     dilation: dict = field(default_factory=dict)  # parameter or constant -> power of t
     composite: tuple | None = None  # (init, update, evaluate); None: replay
+    # (theta -> mask of the draws outside the domain, the domain as text):
+    # the sampler redraws those, so `theta_atoms` drops them
+    outside: tuple | None = None
+    exact: Callable | None = None  # spec -> its ExactWalk, or None
     linear_maps: bool = False  # psi_theta(x) = scale * R x + shift everywhere
 
 
@@ -492,6 +574,7 @@ FAMILY_TABLE = {
         cancellation_law=lambda spec: rnd.scaled_abs_law(spec.laws["b"], 2.0),
         # an extremal composite is an extremal draw
         composite=(_extremal_init, _extremal_update, _extremal_map),
+        exact=_extremal_exact,
     ),
     "letac": Family(
         lambda d: ["a", "b", "c"], _letac_map, domain={"a": "positive", "b": ">= 0"},
@@ -502,6 +585,7 @@ FAMILY_TABLE = {
     ),
     "sqrt_quadratic": Family(
         lambda d: ["a", "b", "c"], _sqrtquad_map, sample=_sample_sqrtquad,
+        outside=(_sqrtquad_outside, "a > 0 and b^2 - 4ac < 0"),
         m_scale=lambda spec, th: np.sqrt(th["a"]), limit_map=_abs_limit,
         scale_law=lambda spec: rnd.power_law(spec.laws["a"], 0.5),
         smoothness=_sqrtquad_bound, dilation={"b": 1, "c": 2},

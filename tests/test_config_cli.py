@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -823,7 +824,9 @@ def test_cli_cramer_writes_solution(tmp_path, capsys):
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
-    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 40000\n")
+    # the exact sampler's thread invariance is acceptance check 11's
+    text = BENCH_MODEL + "\n[experiment]\ncount = 40000\nsampler = backward\n"
+    path = _write(tmp_path, text)
     out1, out3 = tmp_path / "one", tmp_path / "three"
     assert _run(["simulate", "--config", path, "--seed", 5, "--out", out1]) == 0
     assert _run(
@@ -849,13 +852,27 @@ def _header(path):
 
 
 def test_csv_schemas_simulate_backward(tmp_path):
-    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 500\n")
+    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 500\nsampler = backward\n")
     out = tmp_path / "o"
     assert _run(["simulate", "--config", path, "--out", out]) == 0
     assert _header(out / "samples.csv") == "x1,stop_depth,residual_bound"
     body = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
     assert body.shape == (500, 3)
     assert np.all(body[:, 2] <= 1e-9)
+
+
+def test_csv_schemas_simulate_exact(tmp_path):
+    # the default sampler on the benchmark model: same columns, and every
+    # residual is exactly 0
+    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 500\n")
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", path, "--out", out]) == 0
+    rows = (out / "samples.csv").read_text().splitlines()
+    assert rows[0] == "x1,stop_depth,residual_bound"
+    assert len(rows) == 501
+    assert all(r.endswith(",0.0") for r in rows[1:])
+    body = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
+    assert np.all(body[:, 0] >= 1.0) and np.all(body[:, 1] >= 1)
 
 
 def test_csv_schemas_simulate_forward(tmp_path):
@@ -959,6 +976,55 @@ def test_cli_limit_checks_center_in_every_regime(tmp_path, capsys):
     assert entry["error"] == message
     assert entry["exit_code"] == 2
     assert entry["outputs"] == {}
+
+
+SQRTQUAD_ATOMIC_MODEL = """\
+[model]
+family = sqrt_quadratic
+
+[distributions.a]
+kind = discrete
+atoms = 0.25, 1.0
+
+[distributions.b]
+kind = discrete
+atoms = -3.0, 0.2
+
+[distributions.c]
+kind = constant
+params = 1.0
+"""
+
+
+def test_cli_atom_tuples_outside_the_domain_are_dropped(tmp_path, capsys):
+    # (0.25, -3, 1) and (1, -3, 1) break b^2 - 4ac < 0: the sampler never
+    # draws them, and the enumerated law drops them too, so `check` no
+    # longer computes a nan bound for them and `support` no longer builds
+    # their maps
+    path = _write(tmp_path, SQRTQUAD_ATOMIC_MODEL + "\n[experiment]\ncount = 2000\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for verb in ("check", "support"):
+            out = tmp_path / verb
+            assert _run([verb, "--config", path, "--out", out, "--seed", 3]) == 0
+            for table in out.glob("*.csv"):
+                for row in _table(table):
+                    for v in row.values():
+                        try:
+                            assert math.isfinite(float(v))
+                        except ValueError:
+                            pass  # a name or a detail
+    assert len(_table(tmp_path / "support" / "support.csv")) > 0
+    # with no tuple in the domain, both refuse before any stage
+    bad = SQRTQUAD_ATOMIC_MODEL.replace("atoms = -3.0, 0.2", "atoms = -3.0, 2.0")
+    path = _write(tmp_path, bad + "\n[experiment]\ncount = 2000\n", "bad.cfg")
+    capsys.readouterr()
+    for verb in ("check", "support"):
+        out = tmp_path / f"bad-{verb}"
+        assert _run([verb, "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "[distributions.a], [distributions.b], [distributions.c]" in err
+        assert not (out / "manifest.jsonl").exists()
 
 
 def test_cli_non_contracting_model_exits_3_with_one_error_line(tmp_path, capsys):
@@ -1141,43 +1207,8 @@ def test_cli_stdout_restates_outputs(tmp_path, capsys):
 
 
 def test_manifest_records_each_stage(tmp_path):
-    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 300\n")
-    out = tmp_path / "o"
-    assert _run(["simulate", "--config", path, "--seed", 9, "--out", out]) == 0
-    lines = (out / "manifest.jsonl").read_text().splitlines()
-    entry = json.loads(lines[-1])
-    assert entry["stage"] == "simulate"
-    assert entry["status"] == "ok"
-    assert entry["seed"] == 9
-    assert entry["version"] == VERSION
-    assert entry["stream_layout"] == {
-        "bit_generator": "SFC64",
-        "backward_block": 16384,
-        "forward_block": 4096,
-        "forward_steps": 16,
-        "pair_chunk": 65536,
-        "backward_form": "composite",  # extremal carries its composed map
-    }
-    assert entry["numpy"]["version"] == np.__version__
-    assert set(entry["numpy"]) == {"version", "simd_baseline", "simd_found"}
-    assert all(isinstance(f, str) for f in entry["numpy"]["simd_found"])
-    assert "samples.csv" in entry["outputs"]
-    cfg = config.load_config(path)
-    assert entry["config_digest"] == config.config_digest(cfg, VERSION)
-    digest = entry["outputs"]["samples.csv"]
-    got = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
-    assert digest == got
-    # one block: each member draws one theta per step down to its depth
-    depths = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 1]
-    ranked = np.sort(depths)  # p-quantile: the depth of rank ceil(p * 300)
-    assert entry["backward"] == {
-        "stop_depth_mean": float(depths.mean()),
-        "stop_depth_p50": int(ranked[149]),
-        "stop_depth_p90": int(ranked[269]),
-        "stop_depth_p99": int(ranked[296]),
-        "stop_depth_max": int(depths.max()),
-        "theta_used": int(depths.sum()),
-    }
+    # extremal carries its composed map
+    _check_simulate_manifest(tmp_path, "sampler = backward\n", "composite")
     # arch1 has no composite and replays its draws; a forward run draws no
     # backward batch and names no backward form
     arch1 = """\
@@ -1200,6 +1231,52 @@ count = 300
         assert _run(["simulate", "--config", path, "--out", out]) == 0
         entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
         assert entry["stream_layout"].get("backward_form") == form
+
+
+def test_manifest_records_the_exact_sampler(tmp_path):
+    # the default where the model admits an exact draw
+    _check_simulate_manifest(tmp_path, "", "exact")
+
+
+def _check_simulate_manifest(tmp_path, sampler, form):
+    path = _write(tmp_path, BENCH_MODEL + "\n[experiment]\ncount = 300\n" + sampler)
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", path, "--seed", 9, "--out", out]) == 0
+    lines = (out / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(lines[-1])
+    assert entry["stage"] == "simulate"
+    assert entry["status"] == "ok"
+    assert entry["seed"] == 9
+    assert entry["version"] == VERSION
+    assert entry["stream_layout"] == {
+        "bit_generator": "SFC64",
+        "backward_block": 16384,
+        "forward_block": 4096,
+        "forward_steps": 16,
+        "pair_chunk": 65536,
+        "backward_form": form,
+    }
+    assert entry["numpy"]["version"] == np.__version__
+    assert set(entry["numpy"]) == {"version", "simd_baseline", "simd_found"}
+    assert all(isinstance(f, str) for f in entry["numpy"]["simd_found"])
+    assert "samples.csv" in entry["outputs"]
+    cfg = config.load_config(path)
+    assert entry["config_digest"] == config.config_digest(cfg, VERSION)
+    digest = entry["outputs"]["samples.csv"]
+    got = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+    assert digest == got
+    # one block: each member draws one theta (exact: one normal) per step
+    # down to its depth
+    depths = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 1]
+    ranked = np.sort(depths)  # p-quantile: the depth of rank ceil(p * 300)
+    assert entry["backward"] == {
+        "stop_depth_mean": float(depths.mean()),
+        "stop_depth_p50": int(ranked[149]),
+        "stop_depth_p90": int(ranked[269]),
+        "stop_depth_p99": int(ranked[296]),
+        "stop_depth_max": int(depths.max()),
+        "theta_used": int(depths.sum()),
+    }
 
 
 def test_manifest_names_the_bit_generator(tmp_path):

@@ -279,6 +279,43 @@ def test_sqrt_quadratic_rejection_exhaustion():
         models.sample_theta(spec, stream(73, 0, "rej"), 8)
 
 
+# a in {0.25, 1}, b in {-3, 0.2}, c = 1: (0.25, -3, 1) and (1, -3, 1) have
+# b^2 - 4ac >= 0, so the sampler redraws them and draws the other two
+_SQRTQUAD_ATOMS = {
+    "a": rnd.discrete((0.25, 1.0), (0.5, 0.5)),
+    "b": rnd.discrete((-3.0, 0.2), (0.5, 0.5)),
+    "c": rnd.constant(1.0),
+}
+
+
+def test_theta_atoms_are_the_law_the_sampler_draws():
+    spec = models.make_model("sqrt_quadratic", laws=_SQRTQUAD_ATOMS)
+    pairs = models.theta_atoms(spec)
+    assert pairs == [
+        ({"a": 0.25, "b": 0.2, "c": 1.0}, 0.5),
+        ({"a": 1.0, "b": 0.2, "c": 1.0}, 0.5),
+    ]
+    draws = models.sample_theta(spec, stream(74, 0, "atoms"), 20000)
+    assert set(zip(draws["a"].tolist(), draws["b"].tolist())) == {(0.25, 0.2), (1.0, 0.2)}
+    # no tuple outside the domain: the product law as it was
+    inside = dict(_SQRTQUAD_ATOMS, b=rnd.discrete((-0.5, 0.2), (0.3, 0.7)))
+    pairs = models.theta_atoms(models.make_model("sqrt_quadratic", laws=inside))
+    assert [p for _, p in pairs] == [0.5 * 0.3, 0.5 * 0.7, 0.5 * 0.3, 0.5 * 0.7]
+    bounds = models.cancellation_law(spec)
+    assert all(map(math.isfinite, bounds.atoms)) and math.isclose(sum(bounds.weights), 1.0)
+
+
+def test_theta_atoms_refuse_a_law_with_no_tuple_in_the_domain():
+    laws = dict(_SQRTQUAD_ATOMS, b=rnd.discrete((-3.0, 2.0), (0.5, 0.5)))
+    spec = models.make_model("sqrt_quadratic", laws=laws)
+    with pytest.raises(ConfigError) as err:
+        models.theta_atoms(spec)
+    assert str(err.value) == (
+        "no atom tuple of [distributions.a], [distributions.b], [distributions.c] "
+        "with positive weight has a > 0 and b^2 - 4ac < 0"
+    )
+
+
 SQRTQUAD_LAWS = {
     # lognormal a and uniform b break b^2 - 4ac < 0 in about 1 draw in 10,
     # so each batch takes redraws
