@@ -1,7 +1,8 @@
 """Command line front end.
 
 Six verbs share the same flags: --config (required), --seed (overrides
-the config seed), --out (output directory) and --threads (at least 1).
+the config seed, at least 0), --out (output directory) and --threads (at
+least 1).
 Exit codes: 0 success, 2 configuration or domain problem, 3 convergence
 failure, 4 capacity guard, 5 missing assertion flag. On success the CLI
 prints the summary lines the verb's runner returns; on failure, one
@@ -49,6 +50,8 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = load_config(args.config)
         lines = experiments.RUNNERS[args.verb](
             cfg, args.out, seed=args.seed, threads=args.threads

@@ -5,11 +5,16 @@ a comment, blank lines ignored. Sections are `[model]`,
 `[distributions.<param>]` (one per model parameter), `[experiment]`,
 `[output]` and `[assertions]`. Values stay strings until a typed getter
 consumes them, so error messages can carry the original line number.
+Every key of the last three sections has one entry in `KEYS`, its getter
+and its domain; `parse_config` checks each one present, so a malformed
+value fails before any stage, and the runners read them through `setting`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -19,9 +24,8 @@ from .randomness import DistributionSpec
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-_TOP_SECTIONS = ("model", "experiment", "output", "assertions")
-# [experiment] keys that take one of a fixed set of words, checked on parsing
-_CHOICES = {"mode": cramer.MODES, "sampler": ("backward", "exact", "forward")}
+_RUNNER_SECTIONS = ("experiment", "output", "assertions")  # the sections KEYS covers
+_TOP_SECTIONS = ("model", *_RUNNER_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,11 @@ def parse_config(text, path="<config>"):
         if key in current:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         current[key] = ConfigValue(value, lineno)
-    for key, choices in _CHOICES.items():
-        cv = cfg.experiment.get(key)
-        if cv is not None and cv.text not in choices:
-            why = f"expected one of {', '.join(choices)}, got {cv.text!r}"
-            _fail(cfg, "experiment", key, cv, why)
+    for (section, key), (getter, domain) in KEYS.items():  # build_model refuses the rest
+        if key in cfg.section(section):
+            value = getter(cfg, section, key, None)
+            if domain is not None and (why := domain(value)) is not None:
+                raise ConfigError(f"[{section}] {key} {why}")
     return cfg
 
 
@@ -128,6 +132,9 @@ def _floats(text):
     return tuple(float(p.strip()) for p in text.split(",") if p.strip())
 
 
+_LIST_WHY = "not a comma list of numbers: {!r}"
+
+
 def _get(cfg, section, key, default, parse=str, why="", required=False):
     """[section] `key` through `parse`, or `default` when the key is absent.
 
@@ -165,7 +172,7 @@ def get_bool(cfg, section, key, default=False):
 
 def get_floats(cfg, section, key, default=None, length=None):
     """A nonempty comma list of numbers as a tuple; with `length`, exactly that many."""
-    values = _get(cfg, section, key, None, _floats, "not a comma list of numbers: {!r}")
+    values = _get(cfg, section, key, None, _floats, _LIST_WHY)
     if values is None:
         return default
     if not values or length is not None and len(values) != length:
@@ -178,22 +185,75 @@ def get_floats(cfg, section, key, default=None, length=None):
 
 
 # ---------------------------------------------------------------------------
+# the key table
+
+
+def _one_of(*words, number=False):
+    """The getter of a key that takes one of `words` or, with `number`, a number."""
+    other = float if number else {}.__getitem__
+    why = f"expected one of {', '.join(words)}{' or a number' if number else ''}, got {{!r}}"
+    return lambda cfg, section, key, default: _get(
+        cfg, section, key, default, lambda text: text if text in words else other(text), why
+    )
+
+
+def _above(floor, word=None):
+    """The domain of finite numbers, above `floor` when `word` names it."""
+
+    def complaint(value):
+        # a word the getter took, such as alpha's solve, holds no number
+        numbers = value if isinstance(value, tuple) else () if isinstance(value, str) else (value,)
+        if word and not all(v > floor for v in numbers):
+            return f"must be {word}, got {value}"
+        if not all(isinstance(v, int) or math.isfinite(v) for v in numbers):
+            return f"must be finite, got {', '.join(map(str, numbers))}"
+        return None
+
+    return complaint
+
+
+_REAL, _POSITIVE = _above(None), _above(0, "positive")
+# (section, key) -> (getter, domain) for every key a runner reads. The
+# getter parses the text, refusing it with its line; the domain (None:
+# every parsed value) names what is wrong with a parsed value
+KEYS = {
+    **{("experiment", k): (get_float, _POSITIVE) for k in ("tol", "solver_tol", "epsilon")},
+    **{
+        ("experiment", k): (get_int, _POSITIVE)
+        for k in (
+            "count", "n", "replicas", "max_depth", "max_cloud_depth", "word_guard",
+            "mc_samples", "t_points", "hill_points",
+        )
+    },
+    ("experiment", "seed"): (get_int, _above(-1, "nonnegative")),
+    ("experiment", "bracket"): (functools.partial(get_floats, length=2), _REAL),
+    ("experiment", "s_grid"): (get_floats, _REAL),
+    # any length here: its read checks that against the model's dimension
+    ("experiment", "x0"): (functools.partial(_get, parse=_floats, why=_LIST_WHY), _REAL),
+    ("experiment", "mode"): (_one_of(*cramer.MODES), None),
+    ("experiment", "sampler"): (_one_of("backward", "exact", "forward"), None),
+    ("experiment", "alpha"): (_one_of("solve", number=True), _POSITIVE),
+    ("experiment", "center"): (_one_of("auto", "stationary_mean", number=True), _REAL),
+    ("output", "svg"): (get_bool, None),
+    **{("assertions", k): (get_bool, None) for k in ("nonarithmetic", "linear_on_support")},
+}
+
+
+def setting(cfg, section, key, default=None, length=None):
+    """[section] `key` through its KEYS getter, which `parse_config` has
+    run on it, or `default` when absent (an integer with no default is
+    required). With `length`, a number list must hold that many numbers."""
+    if length is not None:
+        return get_floats(cfg, section, key, default, length)
+    return KEYS[section, key][0](cfg, section, key, default)
+
+
+# ---------------------------------------------------------------------------
 # model construction
 
 _DIST_KEYS = {"kind", "params", "atoms", "weights"}
 # a model constant's getter, by the type its family row gives it
 _GETTERS = {float: get_float, tuple: get_floats}
-# the keys the runners read in the other top sections; any other is a typo
-_RUNNER_KEYS = {
-    "experiment": {
-        "alpha", "bracket", "center", "count", "epsilon", "hill_points",
-        "max_cloud_depth", "max_depth", "mc_samples", "mode", "n", "replicas",
-        "s_grid", "sampler", "seed", "solver_tol", "t_points", "tol",
-        "word_guard", "x0",
-    },
-    "output": {"svg"},
-    "assertions": {"linear_on_support", "nonarithmetic"},
-}
 
 
 def _build_distribution(cfg, param, entries):
@@ -222,9 +282,9 @@ def build_model(cfg):
     Every verb builds its model first, so this also rejects the keys of
     [experiment], [output] and [assertions] that no runner reads.
     """
-    for section, known in _RUNNER_KEYS.items():
+    for section in _RUNNER_SECTIONS:
         for key, cv in cfg.section(section).items():
-            if key not in known:
+            if (section, key) not in KEYS:
                 _fail(cfg, section, key, cv, "unknown key")
     family = get_str(cfg, "model", "family")
     dimension = get_int(cfg, "model", "dimension", default=1)

@@ -12,8 +12,9 @@ sizes, the forward steps per draw, the paired-difference chunk size
 and, for a stage that ran the backward sampler, its form: `composite`
 or `replay`), a sha256 per output file, for a stage that ran the
 backward sampler its stop depths and draws, and for `tail` the
-report's flags. Config keys are read through the typed getters of
-`config`, which own every lookup, default and error message.
+report's flags. Config keys are read through `config.setting`: the
+key table `config.KEYS` owns every parse, domain and error message, and
+each default sits at the read that uses it.
 All sampled stages draw from block-indexed streams, so the thread count
 never changes an output byte.
 """
@@ -35,7 +36,7 @@ from . import chains, cramer, models, stable, support, svgplots, tails
 from . import config as cfgmod
 from . import randomness as rnd
 from ._version import VERSION
-from .config import get_bool, get_float, get_floats, get_int, get_str
+from .config import setting
 from .errors import AssertionFlagError, ConfigError, LiprecError, PreconditionError
 from .randomness import stream
 
@@ -202,7 +203,7 @@ def _prologue(cfg, out_dir, seed):
         models.theta_atoms(spec)  # refuses atoms with no tuple in the domain
     digest = cfgmod.config_digest(cfg, VERSION)
     if seed is None:
-        seed = get_int(cfg, "experiment", "seed", default=0)
+        seed = setting(cfg, "experiment", "seed", 0)
     os.makedirs(out_dir, exist_ok=True)
     return spec, digest, int(seed)
 
@@ -217,31 +218,8 @@ def _point_columns(points):
     return [pts] if pts.ndim == 1 else list(pts.T)
 
 
-def _want_svg(cfg):
-    return get_bool(cfg, "output", "svg", default=False)
-
-
 # ---------------------------------------------------------------------------
 # alpha resolution and assertion gates shared by tail and limit runs
-
-
-def _finite(key, values):
-    """`values`, the number list of [experiment] `key`, which must be finite."""
-    if values is not None and not np.isfinite(values).all():
-        raise ConfigError(f"[experiment] {key} must be finite, got {', '.join(map(str, values))}")
-    return values
-
-
-def _positive(key, value):
-    """`value` of [experiment] `key`, which must be positive and finite."""
-    if value is not None and not value > 0:
-        raise ConfigError(f"[experiment] {key} must be positive, got {value}")
-    return value if value is None else _finite(key, (value,))[0]
-
-
-def _backward_tol(cfg):
-    """The backward sampler's [experiment] tol, which must be positive."""
-    return _positive("tol", get_float(cfg, "experiment", "tol", default=chains.DEFAULT_TOL))
 
 
 def _sampler(cfg, spec):
@@ -252,7 +230,7 @@ def _sampler(cfg, spec):
     that fails. Only `simulate` runs `forward`; the other verbs draw the
     stationary law, and read it as `backward`.
     """
-    choice = get_str(cfg, "experiment", "sampler", default="")
+    choice = setting(cfg, "experiment", "sampler", "")
     if choice == "exact":
         why = models.exact_refusal(spec)
         if why is not None:
@@ -263,12 +241,10 @@ def _sampler(cfg, spec):
 def _moment_settings(cfg):
     """The root bracket, moment mode, Monte Carlo sample count and solver
     tolerance (None: the moment curve's own)."""
-    bracket = _finite("bracket", get_floats(cfg, "experiment", "bracket", (0.05, 8.0), length=2))
-    mode = get_str(cfg, "experiment", "mode", default="auto")
-    n_samples = _positive(
-        "mc_samples", get_int(cfg, "experiment", "mc_samples", default=rnd.DEFAULT_MC_SAMPLES)
-    )
-    tol = _positive("solver_tol", get_float(cfg, "experiment", "solver_tol"))
+    bracket = setting(cfg, "experiment", "bracket", (0.05, 8.0))
+    mode = setting(cfg, "experiment", "mode", "auto")
+    n_samples = setting(cfg, "experiment", "mc_samples", rnd.DEFAULT_MC_SAMPLES)
+    tol = setting(cfg, "experiment", "solver_tol")
     return bracket, mode, n_samples, tol
 
 
@@ -280,38 +256,38 @@ def _resolve_alpha(cfg, spec, seed):
     so `tail` and `limit` report `cramer`'s numbers. Without an |M| law
     the curve is |M| of theta draws on that stream.
     """
-    text = get_str(cfg, "experiment", "alpha", default="solve")
+    alpha = setting(cfg, "experiment", "alpha", "solve")
     m_law = models.linear_scale_law(spec)
     bracket, mode, n_samples, tol = _moment_settings(cfg)
-    if text != "solve":
-        try:
-            alpha = _positive("alpha", float(text))
-        except ValueError:
-            raise ConfigError(
-                f"[experiment] alpha must be a number or 'solve', got {text!r}"
-            ) from None
-    elif m_law is None:
+    if alpha == "solve" and m_law is None:
         raise ConfigError("no representable scale law for this model; set alpha explicitly")
     rng = stream(seed, 0, "moments")
     if m_law is not None:
         curve = cramer.moments(m_law, mode, rng, n_samples)
     else:
-        # the families without an |M| law, sqrt_quadratic and arch1, read
-        # |M| from the law of a, so a sampled curve is the only one
+        # a model without an |M| law (arch1, or sqrt_quadratic where the
+        # domain conditions a) reads |M| from theta draws
         cramer.require_sampling(mode, spec.laws["a"].kind)
         th = models.sample_theta(spec, rng, n_samples)
         curve = cramer.Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
-    if text == "solve":
+    if alpha == "solve":
         alpha = cramer.solve_cramer(curve, bracket, tol)
     m_al, _ = curve.m_alpha(alpha)
     return float(alpha), float(m_al)
 
 
-def _require_nonarithmetic(cfg, spec):
+def _atomic_scale_law(spec):
+    """The law whose atoms bound |M|'s: the |M| law, or without one an
+    atomic a, since |M| is a function of a in arch1 and sqrt_quadratic."""
     m_law = models.linear_scale_law(spec)
+    return spec.laws["a"] if m_law is None and rnd.atoms(spec.laws["a"]) else m_law
+
+
+def _require_nonarithmetic(cfg, spec):
+    m_law = _atomic_scale_law(spec)
     if m_law is None:
         return
-    if rnd.arithmetic_risk(m_law) and not get_bool(cfg, "assertions", "nonarithmetic"):
+    if rnd.arithmetic_risk(m_law) and not setting(cfg, "assertions", "nonarithmetic", False):
         raise AssertionFlagError(
             "the scale law has at most two atoms and may generate an arithmetic "
             "subgroup; set [assertions] nonarithmetic = true to run tail or "
@@ -325,27 +301,12 @@ def _require_linearity(cfg, spec, pilot):
         return
     x = np.asarray(pilot())
     if (x > 0).any() and (x < 0).any():
-        if not get_bool(cfg, "assertions", "linear_on_support"):
+        if not setting(cfg, "assertions", "linear_on_support", False):
             raise AssertionFlagError(
                 "the sampled stationary support is two-sided but this family's "
                 "one-step maps are not linear on it; set [assertions] "
                 "linear_on_support = true to run the limit experiment anyway"
             )
-
-
-def _limit_center(text):
-    """[experiment] center: a finite number, or None for 'auto' and 'stationary_mean'."""
-    if text in ("auto", "stationary_mean"):
-        return None
-    try:
-        center = float(text)
-    except ValueError:
-        raise ConfigError(
-            f"[experiment] center must be a number, 'auto' or 'stationary_mean', got {text!r}"
-        ) from None
-    if not math.isfinite(center):
-        raise ConfigError(f"[experiment] center must be finite, got {text!r}")
-    return center
 
 
 def _replicas_error(replicas, exc):
@@ -374,7 +335,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
     if m_law is None:
         raise ConfigError("no representable scale law; the moment curve needs one")
     bracket, mode, n_samples, tol = _moment_settings(cfg)
-    s_grid = _finite("s_grid", get_floats(cfg, "experiment", "s_grid", default=None))
+    s_grid = setting(cfg, "experiment", "s_grid")
     if s_grid is None:
         s_grid = tuple(np.linspace(bracket[0], bracket[1], 25))
     with _Stage(out_dir, "cramer", digest, seed, threads) as st:
@@ -399,7 +360,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
                 [rep.solver_tolerance],
             ],
         )
-        if _want_svg(cfg):
+        if setting(cfg, "output", "svg", False):
             st.svg("kappa.svg", svgplots.kappa_plot, rep.s_grid, rep.kappa_values, rep.alpha)
     return [
         f"alpha = {rep.alpha:.6f} ({rep.method}), m_alpha = {rep.m_alpha:.6f}",
@@ -409,14 +370,12 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
 
 def run_simulate(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = _backward_tol(cfg)
-    max_depth = _positive(
-        "max_depth", get_int(cfg, "experiment", "max_depth", default=chains.DEFAULT_MAX_DEPTH)
-    )
+    count = setting(cfg, "experiment", "count", DEFAULT_COUNT)
+    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
+    max_depth = setting(cfg, "experiment", "max_depth", chains.DEFAULT_MAX_DEPTH)
     mode = _sampler(cfg, spec)
     dim = spec.dimension
-    x0_cfg = _finite("x0", get_floats(cfg, "experiment", "x0", length=dim))
+    x0_cfg = setting(cfg, "experiment", "x0", length=dim)
     if x0_cfg is not None and mode == "exact":
         raise ConfigError(
             "[experiment] x0: the exact sampler has no start point; "
@@ -437,7 +396,7 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
             ]
             header = _point_header(dim) + ["stop_depth", "residual_bound"]
         else:
-            n = get_int(cfg, "experiment", "n", default=1024)
+            n = setting(cfg, "experiment", "n", 1024)
             pts = chains.forward_endpoints(spec, x0, n, count, seed, threads)
             columns = _point_columns(pts)
             header = _point_header(dim)
@@ -448,14 +407,10 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
 def run_tail(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     _require_nonarithmetic(cfg, spec)
-    count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = _backward_tol(cfg)
-    t_points = _positive(
-        "t_points", get_int(cfg, "experiment", "t_points", default=tails.DEFAULT_T_POINTS)
-    )
-    hill_points = _positive(
-        "hill_points", get_int(cfg, "experiment", "hill_points", default=tails.DEFAULT_HILL_POINTS)
-    )
+    count = setting(cfg, "experiment", "count", DEFAULT_COUNT)
+    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
+    t_points = setting(cfg, "experiment", "t_points", tails.DEFAULT_T_POINTS)
+    hill_points = setting(cfg, "experiment", "hill_points", tails.DEFAULT_HILL_POINTS)
     sampler = _sampler(cfg, spec)
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
@@ -473,7 +428,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
             ["C", "se", "alpha", "m_alpha"],
             [[rep.goldie.constant], [rep.goldie.se], [rep.alpha], [rep.m_alpha]],
         )
-        if _want_svg(cfg):
+        if setting(cfg, "output", "svg", False):
             st.svg(
                 "survival.svg", svgplots.survival_plot, rep.survival, alpha, rep.goldie.constant
             )
@@ -490,16 +445,14 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     if spec.dimension != 1:
         raise ConfigError("the limit experiment is one-dimensional")
     _require_nonarithmetic(cfg, spec)
-    n = get_int(cfg, "experiment", "n")
-    replicas = get_int(cfg, "experiment", "replicas")
-    count = get_int(cfg, "experiment", "count", default=DEFAULT_COUNT)
-    tol = _backward_tol(cfg)
-    center_text = get_str(cfg, "experiment", "center", default="auto")
+    n = setting(cfg, "experiment", "n")
+    replicas = setting(cfg, "experiment", "replicas")
+    count = setting(cfg, "experiment", "count", DEFAULT_COUNT)
+    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
+    center = setting(cfg, "experiment", "center", "auto")
     sampler = _sampler(cfg, spec)
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         # refusals that need no pilot or chain come before either is drawn
-        center = _limit_center(center_text)
-        chains.require_forward_sizes(n, "replicas", replicas)
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
         regime = stable.limit_params(alpha).regime
         stable.require_normalizable(n, regime)
@@ -516,8 +469,8 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         _require_linearity(cfg, spec, pilot)
         if regime not in ("mid", "eq2"):
             center = 0.0
-        elif center is None:
-            closed = _closed_center(spec) if center_text == "auto" else None
+        elif isinstance(center, str):
+            closed = _closed_center(spec) if center == "auto" else None
             center = float(pilot().mean()) if closed is None else closed
         params = stable.limit_params(alpha, center)
         sums = chains.birkhoff_sums(
@@ -558,7 +511,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         st.csv("limit_fit.csv", ["statistic", "value"], zip(*fit_rows))
         cf_rows = stable.empirical_cf(norm, fit.t_values)
         st.csv("cf.csv", ["t", "v_index", "re", "im", "se"], zip(*cf_rows))
-        if _want_svg(cfg):
+        if setting(cfg, "output", "svg", False):
             st.svg(
                 "cf.svg",
                 svgplots.cf_plot,
@@ -573,13 +526,11 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
 
 def run_support(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    max_depth = _positive(
-        "max_cloud_depth", get_int(cfg, "experiment", "max_cloud_depth", default=12)
-    )
-    epsilon = _positive("epsilon", get_float(cfg, "experiment", "epsilon", default=1e-6))
-    count = get_int(cfg, "experiment", "count", default=10000)
-    tol = _backward_tol(cfg)
-    word_guard = get_int(cfg, "experiment", "word_guard", default=support.WORD_GUARD)
+    max_depth = setting(cfg, "experiment", "max_cloud_depth", 12)
+    epsilon = setting(cfg, "experiment", "epsilon", 1e-6)
+    count = setting(cfg, "experiment", "count", 10000)
+    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
+    word_guard = setting(cfg, "experiment", "word_guard", support.WORD_GUARD)
     sampler = _sampler(cfg, spec)
     dim = spec.dimension
     with _Stage(out_dir, "support", digest, seed, threads) as st:
@@ -603,7 +554,7 @@ def run_support(cfg, out_dir, seed=None, threads=1):
                 [frontier],
             ],
         )
-        if _want_svg(cfg) and dim <= 2:
+        if setting(cfg, "output", "svg", False) and dim <= 2:
             st.svg("cloud.svg", svgplots.cloud_plot, cloud.points)
     return [
         f"cloud size {len(cloud.points)}, coverage "
@@ -614,14 +565,10 @@ def run_support(cfg, out_dir, seed=None, threads=1):
 
 def run_check(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    n_theta = _positive("mc_samples", get_int(cfg, "experiment", "mc_samples", default=100000))
-    count = get_int(cfg, "experiment", "count", default=4096)
-    tol = _backward_tol(cfg)
-    # the moment-ratio probe's grid, read here so a bad one stops the run
-    # before any sampling
-    s_grid = _finite(
-        "s_grid", get_floats(cfg, "experiment", "s_grid", default=(0.25, 0.5, 1.0, 2.0))
-    )
+    n_theta = setting(cfg, "experiment", "mc_samples", 100000)
+    count = setting(cfg, "experiment", "count", 4096)
+    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
+    s_grid = setting(cfg, "experiment", "s_grid", (0.25, 0.5, 1.0, 2.0))
     sampler = _sampler(cfg, spec)
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
@@ -651,12 +598,13 @@ def run_check(cfg, out_dir, seed=None, threads=1):
                     detail=f"root at s={rows[-1][0]:g}",
                 )
             )
-        if m_law is not None:
-            risk = rnd.arithmetic_risk(m_law)
+        atomic = _atomic_scale_law(spec)
+        if atomic is not None:
+            risk = rnd.arithmetic_risk(atomic)
             reports.append(
                 cramer.CheckReport(
                     name="nonarithmetic_scale",
-                    value=float(rnd.atom_count(m_law) or -1),
+                    value=float(rnd.atom_count(atomic) or -1),
                     se=0.0,
                     passed=not risk,
                     detail="atom count; -1 means continuous",

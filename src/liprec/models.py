@@ -474,13 +474,12 @@ def cancellation_law(spec):
     return FAMILY_TABLE[spec.family].cancellation_law(spec)
 
 
-def _enumerated_cancellation_law(spec):
-    """The cancellation bound's law over the theta atoms, or None."""
+def _enumerated_law(spec, value=cancellation_bound):
+    """The law of `value(spec, theta)` over the theta atoms, or None."""
     if any(rnd.atoms(law) is None for law in spec.laws.values()):
         return None
     pairs = theta_atoms(spec)
-    bounds = [float(cancellation_bound(spec, th)) for th, _ in pairs]
-    return rnd.discrete(bounds, [p for _, p in pairs])
+    return rnd.discrete([float(value(spec, th)) for th, _ in pairs], [p for _, p in pairs])
 
 
 def theta_atoms(spec):
@@ -516,6 +515,24 @@ def theta_atoms(spec):
     return kept
 
 
+def _sqrtquad_scale_law(spec):
+    """|M| = sqrt(a) as the sampler draws it, conditioned on the domain:
+    over the tuples `theta_atoms` keeps once it drops one, under a's own law
+    where no draw can be redrawn, and else None (a sampled curve)."""
+    laws = spec.laws
+    tables = [rnd.atoms(laws[k]) for k in "abc"]
+    if None not in tables:
+        if len(theta_atoms(spec)) < math.prod(map(len, tables)):
+            return _enumerated_law(spec, m_scale)
+    else:  # judged on the laws' ranges: a lognormal is positive but nears 0
+        (a_lo, _), (b_lo, b_hi), (c_lo, _) = (rnd.support(laws[k]) for k in "abc")
+        sure = all(lo > 0 or laws[k].kind == "lognormal" for k, lo in (("a", a_lo), ("c", c_lo)))
+        b2 = max(b_lo * b_lo, b_hi * b_hi)
+        if not (sure and (b2 == 0 or b2 < 4.0 * a_lo * c_lo)):
+            return None
+    return rnd.power_law(laws["a"], 0.5)
+
+
 # ---------------------------------------------------------------------------
 # the family table
 
@@ -538,7 +555,7 @@ class Family:
     lipschitz: Callable = m_scale
     linear: Callable = _scaled_linear  # (spec, theta, x) -> M_theta x
     cancellation: Callable = smoothness_bound
-    cancellation_law: Callable = _enumerated_cancellation_law
+    cancellation_law: Callable = _enumerated_law
     dilation: dict = field(default_factory=dict)  # parameter or constant -> power of t
     composite: tuple | None = None  # (init, update, evaluate); None: replay
     # (theta -> mask of the draws outside the domain, the domain as text):
@@ -587,7 +604,7 @@ FAMILY_TABLE = {
         lambda d: ["a", "b", "c"], _sqrtquad_map, sample=_sample_sqrtquad,
         outside=(_sqrtquad_outside, "a > 0 and b^2 - 4ac < 0"),
         m_scale=lambda spec, th: np.sqrt(th["a"]), limit_map=_abs_limit,
-        scale_law=lambda spec: rnd.power_law(spec.laws["a"], 0.5),
+        scale_law=_sqrtquad_scale_law,
         smoothness=_sqrtquad_bound, dilation={"b": 1, "c": 2},
         cancellation=lambda spec, th: _sqrtquad_bound(spec, th, cancellation=True),
     ),

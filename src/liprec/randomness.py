@@ -176,6 +176,15 @@ def _with_atoms(dist, values):
     return discrete(values, dist.weights)
 
 
+def support(dist):
+    """(lowest, highest) value of the law's range; a lognormal's is (0, inf)."""
+    items = atoms(dist)
+    if items is not None:
+        return min(items)[0], max(items)[0]
+    ends = {"lognormal": (0.0, math.inf), "normal": (-math.inf, math.inf)}
+    return ends.get(dist.kind, dist.params)
+
+
 # ---------------------------------------------------------------------------
 # closed-form absolute moments
 

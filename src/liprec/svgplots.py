@@ -17,7 +17,7 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def _finite(xy):
+def _plottable(xy):
     return [(x, y) for x, y in xy if math.isfinite(x) and math.isfinite(y)]
 
 
@@ -141,7 +141,7 @@ def _write(path, body):
 
 def survival_plot(path, rows, alpha, tail_constant):
     """Log-log survival curve with the fitted power-law reference line."""
-    pts = _finite([(t, p) for t, p, _ in rows if t > 0 and p > 0])
+    pts = _plottable([(t, p) for t, p, _ in rows if t > 0 and p > 0])
     if not pts:
         return _write(path, ['<text x="200" y="240">no positive mass</text>'])
     ref = [(t, tail_constant * t**-alpha) for t, _ in pts if tail_constant > 0]
@@ -156,7 +156,7 @@ def survival_plot(path, rows, alpha, tail_constant):
 
 
 def hill_plot(path, rows, alpha_ref=None):
-    pts = _finite([(float(k), a) for k, a in rows])
+    pts = _plottable([(float(k), a) for k, a in rows])
     if not pts:
         return _write(path, ['<text x="200" y="240">empty ladder</text>'])
     ys = [p[1] for p in pts] + ([alpha_ref] if alpha_ref else [])
@@ -170,7 +170,7 @@ def hill_plot(path, rows, alpha_ref=None):
 
 def cf_plot(path, t_values, cf_modulus, alpha_hat=None, intercept=None):
     """|CF| against t with the fitted stretched-exponential overlay."""
-    pts = _finite(list(zip(t_values, cf_modulus)))
+    pts = _plottable(list(zip(t_values, cf_modulus)))
     if not pts:
         return _write(path, ['<text x="200" y="240">empty CF grid</text>'])
     fr = _Frame([p[0] for p in pts], [p[1] for p in pts] + [0.0, 1.0], logx=True)
@@ -218,7 +218,7 @@ def cloud_plot(path, points):
 
 
 def kappa_plot(path, s_values, kappa_values, alpha=None):
-    pts = _finite(list(zip(s_values, kappa_values)))
+    pts = _plottable(list(zip(s_values, kappa_values)))
     if not pts:
         return _write(path, ['<text x="200" y="240">empty grid</text>'])
     fr = _Frame([p[0] for p in pts], [p[1] for p in pts] + [1.0])

@@ -292,20 +292,19 @@ def test_cli_refuses_non_finite_laws_and_constants(tmp_path, capsys, model, old,
 
 
 def test_runner_keys_match_the_getters():
-    # every key literal the runners pass to a typed getter, by section
+    # the runners read exactly the table's keys, each through the one
+    # table lookup, and call no typed getter of their own
     with open(experiments.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    read = {}
+    read = set()
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id.startswith("get_")
-            and len(node.args) >= 3
-        ):
-            section, key = (a.value for a in node.args[1:3])
-            read.setdefault(section, set()).add(key)
-    assert read == config._RUNNER_KEYS
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            assert not name.startswith("get_"), f"line {node.lineno} calls {name}"
+            if name == "setting":
+                section, key = (a.value for a in node.args[1:3])
+                read.add((section, key))
+    assert read == set(config.KEYS)
 
 
 @pytest.mark.parametrize("section", ["experiment", "output", "assertions"])
@@ -579,6 +578,49 @@ def test_cli_backward_tol_and_max_depth_must_be_positive(tmp_path, capsys, verb,
     assert not list(out.glob("*.csv"))
 
 
+# a cheap run that reads each key, as (verb, model, [experiment] settings);
+# a key not listed is tried on simulate
+_KEY_RUNS = {
+    **dict.fromkeys(
+        ("solver_tol", "mc_samples", "bracket", "s_grid"), ("cramer", BENCH_MODEL, {})
+    ),
+    **dict.fromkeys(("alpha", "t_points", "hill_points"), ("tail", BENCH_MODEL, {"count": "2000"})),
+    **dict.fromkeys(
+        ("epsilon", "max_cloud_depth", "word_guard"),
+        ("support", LETAC_MODEL, {"count": "256", "max_cloud_depth": "4"}),
+    ),
+    **dict.fromkeys(
+        ("replicas", "center"),
+        ("limit", AFFINE_ALPHA2_MODEL, {"alpha": "1.5", "n": "64", "replicas": "256", "count": "256"}),
+    ),
+}
+# the values each domain admits of nan, inf, -inf, 0 and -1; a finite
+# number list takes them in one slot
+_KEY_ADMITS = {"seed": ("0",), **dict.fromkeys(("bracket", "s_grid", "x0", "center"), ("0", "-1"))}
+_KEY_TEMPLATES = {"bracket": "{}, 8.0"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "key", sorted(k for (s, k), (_, domain) in config.KEYS.items() if domain is not None)
+)
+def test_cli_every_numeric_key_is_checked_before_any_stage(tmp_path, capsys, key, value):
+    # each value outside the key's domain exits 2 naming the key, before
+    # any stage starts; each inside it starts one
+    verb, model, settings = _KEY_RUNS.get(key, ("simulate", AFFINE_ALPHA2_MODEL, {"count": "256"}))
+    settings = {**settings, key: _KEY_TEMPLATES.get(key, "{}").format(value)}
+    text = model + "\n[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
+    out = tmp_path / "o"
+    code = _run([verb, "--config", _write(tmp_path, text), "--out", out])
+    err = capsys.readouterr().err
+    if value in _KEY_ADMITS.get(key, ()):
+        assert (out / "manifest.jsonl").exists(), err
+    else:
+        assert code == 2
+        assert err.startswith(f"liprec {verb}: error: ") and f"[experiment] {key}" in err
+        assert not (out / "manifest.jsonl").exists()
+
+
 @pytest.mark.parametrize("verb", ["tail", "limit"])
 def test_cli_closed_form_mode_without_a_scale_law_exits_2(tmp_path, capsys, verb):
     # arch1 with a normal a has no |M| law, so m_alpha comes from theta
@@ -638,25 +680,34 @@ def test_cli_wrong_length_vector_exits_2(tmp_path, capsys, verb, model, setting)
 
 
 @pytest.mark.parametrize(
-    "verb, model, setting, needle",
+    "verb, model, setting, needle, in_stage",
     [
-        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 64\nreplicas = 0", "replicas = 0"),
-        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 64\nreplicas = -1", "replicas = -1"),
-        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 0\nreplicas = 64", "n = 0, replicas"),
-        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 2\nn = 1\nreplicas = 64", "needs n >= 2"),
-        ("simulate", BENCH_MODEL, "sampler = forward\ncount = 0", "n = 1024, count = 0"),
-        ("simulate", BENCH_MODEL, "sampler = forward\nn = -1\ncount = 64", "n = -1, count"),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 64\nreplicas = 0",
+         "[experiment] replicas must be positive, got 0", False),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 64\nreplicas = -1",
+         "[experiment] replicas must be positive, got -1", False),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 1.5\nn = 0\nreplicas = 64",
+         "[experiment] n must be positive, got 0", False),
+        ("limit", AFFINE_ALPHA2_MODEL, "alpha = 2\nn = 1\nreplicas = 64", "needs n >= 2", True),
+        ("simulate", BENCH_MODEL, "sampler = forward\ncount = 0",
+         "[experiment] count must be positive, got 0", False),
+        ("simulate", BENCH_MODEL, "sampler = forward\nn = -1\ncount = 64",
+         "[experiment] n must be positive, got -1", False),
     ],
     ids=["replicas0", "replicas-1", "n0", "alpha2-n1", "forward-count0", "forward-n-1"],
 )
-def test_cli_forward_sizes_exit_2(tmp_path, capsys, verb, model, setting, needle):
+def test_cli_forward_sizes_exit_2(tmp_path, capsys, verb, model, setting, needle, in_stage):
     # too few steps or chains used to end in a traceback, a division by
-    # zero, or (n < 0) samples that were x0 itself
+    # zero, or (n < 0) samples that were x0 itself. A size below 1 is
+    # refused as the config is read; n = 1 at alpha = 2 only in the stage
     path = _write(tmp_path, model + "\n[experiment]\n" + setting + "\n")
     out = tmp_path / "o"
     assert _run([verb, "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"liprec {verb}: error: ") and needle in err
+    if not in_stage:
+        assert not (out / "manifest.jsonl").exists()
+        return
     entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
     assert entry["status"] == "failed"
     assert entry["error_type"] == "PreconditionError"
@@ -705,18 +756,15 @@ def test_cli_forward_domain_error_stops_every_turn(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("center", ["nan", "inf", "-inf"])
 def test_cli_limit_refuses_a_center_that_is_not_finite(tmp_path, capsys, center):
     # a non-finite center used to run every chain, write non-finite
-    # samples and then blame [experiment] replicas
+    # samples and then blame [experiment] replicas; it is refused as the
+    # config is read, before any stage
     text = f"alpha = 1.5\nn = 100\nreplicas = 1000\ncenter = {center}"
     path = _write(tmp_path, AFFINE_ALPHA2_MODEL + "\n[experiment]\n" + text + "\n")
     out = tmp_path / "o"
     assert _run(["limit", "--config", path, "--out", out]) == 2
-    message = f"[experiment] center must be finite, got '{center}'"
+    message = f"[experiment] center must be finite, got {center}"
     assert capsys.readouterr().err == f"liprec limit: error: {message}\n"
-    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
-    assert (entry["status"], entry["error_type"], entry["error"]) == (
-        "failed", "ConfigError", message
-    )
-    assert not (out / "limit_samples.csv").exists()
+    assert not (out / "manifest.jsonl").exists()
 
 
 def test_cli_limit_refuses_too_few_replicas_before_sampling(tmp_path, capsys, monkeypatch):
@@ -762,6 +810,17 @@ def test_cli_threads_below_one_exit_2(tmp_path, capsys, verb, threads):
     assert _run([verb, "--config", path, "--out", out, "--threads", threads]) == 2
     err = capsys.readouterr().err
     assert err == f"liprec {verb}: error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [verb for verb, _ in cli._VERBS])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, verb):
+    # a negative seed names no stream: it used to fail inside the stage and
+    # leave a failed record. The flag is checked before the config is
+    # read, so a missing config file is never reached
+    out = tmp_path / "o"
+    assert _run([verb, "--config", tmp_path / "none.cfg", "--out", out, "--seed", -1]) == 2
+    assert capsys.readouterr().err == f"liprec {verb}: error: --seed must be nonnegative, got -1\n"
     assert not out.exists()
 
 
@@ -968,14 +1027,10 @@ def test_cli_limit_checks_center_in_every_regime(tmp_path, capsys):
     bad = _write(tmp_path, text + "center = abc\n", "bad.cfg")
     out = tmp_path / "b"
     assert _run(["limit", "--config", bad, "--out", out]) == 2
-    message = "[experiment] center must be a number, 'auto' or 'stationary_mean', got 'abc'"
+    why = "expected one of auto, stationary_mean or a number, got 'abc'"
+    message = f"{bad}:17: [experiment] center: {why}"
     assert capsys.readouterr().err == f"liprec limit: error: {message}\n"
-    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
-    assert entry["status"] == "failed"
-    assert entry["error_type"] == "ConfigError"
-    assert entry["error"] == message
-    assert entry["exit_code"] == 2
-    assert entry["outputs"] == {}
+    assert not (out / "manifest.jsonl").exists()
 
 
 SQRTQUAD_ATOMIC_MODEL = """\
@@ -1025,6 +1080,43 @@ def test_cli_atom_tuples_outside_the_domain_are_dropped(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "[distributions.a], [distributions.b], [distributions.c]" in err
         assert not (out / "manifest.jsonl").exists()
+
+
+def test_cli_cramer_solves_the_scale_law_the_sampler_draws(tmp_path, capsys):
+    # a in {0.09, 2.25}, b in {-0.7, 0.2}, c = 1: the sampler redraws
+    # (0.09, -0.7, 1), so sqrt(a) is 0.3 with probability 1/3 and 1.5 with
+    # 2/3. The law of a before conditioning gave alpha = 1.497376
+    text = SQRTQUAD_ATOMIC_MODEL.replace("0.25, 1.0", "0.09, 2.25").replace("-3.0, 0.2", "-0.7, 0.2")
+    assert _run(["cramer", "--config", _write(tmp_path, text), "--out", tmp_path / "o"]) == 0
+    sol = _table(tmp_path / "o" / "cramer_solution.csv")[0]
+    lo, hi = 0.05, 8.0  # the default bracket; log E|M|^s falls, then rises through 0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if 0.3**mid / 3 + 2 * 1.5**mid / 3 > 1 else (mid, hi)
+    assert abs(float(sol["alpha"]) - lo) <= float(sol["solver_tolerance"])
+    assert round(lo, 6) == 0.508232
+    # with b continuous the conditioned law of a has no closed form: cramer
+    # refuses it, and tail reads m_alpha from the conditioned sampler's draws
+    cont = text.replace("kind = discrete\natoms = -0.7, 0.2", "kind = uniform\nparams = -0.7, 0.2")
+    cont += "\n[experiment]\nalpha = 2.0\ncount = 2000\nmc_samples = 100000\n"
+    path = _write(tmp_path, cont, "c.cfg")
+    capsys.readouterr()
+    assert _run(["cramer", "--config", path, "--out", tmp_path / "c"]) == 2
+    assert capsys.readouterr().err == (
+        "liprec cramer: error: no representable scale law; the moment curve needs one\n"
+    )
+    # sqrt(a) still takes at most two values, so the nonarithmetic gate
+    # holds, and check still reports the risk
+    assert _run(["tail", "--config", path, "--out", tmp_path / "t"]) == 5
+    assert _run(["check", "--config", path, "--out", tmp_path / "k"]) == 0
+    rows = {r["name"]: r for r in _table(tmp_path / "k" / "check.csv")}
+    assert (rows["nonarithmetic_scale"]["value"], rows["nonarithmetic_scale"]["passed"]) == (
+        "2.0", "false"
+    )
+    path = _write(tmp_path, cont + "\n[assertions]\nnonarithmetic = true\n", "t.cfg")
+    assert _run(["tail", "--config", path, "--out", tmp_path / "t"]) == 0
+    gold = _table(tmp_path / "t" / "goldie.csv")[0]
+    assert float(gold["alpha"]) == 2.0 and float(gold["m_alpha"]) > 0
 
 
 def test_cli_non_contracting_model_exits_3_with_one_error_line(tmp_path, capsys):

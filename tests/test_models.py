@@ -328,6 +328,42 @@ SQRTQUAD_LAWS = {
 }
 
 
+def test_sqrt_quadratic_scale_law_is_conditioned_on_the_domain():
+    # a in {0.09, 2.25}, b in {-0.7, 0.2}, c = 1: only (0.09, -0.7, 1) is
+    # redrawn, so the sampler's a is 0.09 with probability 1/3, not 1/2
+    laws = {
+        "a": rnd.discrete((0.09, 2.25), (0.5, 0.5)),
+        "b": rnd.discrete((-0.7, 0.2), (0.5, 0.5)),
+        "c": rnd.constant(1.0),
+    }
+    law = models.linear_scale_law(models.make_model("sqrt_quadratic", laws=laws))
+    mass = {}
+    for v, w in zip(law.atoms, law.weights):
+        mass[v] = mass.get(v, 0.0) + w
+    assert law.kind == "discrete" and mass == pytest.approx({0.3: 1 / 3, 1.5: 2 / 3}, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "laws, kept",
+    [
+        # no tuple dropped and no draw ever redrawn: sqrt(a) under a's own law
+        (dict(_SQRTQUAD_ATOMS, b=rnd.discrete((-0.5, 0.2), (0.3, 0.7))), True),
+        ({"a": rnd.lognormal(-1.5, 1.0), "b": rnd.constant(0.0), "c": rnd.uniform(0.5, 1.5)}, True),
+        # b^2 <= 0.36 < 4 a c >= 2
+        (dict(a=rnd.discrete((1.0, 2.0), (0.5, 0.5)), b=rnd.uniform(-0.6, 0.6), c=rnd.uniform(0.5, 1.5)),
+         True),
+        # a continuous law whose range allows a redraw: no |M| law
+        *((laws, False) for laws in SQRTQUAD_LAWS.values()),
+        (dict(a=rnd.discrete((0.09, 2.25), (0.5, 0.5)), b=rnd.uniform(-0.7, 0.2), c=rnd.constant(1.0)),
+         False),
+    ],
+    ids=["atoms-inside", "lognormal-b0", "atoms-bounded-b", *SQRTQUAD_LAWS, "atoms-uniform-b"],
+)
+def test_sqrt_quadratic_scale_law_only_where_no_draw_is_redrawn(laws, kept):
+    spec = models.make_model("sqrt_quadratic", laws=laws)
+    assert models.linear_scale_law(spec) == (rnd.power_law(laws["a"], 0.5) if kept else None)
+
+
 @pytest.mark.parametrize("name", sorted(SQRTQUAD_LAWS))
 def test_sqrt_quadratic_sample_matches_copying_reference(name):
     # the same values and stream reads as a sampler that copies every
