@@ -5,13 +5,20 @@ Cauchy once the running Lipschitz product is small; we stop at the first
 depth where product * oscillation-envelope < tol and return that bound as
 a residual certificate.
 
-Where a model has an `models.exact_walk` (extremal, a constant b > 0 and
-a ~ lognormal(mu, sigma) with mu < 0), `exact_batch` draws the stationary
-law b exp(M), M = sup_n (log a_1 + ... + log a_n), with no truncation:
-each member walks under the a^alpha-tilted step law N(-mu, sigma^2) until
-it first goes above 0, keeps that ladder height H with probability
-exp(-alpha H) and walks again, and its first rejected height ends it
-(Ensor & Glynn 2000; Blanchet & Wallwater 2015). Its residual is 0.
+Where a model has an `models.exact_walk` (extremal, a ~ lognormal(mu,
+sigma) with mu < 0, and b in [b_lo, b_hi] with 0 < b_lo <= b_hi < inf),
+`exact_batch` draws the stationary law sup_n b_{n+1} exp(S_n), S_n =
+log a_1 + ... + log a_n, with no truncation. A later term can beat the
+best one so far, b* exp(S*), only if the walk climbs above
+u = log(b* exp(S*)) - log(b_hi). A member at or below u walks under the
+a^alpha-tilted step law N(-mu, sigma^2) until it first goes above u and
+keeps that passage with probability exp(-alpha H), H the height it
+climbed, so a kept path is one of the untilted walk conditioned to pass
+u; its first rejection ends it, since the walk then never passes u
+(Ensor & Glynn 2000; Blanchet & Wallwater 2015). A member above u takes
+one N(mu, sigma^2) step. With a constant b, u is the walk's maximum
+M = sup_n S_n, no member is ever above it, and the sample is b exp(M).
+Its residual is 0.
 
 Batches run in fixed blocks, one `randomness.stream` per block, read from
 its start and merged by block index: results are a pure function of
@@ -38,13 +45,15 @@ innermost-first: a member runs at step j exactly when its stop depth is
 at least j, so the live sets are rebuilt from the depths; a constant
 law's stored draw is a read-only view of one value.
 
-Draw layout of the exact sampler: step j of block b reads the
-(master_seed, b, "exact") stream, a purpose of its own so that it shares
-no draw with the backward sampler. It draws one standard normal per
-member still walking, in ascending member index, then one uniform per
-member whose walk went above 0 at step j, in the same order. A member's
-stop depth is its walk steps, so the normals drawn are the sum of the
-depths.
+Draw layout of the exact sampler: block b reads the (master_seed, b,
+"exact") stream, a purpose of its own so that it shares no draw with
+the backward sampler. It draws one b per member before step 1; then
+step j draws one standard normal per member still walking, one uniform
+per member whose tilted walk went above u at step j, and one b per
+member that landed on a new position at step j (a kept passage or a
+plain step), each group in ascending member index. A constant b draws
+nothing from the stream. A member's stop depth is its walk steps, so
+the normals drawn are the sum of the depths.
 
 A batch keeps its samples and each member's stop depth, and keeps the
 residual bounds only when its caller asks, since only `simulate` writes
@@ -85,6 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from . import randomness as rnd
 from .errors import CapacityError, ConvergenceError, PreconditionError
 from .randomness import stream
 
@@ -117,7 +127,7 @@ class StationaryBatch:
         the members have stopped. A member draws theta at each step down
         to its stop depth, so `theta_used`, the sum of the depths, counts
         every draw the sampler made; for the exact sampler it counts the
-        walk's normals, and leaves out its uniforms.
+        walk's normals, and leaves out its uniforms and its draws of b.
         """
         d = self.stop_depths
         # np.quantile(d, ..., method="inverted_cdf") without its full copy
@@ -359,20 +369,47 @@ def _trim_heap():
         pass
 
 
+def _walk_mode(walk, gap):
+    """The threshold and step mean of members whose best term's key lies
+    `gap` above their position: a tilted test, passed above gap, where
+    gap >= 0, and a plain step, which always lands (threshold -inf),
+    where the position is above it."""
+    test = gap >= 0
+    return np.where(test, gap, -np.inf), np.where(test, walk.drift, -walk.drift)
+
+
 def _exact_block(walk, max_depth, rng, count):
     """Exact stationary draws for one block; returns (points, walk steps).
 
-    Each member walks under the tilted step law N(drift, sigma^2) and
-    adds each ladder height H it keeps (probability exp(-alpha H)) to its
-    M; its first rejected height ends it with the sample b exp(M). The
-    arrays beside `live` hold the live members' M and their walk since
-    their last kept height.
+    A member's terms b exp(S) are compared by their key S + log(b / b_hi),
+    and its walk is kept relative to its last position. At or below its
+    best key it walks under the tilted step law N(drift, sigma^2) until
+    it first goes above that key, keeps that passage of height H with
+    probability exp(-alpha H), and its first rejected one ends it with
+    the sample b* exp(S*) of its best term. Above its best key it takes
+    one step N(-drift, sigma^2). A kept passage or a plain step lands on
+    a new position, which draws its b. The arrays beside `live` hold the
+    live members' walk since their position, and their threshold and step
+    mean from `_walk_mode`; the others are indexed by member.
     """
-    m_out = np.empty(count)
+    law = walk.b_law or rnd.constant(walk.b)
+
+    def draw_b(k):
+        """k draws of b and their log(b / b_hi); a constant b draws nothing."""
+        b = rnd.sample(law, rng, k)
+        return b, np.log(b / walk.b)  # exactly 0 at b_hi
+
+    # by member: the position of its best term, that term's b and key,
+    # and its position now
+    top_s = np.zeros(count)
+    top_b, best = draw_b(count)
+    top_b = np.array(top_b)  # a constant b's draw is a read-only view
+    at = np.zeros(count)
     depth = np.zeros(count, dtype=np.int32)
+    # by live member: its walk since its position, threshold and step mean
     live = np.arange(count)
-    m = np.zeros(count)
     s = np.zeros(count)
+    thr, mean = _walk_mode(walk, best)
     step = 0
     while len(live):
         if step == max_depth:
@@ -383,26 +420,43 @@ def _exact_block(walk, max_depth, rng, count):
         step += 1
         z = rng.standard_normal(len(live))
         z *= walk.sigma
-        z += walk.drift
+        z += mean
         s += z
-        up = np.flatnonzero(s > 0)
+        up = np.flatnonzero(s > thr)
         if not len(up):
             continue
         h = s[up]
-        kept = rng.random(len(up)) < np.exp(-walk.alpha * h)
-        m[up[kept]] += h[kept]
-        s[up] = 0.0
-        ends = up[~kept]
+        test = thr[up] >= 0
+        keep = ~test  # a plain step always lands
+        keep[test] = rng.random(np.count_nonzero(test)) < np.exp(-walk.alpha * h[test])
+        land, ends = up[keep], up[~keep]
+        if len(land):
+            i = live[land]
+            h = h[keep]
+            h += at[i]
+            at[i] = h
+            s[land] = 0.0
+            # a constant b's new position is its best term and keeps its
+            # threshold 0 and tilted mean, so there is nothing more to move
+            if walk.b_law is not None:
+                b, key = draw_b(len(land))
+                key += h
+                new = key > best[i]
+                won = i[new]
+                best[won] = key[new]
+                top_s[won] = h[new]
+                top_b[won] = b[new]
+                thr[land], mean[land] = _walk_mode(walk, best[i] - h)
         if len(ends):
-            done = live[ends]
-            depth[done] = step
-            m_out[done] = m[ends]
+            depth[live[ends]] = step
             going = np.ones(len(live), dtype=bool)
             going[ends] = False
-            live, m, s = live[going], m[going], s[going]
-    np.exp(m_out, out=m_out)
-    m_out *= walk.b
-    return m_out, depth
+            live, s, thr, mean = live[going], s[going], thr[going], mean[going]
+    if walk.b_law is None:
+        top_s = at  # every position a constant b's walk lands on is its best
+    np.exp(top_s, out=top_s)
+    top_s *= top_b
+    return top_s, depth
 
 
 def _block_parts(count):
@@ -417,11 +471,11 @@ def exact_batch(
 ):
     """`count` exact draws from the stationary law, deterministically.
 
-    For a model with an `models.exact_walk` (extremal, a constant b > 0
-    and a ~ lognormal(mu, sigma) with mu < 0). Block b uses the
-    (master_seed, b, "exact") stream. The stop depths are each member's
-    walk steps, and the residual bounds, kept only with `keep_bounds`,
-    are exactly 0.
+    For a model with an `models.exact_walk` (extremal, b bounded and
+    bounded away from 0, and a ~ lognormal(mu, sigma) with mu < 0). Block
+    b uses the (master_seed, b, "exact") stream. The stop depths are each
+    member's walk steps, and the residual bounds, kept only with
+    `keep_bounds`, are exactly 0.
     """
     walk = models.exact_walk(spec)
     if walk is None:
@@ -436,6 +490,7 @@ def exact_batch(
         return False
 
     _take_turns(turn, parts, threads)
+    _trim_heap()
     return StationaryBatch(samples, depths, np.zeros(count) if keep_bounds else None, 0.0)
 
 

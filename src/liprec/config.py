@@ -213,6 +213,16 @@ def _above(floor, word=None):
 
 
 _REAL, _POSITIVE = _above(None), _above(0, "positive")
+
+
+def _bracket(value):
+    """The root bracket's domain: finite ends with 0 < lo < hi."""
+    why = _REAL(value)
+    if why is None and not 0 < value[0] < value[1]:
+        why = f"must satisfy 0 < lo < hi, got {value[0]}, {value[1]}"
+    return why
+
+
 # (section, key) -> (getter, domain) for every key a runner reads. The
 # getter parses the text, refusing it with its line; the domain (None:
 # every parsed value) names what is wrong with a parsed value
@@ -226,7 +236,7 @@ KEYS = {
         )
     },
     ("experiment", "seed"): (get_int, _above(-1, "nonnegative")),
-    ("experiment", "bracket"): (functools.partial(get_floats, length=2), _REAL),
+    ("experiment", "bracket"): (functools.partial(get_floats, length=2), _bracket),
     ("experiment", "s_grid"): (get_floats, _REAL),
     # any length here: its read checks that against the model's dimension
     ("experiment", "x0"): (functools.partial(_get, parse=_floats, why=_LIST_WHY), _REAL),

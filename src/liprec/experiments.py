@@ -248,6 +248,22 @@ def _moment_settings(cfg):
     return bracket, mode, n_samples, tol
 
 
+def _scale_law(cfg, spec):
+    """The |M| law alpha and m_alpha are read from, None for |M| of theta
+    draws, after the refusals that need no draw, so they come before any
+    stage: `alpha = solve` and `mode = closed_form` on a model without one."""
+    m_law = models.linear_scale_law(spec)
+    if m_law is None:
+        if setting(cfg, "experiment", "alpha", "solve") == "solve":
+            raise ConfigError("no representable scale law for this model; set alpha explicitly")
+        if setting(cfg, "experiment", "mode", "auto") == "closed_form":
+            raise ConfigError(
+                "[experiment] mode = closed_form needs a law of |M|, and this model "
+                "has none: its |M| moments are sampled from theta draws"
+            )
+    return m_law
+
+
 def _resolve_alpha(cfg, spec, seed):
     """(alpha, m_alpha) from config: an explicit alpha or the solved root.
 
@@ -256,18 +272,15 @@ def _resolve_alpha(cfg, spec, seed):
     so `tail` and `limit` report `cramer`'s numbers. Without an |M| law
     the curve is |M| of theta draws on that stream.
     """
+    m_law = _scale_law(cfg, spec)
     alpha = setting(cfg, "experiment", "alpha", "solve")
-    m_law = models.linear_scale_law(spec)
     bracket, mode, n_samples, tol = _moment_settings(cfg)
-    if alpha == "solve" and m_law is None:
-        raise ConfigError("no representable scale law for this model; set alpha explicitly")
     rng = stream(seed, 0, "moments")
     if m_law is not None:
         curve = cramer.moments(m_law, mode, rng, n_samples)
     else:
         # a model without an |M| law (arch1, or sqrt_quadratic where the
         # domain conditions a) reads |M| from theta draws
-        cramer.require_sampling(mode, spec.laws["a"].kind)
         th = models.sample_theta(spec, rng, n_samples)
         curve = cramer.Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
     if alpha == "solve":
@@ -412,6 +425,7 @@ def run_tail(cfg, out_dir, seed=None, threads=1):
     t_points = setting(cfg, "experiment", "t_points", tails.DEFAULT_T_POINTS)
     hill_points = setting(cfg, "experiment", "hill_points", tails.DEFAULT_HILL_POINTS)
     sampler = _sampler(cfg, spec)
+    _scale_law(cfg, spec)  # its refusals need no draw
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
         alpha, m_al = _resolve_alpha(cfg, spec, seed)
         # only the samples: the stop depths are freed before the report
@@ -451,6 +465,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
     center = setting(cfg, "experiment", "center", "auto")
     sampler = _sampler(cfg, spec)
+    _scale_law(cfg, spec)  # its refusals need no draw
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         # refusals that need no pilot or chain come before either is drawn
         alpha, m_al = _resolve_alpha(cfg, spec, seed)

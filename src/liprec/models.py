@@ -17,7 +17,11 @@ row up. A row's map is written once and serves `apply` with and without
 it agrees bit for bit with a closed form written with t, and at t = 1
 with `apply`. A row's `composite` is the closed form of a backward
 composition psi_1 o ... o psi_n (extremal, letac and affine), which the
-backward sampler carries per member.
+backward sampler carries per member. A row's `exact` gives the
+`ExactWalk` of an exact stationary draw where one exists: extremal, with
+a ~ lognormal(mu, sigma), mu < 0, and a law of b whose range lies in
+[b_lo, b_hi], 0 < b_lo <= b_hi < inf (a constant, a uniform with a
+positive low end, a discrete law with positive atoms).
 """
 
 from __future__ import annotations
@@ -345,31 +349,35 @@ def composite(spec):
 
 
 # ---------------------------------------------------------------------------
-# exact stationary draws: psi(x) = max(a x, b) with a constant b > 0 has
-# the stationary law of b exp(M), M = sup_{n >= 0} S_n, S_n = log a_1 + ...
-# + log a_n, and `chains.exact_batch` draws M exactly
+# exact stationary draws: psi(x) = max(a x, b) with b in [b_lo, b_hi],
+# 0 < b_lo <= b_hi < inf, has the stationary law of sup_{n >= 0} b_{n+1}
+# exp(S_n), S_n = log a_1 + ... + log a_n, and `chains.exact_batch` draws
+# it exactly; with a constant b it is b exp(M), M = sup_n S_n
 
 
 @dataclass(frozen=True)
 class ExactWalk:
-    """The walk behind an exact stationary draw b exp(M).
+    """The walk behind an exact stationary draw sup_n b_{n+1} exp(S_n).
 
     Under the law of log a tilted by a^alpha the walk's steps are
-    N(drift, sigma^2); each ladder height H it reaches is kept with
-    probability exp(-alpha H).
+    N(drift, sigma^2), and under a's own law N(-drift, sigma^2); a
+    tilted first passage of height H is kept with probability
+    exp(-alpha H).
     """
 
-    b: float
+    b: float  # b's constant value, or the top of its range
     drift: float
     sigma: float
     alpha: float
+    b_law: rnd.DistributionSpec | None = None  # None: b is the constant `b`
 
 
 def _extremal_exact_refusal(spec):
     """Why the exact sampler does not apply to an extremal model, or None."""
     b, a = spec.laws["b"], spec.laws["a"]
-    if b.kind != "constant" or not b.params[0] > 0:
-        return f"b must be a positive constant, got {_law_text(b)}"
+    lo, hi = rnd.support(b)
+    if not 0 < lo <= hi < math.inf:
+        return f"b must be bounded and bounded away from 0, got {_law_text(b)}"
     if a.kind != "lognormal" or not a.params[0] < 0:
         return f"a must be lognormal(mu, sigma) with mu < 0, got {_law_text(a)}"
     return None
@@ -383,10 +391,14 @@ def _extremal_exact(spec):
     if _extremal_exact_refusal(spec) is not None:
         return None
     mu, sigma = spec.laws["a"].params
+    b = spec.laws["b"]
     # E a^alpha = exp(alpha mu + alpha^2 sigma^2 / 2) = 1, and tilting
     # N(mu, sigma^2) by exp(alpha y) shifts its mean to mu + alpha sigma^2,
     # which is -mu; -mu itself is the drift, free of that sum's rounding
-    return ExactWalk(spec.laws["b"].params[0], -mu, sigma, -2.0 * mu / sigma**2)
+    return ExactWalk(
+        rnd.support(b)[1], -mu, sigma, -2.0 * mu / sigma**2,
+        None if b.kind == "constant" else b,
+    )
 
 
 def exact_walk(spec):

@@ -596,7 +596,7 @@ _KEY_RUNS = {
 }
 # the values each domain admits of nan, inf, -inf, 0 and -1; a finite
 # number list takes them in one slot
-_KEY_ADMITS = {"seed": ("0",), **dict.fromkeys(("bracket", "s_grid", "x0", "center"), ("0", "-1"))}
+_KEY_ADMITS = {"seed": ("0",), **dict.fromkeys(("s_grid", "x0", "center"), ("0", "-1"))}
 _KEY_TEMPLATES = {"bracket": "{}, 8.0"}
 
 
@@ -624,19 +624,81 @@ def test_cli_every_numeric_key_is_checked_before_any_stage(tmp_path, capsys, key
 @pytest.mark.parametrize("verb", ["tail", "limit"])
 def test_cli_closed_form_mode_without_a_scale_law_exits_2(tmp_path, capsys, verb):
     # arch1 with a normal a has no |M| law, so m_alpha comes from theta
-    # draws, which closed_form forbids as it does in cramer
+    # draws, which closed_form forbids as it does in cramer; nothing needs
+    # to be drawn to know it, so no stage starts
     text = ARCH1_NORMAL_MODEL + (
         "\n[experiment]\nalpha = 2.0\nmode = closed_form\ncount = 2000\nn = 64\nreplicas = 256\n"
     )
     path = _write(tmp_path, text)
     out = tmp_path / "o"
     assert _run([verb, "--config", path, "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        f"liprec {verb}: error: no closed-form moments for kind 'normal'\n"
+    assert capsys.readouterr().err == f"liprec {verb}: error: {_CLOSED_FORM_WHY}\n"
+    assert not (out / "manifest.jsonl").exists()
+
+
+_CLOSED_FORM_WHY = (
+    "[experiment] mode = closed_form needs a law of |M|, and this model has none: "
+    "its |M| moments are sampled from theta draws"
+)
+# sqrt_quadratic whose continuous laws allow a redraw of a, so |M| = sqrt(a)
+# has no law: a itself is lognormal, whose moments have a closed form
+SQRTQUAD_CONDITIONED_MODEL = """\
+[model]
+family = sqrt_quadratic
+
+[distributions.a]
+kind = lognormal
+params = -1.5, 1.0
+
+[distributions.b]
+kind = uniform
+params = -0.6, 0.6
+
+[distributions.c]
+kind = constant
+params = 1.0
+"""
+
+
+@pytest.mark.parametrize("verb", ["tail", "limit"])
+def test_cli_closed_form_mode_names_the_missing_scale_law(tmp_path, capsys, verb):
+    text = SQRTQUAD_CONDITIONED_MODEL + (
+        "\n[experiment]\nalpha = 2.0\nmode = closed_form\ncount = 2000\nn = 64\nreplicas = 256\n"
     )
-    assert not list(out.glob("*.csv"))
-    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
-    assert (entry["status"], entry["exit_code"]) == ("failed", 2)
+    out = tmp_path / "o"
+    assert _run([verb, "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err == f"liprec {verb}: error: {_CLOSED_FORM_WHY}\n"
+    assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("model", ["arch1", "sqrt_quadratic"])
+@pytest.mark.parametrize("verb", ["tail", "limit"])
+def test_cli_alpha_solve_without_a_scale_law_exits_2_before_any_stage(
+    tmp_path, capsys, verb, model
+):
+    text = {"arch1": ARCH1_NORMAL_MODEL, "sqrt_quadratic": SQRTQUAD_CONDITIONED_MODEL}[model]
+    text += "\n[experiment]\ncount = 2000\nn = 64\nreplicas = 256\n"
+    out = tmp_path / "o"
+    assert _run([verb, "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"liprec {verb}: error: no representable scale law for this model; set alpha explicitly\n"
+    )
+    assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("bracket", ["0, 8.0", "-1, 8.0", "3.0, 1.0", "2.0, 2.0"])
+@pytest.mark.parametrize("verb", ["cramer", "simulate", "tail", "limit", "support", "check"])
+def test_cli_bracket_order_is_checked_before_any_stage(tmp_path, capsys, verb, bracket):
+    # on every verb, whether it solves for alpha or not
+    model = LETAC_MODEL if verb == "support" else BENCH_MODEL
+    text = model + f"\n[experiment]\nalpha = 1.5\ncount = 256\nbracket = {bracket}\n"
+    out = tmp_path / "o"
+    assert _run([verb, "--config", _write(tmp_path, text), "--out", out]) == 2
+    lo, hi = (float(v) for v in bracket.split(","))
+    assert capsys.readouterr().err == (
+        f"liprec {verb}: error: [experiment] bracket must satisfy 0 < lo < hi, got {lo}, {hi}\n"
+    )
+    assert not (out / "manifest.jsonl").exists()
 
 
 @pytest.mark.parametrize("setting", ["", "solver_tol = 1e-5\n"], ids=["default-tol", "solver-tol"])

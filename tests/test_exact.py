@@ -1,4 +1,4 @@
-"""The exact stationary sampler of extremal models with a constant b.
+"""The exact stationary sampler of extremal models with a bounded b > 0.
 
 The bounds below are fixed from the model (the Spitzer series of P(X = b)
 and of the tail constant, and check 3's 1% KS level), not from the draws.
@@ -21,6 +21,7 @@ from _util import ks_critical_two
 MU, SIGMA = -0.75, 1.0  # the benchmark's a ~ lognormal(mu, sigma), b = 1
 ALPHA = -2.0 * MU / SIGMA**2  # 1.5
 M_ALPHA = -MU  # E a^alpha log a: the mean of the tilted step
+SMOOTH_B = rnd.uniform(1.0, 2.0)  # the tail benchmark's b: no atom in the law
 
 
 def _spitzer_sum(terms=400):
@@ -29,9 +30,28 @@ def _spitzer_sum(terms=400):
     return float(np.sum(stats.norm.cdf(MU * np.sqrt(n) / SIGMA) / n))
 
 
+def _extremal(b):
+    return models.make_model("extremal", laws={"a": rnd.lognormal(MU, SIGMA), "b": b})
+
+
 @pytest.fixture(scope="module")
 def exact_400k(bench_spec):
     return chains.exact_batch(bench_spec, 400_000, master_seed=2002, threads=2)
+
+
+@pytest.fixture(scope="module")
+def smooth_spec():
+    return _extremal(SMOOTH_B)
+
+
+@pytest.fixture(scope="module")
+def smooth_exact_400k(smooth_spec):
+    return chains.exact_batch(smooth_spec, 400_000, master_seed=2011, threads=2)
+
+
+@pytest.fixture(scope="module")
+def smooth_backward_400k(smooth_spec):
+    return chains.stationary_batch(smooth_spec, 400_000, master_seed=2012, threads=2)
 
 
 def test_exact_walk_parameters(bench_spec):
@@ -123,6 +143,98 @@ def test_exact_draw_layout_matches_member_by_member_reference(bench_spec):
         assert batch.stop_depths.tolist() == depth.tolist()
 
 
+def _reference_bounded_block(walk, rng, count):
+    """Member by member, in the documented bounded-b layout: one b per
+    member, then per step one normal per member still walking, one uniform
+    per tester whose walk passed its best key, and one b per member that
+    landed on a new position, each in ascending member order. A term's key
+    is its position plus log(b / b_hi); a member whose position is above
+    its best key takes a plain N(mu, sigma^2) step, which always lands."""
+
+    def draw_b(k):
+        b = rnd.sample(walk.b_law, rng, k)
+        return list(b), list(np.log(b / walk.b))
+
+    top_b, best = draw_b(count)
+    top_s, at, s, depth = [0.0] * count, [0.0] * count, [0.0] * count, [0] * count
+    live = list(range(count))
+    step = 0
+    while live:
+        step += 1
+        z = rng.standard_normal(len(live))
+        for i, zi in zip(live, z):
+            test = best[i] - at[i] >= 0
+            s[i] += zi * walk.sigma + (walk.drift if test else -walk.drift)
+        up = [i for i in live if best[i] - at[i] < 0 or s[i] > best[i] - at[i]]
+        tests = [i for i in up if best[i] - at[i] >= 0]
+        u = rng.random(len(tests))
+        ends = {i for i, ui in zip(tests, u) if not ui < math.exp(-walk.alpha * s[i])}
+        land = [i for i in up if i not in ends]
+        b, key = draw_b(len(land))
+        for i, bi, ki in zip(land, b, key):
+            at[i] += s[i]
+            s[i] = 0.0
+            if ki + at[i] > best[i]:
+                best[i], top_s[i], top_b[i] = ki + at[i], at[i], bi
+        for i in ends:
+            depth[i] = step
+        live = [i for i in live if not depth[i]]
+    return np.array([bi * math.exp(si) for bi, si in zip(top_b, top_s)]), np.array(depth)
+
+
+@pytest.mark.parametrize(
+    "b", [SMOOTH_B, rnd.discrete((1.0, 1.5, 2.0), (0.5, 0.25, 0.25))], ids=["uniform", "discrete"]
+)
+def test_exact_bounded_b_layout_matches_member_by_member_reference(b):
+    spec = _extremal(b)
+    walk = models.exact_walk(spec)
+    assert walk == models.ExactWalk(b=2.0, drift=0.75, sigma=1.0, alpha=1.5, b_law=b)
+    for count in (1, 300):
+        batch = chains.exact_batch(spec, count, master_seed=9)
+        want, depth = _reference_bounded_block(walk, stream(9, 0, "exact"), count)
+        np.testing.assert_allclose(batch.samples, want, rtol=1e-15, atol=0)
+        assert batch.stop_depths.tolist() == depth.tolist()
+
+
+def test_exact_bounded_b_matches_backward_in_law(smooth_exact_400k, smooth_backward_400k):
+    x, y = smooth_exact_400k.samples, smooth_backward_400k.samples
+    assert stats.ks_2samp(x, y).statistic < ks_critical_two(len(x), len(y))
+    assert x.min() >= 1.0 and x.max() > 2.0
+
+
+@pytest.mark.parametrize("b", [rnd.constant(1.0), SMOOTH_B], ids=["constant", "uniform"])
+def test_exact_law_is_invariant_under_one_step(b):
+    # X and max(a X, b) with a fresh (a, b) have the same law when X is stationary
+    spec, n = _extremal(b), 100_000
+    x = chains.exact_batch(spec, n, master_seed=2021, threads=2).samples
+    theta = models.sample_theta(spec, stream(2022, 0, "one step"), n)
+    stepped = models.apply(spec, theta, x)
+    other = chains.exact_batch(spec, n, master_seed=2023, threads=2).samples
+    assert stats.ks_2samp(stepped, other).statistic < ks_critical_two(n, n)
+
+
+def test_exact_bounded_b_goldie_constant_matches_backward(
+    smooth_spec, smooth_exact_400k, smooth_backward_400k
+):
+    exact, backward = (
+        tails.goldie_constant(smooth_spec, batch.samples, ALPHA, M_ALPHA, master_seed=seed)
+        for batch, seed in ((smooth_exact_400k, 2013), (smooth_backward_400k, 2014))
+    )
+    assert abs(exact.constant - backward.constant) <= 3.0 * math.hypot(exact.se, backward.se)
+
+
+def test_exact_bounded_b_bytes_do_not_depend_on_threads_or_batch_size(smooth_spec):
+    n = 2 * chains.BLOCK_SIZE + 500
+    runs = [chains.exact_batch(smooth_spec, n, master_seed=6, threads=t) for t in (1, 2, 8)]
+    for other in runs[1:]:
+        assert other.samples.tobytes() == runs[0].samples.tobytes()
+        assert other.stop_depths.tobytes() == runs[0].stop_depths.tobytes()
+    small = chains.exact_batch(smooth_spec, chains.BLOCK_SIZE + 7, master_seed=6)
+    lead = slice(0, chains.BLOCK_SIZE)
+    assert small.samples[lead].tobytes() == runs[0].samples[lead].tobytes()
+    assert small.stop_depths[lead].tobytes() == runs[0].stop_depths[lead].tobytes()
+
+
 def test_exact_depth_guard(bench_spec):
     with pytest.raises(ConvergenceError, match=r"exact walk hit max_depth=1 with \d+ of 1000"):
         chains.exact_batch(bench_spec, 1000, master_seed=3, max_depth=1)
@@ -142,17 +254,26 @@ _NOT_ADMITTED = {
         "extremal", {"a": rnd.uniform(0.2, 1.5), "b": rnd.constant(1.0)},
         "a must be lognormal(mu, sigma) with mu < 0, got uniform(0.2, 1.5)",
     ),
-    "b uniform": (
-        "extremal", {"a": rnd.lognormal(-0.75, 1.0), "b": rnd.uniform(1.0, 2.0)},
-        "b must be a positive constant, got uniform(1.0, 2.0)",
-    ),
     "b = 0": (
         "extremal", {"a": rnd.lognormal(-0.75, 1.0), "b": rnd.constant(0.0)},
-        "b must be a positive constant, got constant(0.0)",
+        "b must be bounded and bounded away from 0, got constant(0.0)",
     ),
     "b < 0": (
         "extremal", {"a": rnd.lognormal(-0.75, 1.0), "b": rnd.constant(-1.0)},
-        "b must be a positive constant, got constant(-1.0)",
+        "b must be bounded and bounded away from 0, got constant(-1.0)",
+    ),
+    "b lognormal": (
+        "extremal", {"a": rnd.lognormal(-0.75, 1.0), "b": rnd.lognormal(0.0, 1.0)},
+        "b must be bounded and bounded away from 0, got lognormal(0.0, 1.0)",
+    ),
+    "b uniform from 0": (
+        "extremal", {"a": rnd.lognormal(-0.75, 1.0), "b": rnd.uniform(0.0, 1.0)},
+        "b must be bounded and bounded away from 0, got uniform(0.0, 1.0)",
+    ),
+    "b atom at 0": (
+        "extremal",
+        {"a": rnd.lognormal(-0.75, 1.0), "b": rnd.discrete((0.0, 1.0), (0.5, 0.5))},
+        "b must be bounded and bounded away from 0, got discrete(0.0, 1.0)",
     ),
     "affine": (
         "affine", {"scale": rnd.lognormal(-0.75, 1.0), "shift": rnd.constant(1.0)},
@@ -178,8 +299,12 @@ def test_models_without_an_exact_walk(case):
 
 
 def _law_section(name, law):
-    values = ", ".join(map(repr, law.params))
-    return f"[distributions.{name}]\nkind = {law.kind}\nparams = {values}\n"
+    text = f"[distributions.{name}]\nkind = {law.kind}\n"
+    if law.kind == "discrete":
+        return text + f"atoms = {', '.join(map(repr, law.atoms))}\n" + (
+            f"weights = {', '.join(map(repr, law.weights))}\n"
+        )
+    return text + f"params = {', '.join(map(repr, law.params))}\n"
 
 
 def _config(family, laws, experiment):
