@@ -243,6 +243,18 @@ class CramerReport:
     solver_tolerance: float
 
 
+def moment_curve(m_law, mode, master_seed, n_samples, spec=None):
+    """The moment curve of one Cramér problem, drawn (when sampled) from the
+    `(master_seed, 0, "moments")` stream: of `m_law`, or without one of |M|
+    of `spec`'s theta draws (arch1, or sqrt_quadratic where the domain
+    conditions a)."""
+    rng = rnd.stream(master_seed, 0, "moments")
+    if m_law is not None:
+        return moments(m_law, mode, rng, n_samples)
+    th = models.sample_theta(spec, rng, n_samples)
+    return Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
+
+
 def cramer_report(
     m_law,
     s_grid,
@@ -254,10 +266,9 @@ def cramer_report(
 ):
     """Solve the Cramér problem and bundle curve, root and diagnostics.
 
-    The grid, the root and m_alpha all read one Moments, drawn (when
-    sampled) from the `(master_seed, 0, "moments")` stream.
+    The grid, the root and m_alpha all read one `moment_curve`.
     """
-    curve = moments(m_law, mode, rnd.stream(master_seed, 0, "moments"), n_samples)
+    curve = moment_curve(m_law, mode, master_seed, n_samples)
     tol = curve.tol if tol is None else tol
     rows = [curve(float(s)) for s in s_grid]
     alpha = solve_cramer(curve, bracket, tol)

@@ -3,15 +3,17 @@
 Each runner takes a parsed Config plus (out_dir, seed, threads), computes
 its tables, writes CSV files with fixed headers, optionally SVG figures,
 and returns the summary lines the CLI prints, each built beside the value
-it shows. A stage that samples the stationary law draws it through
-`_Stage.backward`. Each stage appends one JSON line to manifest.jsonl
-carrying its status (a failed stage adds the exception class and
-message), the config digest, the seed, numpy's version and SIMD
-dispatch, wall time, the stream layout (the backward and forward block
-sizes, the forward steps per draw, the paired-difference chunk size
-and, for a stage that ran the backward sampler, its form: `composite`
-or `replay`), a sha256 per output file, for a stage that ran the
-backward sampler its stop depths and draws, and for `tail` the
+it shows. Each runner that samples the stationary law (all but
+`cramer`) settles its draw with `_draw` before its stage opens: the
+sampler, count, tol, max_depth and x0, with every refusal among them.
+The stage draws it through `_Stage.backward`. Each stage appends one
+JSON line to manifest.jsonl carrying its status (a failed stage adds
+the exception class and message), the config digest, the seed, numpy's
+version and SIMD dispatch, wall time, the stream layout (the backward
+and forward block sizes, the forward steps per draw, the paired
+difference chunk size and, for a stage that drew the stationary law,
+its form: `exact`, `composite` or `replay`), a sha256 per output file,
+for such a stage its stop depths and draws, and for `tail` the
 report's flags. Config keys are read through `config.setting`: the
 key table `config.KEYS` owns every parse, domain and error message, and
 each default sits at the read that uses it.
@@ -21,6 +23,7 @@ never changes an output byte.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import hashlib
@@ -154,20 +157,21 @@ class _Stage:
         """Write `plot(path, *args)` and record the sha256 it returns."""
         self.outputs[name] = plot(os.path.join(self.out_dir, name), *args)
 
-    def backward(self, spec, count, tol, sampler, **kw):
-        """The stage's stationary batch, its stop depths and draws recorded.
-
-        `sampler` is `exact` for `chains.exact_batch`; any other value
-        runs the backward engine, `chains.stationary_batch`, to `tol`.
-        """
-        if sampler == "exact":
+    def backward(self, spec, draw, keep_bounds=False):
+        """The stage's stationary batch of a `_Draw`, its stop depths and
+        draws recorded: `chains.exact_batch` for sampler `exact`, which
+        reads neither tol nor x0, else `chains.stationary_batch`."""
+        if draw.sampler == "exact":
             self.layout["backward_form"] = "exact"
-            batch = chains.exact_batch(spec, count, self.seed, self.threads, **kw)
+            batch = chains.exact_batch(
+                spec, draw.count, self.seed, self.threads, draw.max_depth, keep_bounds
+            )
         else:
             form = "replay" if models.composite(spec) is None else "composite"
             self.layout["backward_form"] = form
             batch = chains.stationary_batch(
-                spec, count, tol=tol, master_seed=self.seed, threads=self.threads, **kw
+                spec, draw.count, draw.tol, self.seed, max_depth=draw.max_depth,
+                x0=draw.x0, threads=self.threads, keep_bounds=keep_bounds,
             )
         self.extra["backward"] = batch.draw_counters()
         return batch
@@ -218,24 +222,42 @@ def _point_columns(points):
     return [pts] if pts.ndim == 1 else list(pts.T)
 
 
+# how a verb draws the stationary law, settled before its stage opens
+_Draw = collections.namedtuple("_Draw", "sampler count tol max_depth x0")
+
+
+def _draw(cfg, spec, count):
+    """[experiment] sampler, count (default `count`), tol, max_depth and x0.
+
+    The sampler is the one given, else `exact` where the model admits an
+    exact stationary draw and `backward` elsewhere. `exact` on a model
+    that admits none is refused, and so is an `x0` under the exact
+    sampler, which has no start point. Only `simulate` runs `forward`;
+    the other verbs read it as `backward`.
+    """
+    sampler = setting(cfg, "experiment", "sampler", "")
+    if sampler == "exact" and (why := models.exact_refusal(spec)) is not None:
+        raise ConfigError(f"[experiment] sampler = exact needs an exact stationary law: {why}")
+    sampler = sampler or ("backward" if models.exact_walk(spec) is None else "exact")
+    x0 = setting(cfg, "experiment", "x0", length=spec.dimension)
+    if x0 is not None and sampler == "exact":
+        raise ConfigError(
+            "[experiment] x0: the exact sampler has no start point; "
+            "set sampler = backward to iterate from x0"
+        )
+    if x0 is not None:  # parsed as a tuple of floats
+        x0 = x0[0] if spec.dimension == 1 else np.asarray(x0)
+    return _Draw(
+        sampler,
+        setting(cfg, "experiment", "count", count),
+        setting(cfg, "experiment", "tol", chains.DEFAULT_TOL),
+        setting(cfg, "experiment", "max_depth", chains.DEFAULT_MAX_DEPTH),
+        models.zero_point(spec) if x0 is None else x0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # alpha resolution and assertion gates shared by tail and limit runs
-
-
-def _sampler(cfg, spec):
-    """[experiment] sampler: the one given, else `exact` where the model
-    admits an exact stationary draw and `backward` elsewhere.
-
-    `exact` on a model that admits none is refused, naming the condition
-    that fails. Only `simulate` runs `forward`; the other verbs draw the
-    stationary law, and read it as `backward`.
-    """
-    choice = setting(cfg, "experiment", "sampler", "")
-    if choice == "exact":
-        why = models.exact_refusal(spec)
-        if why is not None:
-            raise ConfigError(f"[experiment] sampler = exact needs an exact stationary law: {why}")
-    return choice or ("backward" if models.exact_walk(spec) is None else "exact")
 
 
 def _moment_settings(cfg):
@@ -264,25 +286,13 @@ def _scale_law(cfg, spec):
     return m_law
 
 
-def _resolve_alpha(cfg, spec, seed):
-    """(alpha, m_alpha) from config: an explicit alpha or the solved root.
-
-    The root and m_alpha read one moment curve, drawn (when sampled) from
-    the `(seed, 0, "moments")` stream as `cramer.cramer_report` draws it,
-    so `tail` and `limit` report `cramer`'s numbers. Without an |M| law
-    the curve is |M| of theta draws on that stream.
-    """
-    m_law = _scale_law(cfg, spec)
+def _resolve_alpha(cfg, spec, seed, m_law=None):
+    """(alpha, m_alpha): an explicit alpha or the solved root, and m_alpha,
+    read from the `cramer.moment_curve` that `cramer` reports, of the |M|
+    law the runner settled with `_scale_law` (None: |M| of theta draws)."""
     alpha = setting(cfg, "experiment", "alpha", "solve")
     bracket, mode, n_samples, tol = _moment_settings(cfg)
-    rng = stream(seed, 0, "moments")
-    if m_law is not None:
-        curve = cramer.moments(m_law, mode, rng, n_samples)
-    else:
-        # a model without an |M| law (arch1, or sqrt_quadratic where the
-        # domain conditions a) reads |M| from theta draws
-        th = models.sample_theta(spec, rng, n_samples)
-        curve = cramer.Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
+    curve = cramer.moment_curve(m_law, mode, seed, n_samples, spec)
     if alpha == "solve":
         alpha = cramer.solve_cramer(curve, bracket, tol)
     m_al, _ = curve.m_alpha(alpha)
@@ -383,26 +393,11 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
 
 def run_simulate(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    count = setting(cfg, "experiment", "count", DEFAULT_COUNT)
-    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
-    max_depth = setting(cfg, "experiment", "max_depth", chains.DEFAULT_MAX_DEPTH)
-    mode = _sampler(cfg, spec)
+    draw = _draw(cfg, spec, DEFAULT_COUNT)
     dim = spec.dimension
-    x0_cfg = setting(cfg, "experiment", "x0", length=dim)
-    if x0_cfg is not None and mode == "exact":
-        raise ConfigError(
-            "[experiment] x0: the exact sampler has no start point; "
-            "set sampler = backward to iterate from x0"
-        )
-    x0 = models.zero_point(spec) if x0_cfg is None else (
-        float(x0_cfg[0]) if dim == 1 else np.asarray(x0_cfg, dtype=float)
-    )
     with _Stage(out_dir, "simulate", digest, seed, threads) as st:
-        if mode != "forward":
-            kw = {} if mode == "exact" else {"x0": x0}
-            batch = st.backward(
-                spec, count, tol, mode, max_depth=max_depth, keep_bounds=True, **kw
-            )
+        if draw.sampler != "forward":
+            batch = st.backward(spec, draw, keep_bounds=True)
             columns = _point_columns(batch.samples) + [
                 batch.stop_depths,
                 batch.residual_bounds,
@@ -410,7 +405,7 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
             header = _point_header(dim) + ["stop_depth", "residual_bound"]
         else:
             n = setting(cfg, "experiment", "n", 1024)
-            pts = chains.forward_endpoints(spec, x0, n, count, seed, threads)
+            pts = chains.forward_endpoints(spec, draw.x0, n, draw.count, seed, threads)
             columns = _point_columns(pts)
             header = _point_header(dim)
         st.csv("samples.csv", header, columns)
@@ -420,16 +415,14 @@ def run_simulate(cfg, out_dir, seed=None, threads=1):
 def run_tail(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     _require_nonarithmetic(cfg, spec)
-    count = setting(cfg, "experiment", "count", DEFAULT_COUNT)
-    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
     t_points = setting(cfg, "experiment", "t_points", tails.DEFAULT_T_POINTS)
     hill_points = setting(cfg, "experiment", "hill_points", tails.DEFAULT_HILL_POINTS)
-    sampler = _sampler(cfg, spec)
-    _scale_law(cfg, spec)  # its refusals need no draw
+    draw = _draw(cfg, spec, DEFAULT_COUNT)
+    m_law = _scale_law(cfg, spec)  # its refusals need no draw
     with _Stage(out_dir, "tail", digest, seed, threads) as st:
-        alpha, m_al = _resolve_alpha(cfg, spec, seed)
+        alpha, m_al = _resolve_alpha(cfg, spec, seed, m_law)
         # only the samples: the stop depths are freed before the report
-        samples = st.backward(spec, count, tol, sampler).samples
+        samples = st.backward(spec, draw).samples
         rep = tails.tail_report(
             spec, samples, alpha, m_al, master_seed=seed,
             t_points=t_points, hill_points=hill_points,
@@ -461,14 +454,12 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
     _require_nonarithmetic(cfg, spec)
     n = setting(cfg, "experiment", "n")
     replicas = setting(cfg, "experiment", "replicas")
-    count = setting(cfg, "experiment", "count", DEFAULT_COUNT)
-    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
     center = setting(cfg, "experiment", "center", "auto")
-    sampler = _sampler(cfg, spec)
-    _scale_law(cfg, spec)  # its refusals need no draw
+    draw = _draw(cfg, spec, DEFAULT_COUNT)
+    m_law = _scale_law(cfg, spec)  # its refusals need no draw
     with _Stage(out_dir, "limit", digest, seed, threads) as st:
         # refusals that need no pilot or chain come before either is drawn
-        alpha, m_al = _resolve_alpha(cfg, spec, seed)
+        alpha, m_al = _resolve_alpha(cfg, spec, seed, m_law)
         regime = stable.limit_params(alpha).regime
         stable.require_normalizable(n, regime)
         try:
@@ -479,7 +470,7 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
         @functools.cache
         def pilot():
             # drawn on first use: a closed-form center needs no pilot
-            return st.backward(spec, count, tol, sampler).samples
+            return st.backward(spec, draw).samples
 
         _require_linearity(cfg, spec, pilot)
         if regime not in ("mid", "eq2"):
@@ -541,16 +532,14 @@ def run_limit(cfg, out_dir, seed=None, threads=1):
 
 def run_support(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    max_depth = setting(cfg, "experiment", "max_cloud_depth", 12)
+    cloud_depth = setting(cfg, "experiment", "max_cloud_depth", 12)
     epsilon = setting(cfg, "experiment", "epsilon", 1e-6)
-    count = setting(cfg, "experiment", "count", 10000)
-    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
     word_guard = setting(cfg, "experiment", "word_guard", support.WORD_GUARD)
-    sampler = _sampler(cfg, spec)
+    draw = _draw(cfg, spec, 10000)
     dim = spec.dimension
     with _Stage(out_dir, "support", digest, seed, threads) as st:
-        cloud = support.enumerate_fixed_points(spec, max_depth, word_guard=word_guard)
-        samples = st.backward(spec, count, tol, sampler).samples
+        cloud = support.enumerate_fixed_points(spec, cloud_depth, word_guard=word_guard)
+        samples = st.backward(spec, draw).samples
         cov = support.coverage_check(cloud, samples, epsilon)
         frontier = support.closure_frontier(spec, cloud)
         st.csv(
@@ -581,14 +570,12 @@ def run_support(cfg, out_dir, seed=None, threads=1):
 def run_check(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
     n_theta = setting(cfg, "experiment", "mc_samples", 100000)
-    count = setting(cfg, "experiment", "count", 4096)
-    tol = setting(cfg, "experiment", "tol", chains.DEFAULT_TOL)
     s_grid = setting(cfg, "experiment", "s_grid", (0.25, 0.5, 1.0, 2.0))
-    sampler = _sampler(cfg, spec)
+    draw = _draw(cfg, spec, 4096)
     with _Stage(out_dir, "check", digest, seed, threads) as st:
         rng = stream(seed, 0, "check")
         reports = [cramer.check_contraction(spec, n_theta, rng)]
-        samples = st.backward(spec, count, tol, sampler).samples
+        samples = st.backward(spec, draw).samples
         reports.append(cramer.check_cancellation(spec, samples, 256, rng))
         radii = models.radius(spec, samples)
         x_hi = float(np.quantile(radii, 0.9)) + 1.0

@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -730,6 +731,11 @@ def test_cli_cramer_and_tail_share_one_moment_curve(tmp_path, setting):
         ("simulate", BENCH_MODEL, "x0 ="),
         ("simulate", BENCH_MODEL, "x0 = 1, 2"),
         ("simulate", AFFINE_2D_MODEL, "x0 = 1"),
+        # every verb that draws the stationary law checks x0's length
+        ("tail", BENCH_MODEL, "x0 = 1, 2"),
+        ("limit", BENCH_MODEL, "x0 = 1, 2"),
+        ("support", LETAC_MODEL, "x0 = 1, 2"),
+        ("check", BENCH_MODEL, "x0 = 1, 2"),
     ],
 )
 def test_cli_wrong_length_vector_exits_2(tmp_path, capsys, verb, model, setting):
@@ -739,6 +745,7 @@ def test_cli_wrong_length_vector_exits_2(tmp_path, capsys, verb, model, setting)
     key = setting.split()[0]
     assert _run([verb, "--config", path, "--out", tmp_path / "o"]) == 2
     assert f"{path}:{line}: [experiment] {key}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -1247,6 +1254,66 @@ def test_cli_non_contracting_composite_model_exits_3_with_one_error_line(family,
     entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
     assert entry["status"] == "failed"
     assert entry["stream_layout"]["backward_form"] == "composite"
+
+
+# each verb besides simulate that draws the stationary law, on a model it
+# runs on; limit centers at the stationary mean, so it draws its pilot
+_DRAW_RUNS = {
+    "tail": (BENCH_MODEL, "count = 2000\n"),
+    "limit": (BENCH_MODEL, "count = 2000\nn = 64\nreplicas = 256\ncenter = stationary_mean\n"),
+    "support": (LETAC_MODEL, "count = 2000\nmax_cloud_depth = 4\n"),
+    "check": (BENCH_MODEL, "count = 2000\nmc_samples = 2000\n"),
+}
+
+
+def _draw_run(tmp_path, verb, settings, model=None):
+    """(exit code, output dir) of `verb` on its _DRAW_RUNS config plus `settings`."""
+    own_model, own = _DRAW_RUNS[verb]
+    text = (model or own_model) + "\n[experiment]\n" + own + settings
+    out = tmp_path / "o"
+    return _run([verb, "--config", _write(tmp_path, text), "--out", out]), out
+
+
+@pytest.mark.parametrize("verb", list(_DRAW_RUNS))
+def test_cli_max_depth_caps_every_backward_draw(tmp_path, capsys, verb):
+    # tail, limit, support and check ignored max_depth and exited 0
+    code, out = _draw_run(tmp_path, verb, "sampler = backward\nmax_depth = 1\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"liprec {verb}: error: backward iteration hit max_depth=1 ")
+    entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (entry["stage"], entry["status"], entry["exit_code"]) == (verb, "failed", 3)
+
+
+@pytest.mark.parametrize("verb", list(_DRAW_RUNS))
+def test_cli_x0_under_the_default_exact_sampler_exits_2(tmp_path, capsys, verb):
+    # the benchmark model's default sampler is exact, which has no start
+    # point; tail, limit, support and check ignored x0 and ran
+    code, out = _draw_run(tmp_path, verb, "x0 = 5.0\n", model=BENCH_MODEL)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"liprec {verb}: error: [experiment] x0: the exact sampler has no start "
+        "point; set sampler = backward to iterate from x0\n"
+    )
+    assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("verb", list(_DRAW_RUNS))
+def test_cli_backward_draw_starts_at_x0_with_the_configured_max_depth(
+    tmp_path, monkeypatch, verb
+):
+    real = chains.stationary_batch
+    seen = []
+
+    def recorded(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs).arguments
+        seen.append((bound.get("x0"), bound.get("max_depth")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "stationary_batch", recorded)
+    code, _ = _draw_run(tmp_path, verb, "sampler = backward\nx0 = 0.25\nmax_depth = 3000\n")
+    assert code == 0
+    assert seen == [(0.25, 3000)]
 
 
 def test_csv_schemas_support_and_check(tmp_path):
