@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import cramer, models
 from .errors import ConfigError
-from .randomness import DistributionSpec
+from .randomness import KIND_TABLE, DistributionSpec
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -261,7 +261,7 @@ def setting(cfg, section, key, default=None, length=None):
 # ---------------------------------------------------------------------------
 # model construction
 
-_DIST_KEYS = {"kind", "params", "atoms", "weights"}
+_DIST_KEYS = {"kind"}.union(*(row.fields for row in KIND_TABLE.values()))
 # a model constant's getter, by the type its family row gives it
 _GETTERS = {float: get_float, tuple: get_floats}
 
@@ -272,16 +272,16 @@ def _build_distribution(cfg, param, entries):
         if key not in _DIST_KEYS:
             _fail(cfg, section, key, entries[key], "unknown key")
     kind = get_str(cfg, section, "kind")
-    params, atoms, weights = (
-        _get(cfg, section, key, (), _floats, "bad number list {!r}")
-        for key in ("params", "atoms", "weights")
-    )
+    row = KIND_TABLE.get(kind)  # an unknown kind is refused by name below
+    fields = row.fields if row is not None else ()
+    for key, cv in entries.items():
+        if fields and key not in ("kind", *fields):
+            _fail(cfg, section, key, cv, f"a {kind} law takes {' and '.join(fields)}, not {key}")
+    values = {key: _get(cfg, section, key, (), _floats, "bad number list {!r}") for key in fields}
+    if values.get("atoms") and not values["weights"]:  # equal weights by default
+        values["weights"] = tuple(1.0 / len(values["atoms"]) for _ in values["atoms"])
     try:
-        if kind == "discrete":
-            if not weights:
-                weights = tuple(1.0 / len(atoms) for _ in atoms) if atoms else ()
-            return DistributionSpec("discrete", atoms=atoms, weights=weights)
-        return DistributionSpec(kind, params=params)
+        return DistributionSpec(kind, **values)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{cfg.path}: [{section}]: {exc}") from exc
 

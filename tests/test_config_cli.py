@@ -421,6 +421,64 @@ def test_cli_assertion_gate_exits_5(tmp_path, capsys):
     assert _run(["tail", "--config", path, "--out", out]) == 0
 
 
+def test_cli_zero_weight_atom_does_not_pass_the_nonarithmetic_gate(tmp_path, capsys):
+    # a weight-0 atom is not in the law: |M| still takes two values, so
+    # tail needs the flag, and check counts two atoms
+    text = BENCH_MODEL.replace(
+        "kind = lognormal\nparams = -0.75, 1.0",
+        "kind = discrete\natoms = 0.5, 2.0, 7.0\nweights = 0.6, 0.4, 0.0",
+    )
+    path = _write(tmp_path, text + "\n[experiment]\ncount = 2000\n")
+    assert _run(["tail", "--config", path, "--out", tmp_path / "t"]) == 5
+    assert "nonarithmetic" in capsys.readouterr().err
+    assert _run(["check", "--config", path, "--out", tmp_path / "k"]) == 0
+    rows = {r["name"]: r for r in _table(tmp_path / "k" / "check.csv")}
+    assert (rows["nonarithmetic_scale"]["value"], rows["nonarithmetic_scale"]["passed"]) == (
+        "2.0", "false"
+    )
+
+
+@pytest.mark.parametrize(
+    "atoms, weights",
+    [("-1.0, 1.0, 1.0", "0.5, 0.25, 0.25"), ("-1.0, 1.0, 3.0", "0.5, 0.5, 0.0")],
+    ids=["repeated-atom", "zero-weight-atom"],
+)
+def test_cli_arch1_takes_a_symmetric_law_with_repeated_or_zero_weight_atoms(
+    tmp_path, capsys, atoms, weights
+):
+    text = ARCH1_NORMAL_MODEL.replace(
+        "kind = normal\nparams = 0.0, 1.0", f"kind = discrete\natoms = {atoms}\nweights = {weights}"
+    )
+    assert _run(["cramer", "--config", _write(tmp_path, text), "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "model, old, key",
+    [
+        (BENCH_MODEL, "params = -0.75, 1.0", "atoms = 5, 6"),
+        (BENCH_MODEL, "params = -0.75, 1.0", "weights = 0.5, 0.5"),
+        (LETAC_MODEL, "weights = 0.75, 0.25", "params = 1.0"),
+    ],
+    ids=["lognormal-atoms", "lognormal-weights", "discrete-params"],
+)
+def test_cli_refuses_a_law_key_its_kind_does_not_take(tmp_path, capsys, model, old, key):
+    # each key was dropped without a word, and the run went on
+    assert old in model
+    text = model.replace(old, f"{old}\n{key}", 1)
+    path = _write(tmp_path, text)
+    line = text.splitlines().index(key) + 1
+    kind, takes = ("discrete", "atoms and weights") if key.startswith("params") else ("lognormal", "params")
+    name = key.split(" ")[0]
+    out = tmp_path / "o"
+    assert _run(["cramer", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"liprec cramer: error: {path}:{line}: [distributions.a] {name}: "
+        f"a {kind} law takes {takes}, not {name}\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_tail_degenerate_support_fails_cleanly(tmp_path, capsys):
     # the two-point stationary law has no tail: the flagged run must
     # stop with a clear diagnostic instead of fabricating a plateau

@@ -83,23 +83,30 @@ def test_replica_streams_uncorrelated():
     assert corr < 0.01
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [
-        rnd.lognormal(-0.4, 0.9),
-        rnd.discrete((0.25, 1.5, 3.0), (0.5, 0.3, 0.2)),
-        rnd.constant(1.7),
-    ],
-    ids=["lognormal", "discrete", "constant"],
-)
+# one law of each KIND_TABLE row, so a new row's closed forms are checked
+# against Monte Carlo by the tests below once it has a law here
+MOMENT_LAWS = {
+    "constant": rnd.constant(1.7),
+    "discrete": rnd.discrete((0.25, 1.5, 3.0), (0.5, 0.3, 0.2)),
+    "lognormal": rnd.lognormal(-0.4, 0.9),
+    "uniform": rnd.uniform(0.1, 2.3),
+    "normal": rnd.normal(0.4, 1.2),
+}
+
+
+@pytest.mark.parametrize("kind", rnd.KIND_TABLE)
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
-def test_closed_moments_match_monte_carlo(dist, s):
-    closed = rnd.abs_moment(dist, s)
-    assert closed is not None
+def test_closed_moments_match_monte_carlo(kind, s):
+    dist = MOMENT_LAWS[kind]
+    closed, closed_log = rnd.abs_moment(dist, s), rnd.abs_log_moment(dist, s)
+    if closed is None:  # no closed form: then none for its s-derivative either
+        assert closed_log is None
+        return
     g = rnd.stream(31, 0, "moments")
-    x = np.abs(rnd.sample(dist, g, 1_000_000)) ** s
-    se = float(x.std() / math.sqrt(len(x)))
-    assert abs(float(x.mean()) - closed) <= 4 * se + 1e-12
+    a = np.abs(rnd.sample(dist, g, 1_000_000))
+    for x, want in ((a**s, closed), (a**s * np.log(a), closed_log)):
+        se = float(x.std() / math.sqrt(len(x)))
+        assert abs(float(x.mean()) - want) <= 4 * se + 1e-12
 
 
 def test_moment_absent_for_unbounded_kinds():
@@ -122,12 +129,49 @@ def test_abs_log_moment_lognormal():
     assert got == pytest.approx((mu + 1.5 * sig * sig) * kap, rel=1e-12)
 
 
-def test_signed_mean_closed_forms():
-    assert rnd.signed_mean(rnd.constant(-2.5)) == -2.5
-    assert rnd.signed_mean(rnd.discrete((1.0, -3.0), (0.25, 0.75))) == pytest.approx(-2.0)
-    assert rnd.signed_mean(rnd.lognormal(-1.0, 1.0)) == pytest.approx(math.exp(-0.5))
-    assert rnd.signed_mean(rnd.uniform(0.0, 3.0)) == pytest.approx(1.5)
-    assert rnd.signed_mean(rnd.normal(0.7, 2.0)) == pytest.approx(0.7)
+# (law, E X) of each KIND_TABLE row
+SIGNED_MEANS = {
+    "constant": (rnd.constant(-2.5), -2.5),
+    "discrete": (rnd.discrete((1.0, -3.0), (0.25, 0.75)), -2.0),
+    "lognormal": (rnd.lognormal(-1.0, 1.0), math.exp(-0.5)),
+    "uniform": (rnd.uniform(0.0, 3.0), 1.5),
+    "normal": (rnd.normal(0.7, 2.0), 0.7),
+}
+
+
+@pytest.mark.parametrize("kind", rnd.KIND_TABLE)
+def test_signed_mean_closed_forms(kind):
+    dist, mean = SIGNED_MEANS[kind]
+    closed = rnd.signed_mean(dist)
+    assert closed == pytest.approx(mean)
+    x = rnd.sample(dist, rnd.stream(32, 0, "mean"), 1_000_000)
+    se = float(x.std() / math.sqrt(len(x)))
+    assert abs(float(x.mean()) - closed) <= 4 * se + 1e-12
+
+
+@pytest.mark.parametrize(
+    "dist, symmetric",
+    [
+        (rnd.constant(0.0), True),
+        (rnd.constant(-2.0), False),
+        (rnd.discrete((-1.0, 1.0), (0.5, 0.5)), True),
+        # a repeated atom, a zero-weight atom, atoms 1e-13 apart
+        (rnd.discrete((-1.0, 1.0, 1.0), (0.5, 0.25, 0.25)), True),
+        (rnd.discrete((-1.0, 1.0, 3.0), (0.5, 0.5, 0.0)), True),
+        (rnd.discrete((-1.0, 0.0, 1.0 + 1e-13), (0.3, 0.4, 0.3)), True),
+        (rnd.discrete((-1.0, 1.0, 3.0), (0.4, 0.4, 0.2)), False),
+        (rnd.discrete((-1.0, 2.0), (0.5, 0.5)), False),
+        (rnd.discrete((-1.0, 1.0), (0.6, 0.4)), False),
+        (rnd.lognormal(0.0, 1.0), False),
+        (rnd.uniform(-2.0, 2.0), True),
+        (rnd.uniform(-2.0, 3.0), False),
+        (rnd.normal(0.0, 1.5), True),
+        (rnd.normal(0.1, 1.5), False),
+    ],
+    ids=lambda v: v.kind if isinstance(v, rnd.DistributionSpec) else None,
+)
+def test_is_symmetric(dist, symmetric):
+    assert rnd.is_symmetric(dist) is symmetric
 
 
 def test_distribution_validation():
@@ -168,6 +212,17 @@ def test_arithmetic_risk_flags():
     assert rnd.arithmetic_risk(rnd.discrete((0.5, 2.0), (0.5, 0.5)))
     assert not rnd.arithmetic_risk(rnd.discrete((0.5, 1.0, 2.0), (0.3, 0.3, 0.4)))
     assert not rnd.arithmetic_risk(rnd.lognormal(0.0, 1.0))
+
+
+def test_atom_count_counts_the_positive_weight_atoms_of_abs():
+    # a weight-0 atom is not in the law, so this |M| law takes two values
+    zero_weight = rnd.discrete((0.5, 2.0, 7.0), (0.6, 0.4, 0.0))
+    assert rnd.atom_count(zero_weight) == 2 and rnd.arithmetic_risk(zero_weight)
+    assert rnd.atom_count(rnd.discrete((-2.0, 2.0, 0.5), (0.3, 0.3, 0.4))) == 2
+    assert rnd.atom_count(rnd.constant(-3.0)) == 1
+    assert rnd.atom_count(rnd.lognormal(0.0, 1.0)) is None
+    # atoms() keeps the weight-0 atom: theta enumeration and draws read it
+    assert rnd.atoms(zero_weight) == [(0.5, 0.6), (2.0, 0.4), (7.0, 0.0)]
 
 
 def test_derived_laws():
