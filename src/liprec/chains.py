@@ -1,13 +1,13 @@
 """Forward and backward iteration engines, and exact stationary draws.
 
-Backward iteration composes fresh draws innermost, so the iterate is a.s.
-Cauchy once the running Lipschitz product is small; we stop at the first
-depth where product * oscillation-envelope < tol and return that bound as
-a residual certificate.
+`stationary_batch(sampler="backward")` composes fresh draws innermost, so
+the iterate is a.s. Cauchy once the running Lipschitz product is small;
+it stops at the first depth where product * oscillation-envelope < tol
+and returns that bound as a residual certificate.
 
 Where a model has an `models.exact_walk` (extremal, a ~ lognormal(mu,
 sigma) with mu < 0, and b in [b_lo, b_hi] with 0 < b_lo <= b_hi < inf),
-`exact_batch` draws the stationary law sup_n b_{n+1} exp(S_n), S_n =
+`sampler="exact"` draws the stationary law sup_n b_{n+1} exp(S_n), S_n =
 log a_1 + ... + log a_n, with no truncation. A later term can beat the
 best one so far, b* exp(S*), only if the walk climbs above
 u = log(b* exp(S*)) - log(b_hi). A member at or below u walks under the
@@ -73,19 +73,19 @@ Schedule of every engine: the blocks wait in one first-in, first-out
 queue, and each worker thread takes the next block, runs its turn and
 puts it back if work is left. A forward turn (`_forward_block`) is one
 chunk of steps, a backward or exact turn (`_backward_block`,
-`_exact_block`) the whole block. A
-block's turns thus run in order, one thread at a time, and read its
-stream in the layouts above for any thread count, while blocks of
-unequal size (1e4 chains are 4096 + 4096 + 1808) keep every thread busy
-until the run ends. The run raises the error of the lowest-index block
-that raised, so errors do not depend on the thread count either. A
-forward step updates the block's states in place (`models.apply(...,
-out=)`); the states, running sums and backward samples are the block's
-slices of the run's output arrays.
+`_exact_block`) the whole block. A block's turns thus run in order, one
+thread at a time, and read its stream in the layouts above for any
+thread count, while blocks of unequal size (1e4 chains are 4096 + 4096 +
+1808) keep every thread busy until the run ends. The run raises the
+error of the lowest-index block that raised, so errors do not depend on
+the thread count either. A forward step updates the block's states in
+place (`models.apply(..., out=)`); the states, running sums and backward
+samples are the block's slices of the run's output arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -263,13 +263,25 @@ def birkhoff_sums(spec, x0, n, replicas, master_seed, threads=1):
 
 
 def forward_endpoints(spec, x0, n, count, master_seed, threads=1):
-    """X_n for `count` independent forward chains (law comparison helper)."""
+    """X_n for `count` independent forward chains from x0 (None: the origin)."""
     require_forward_sizes(n, "count", count)
+    if x0 is None:
+        x0 = models.zero_point(spec)
     return _forward_run(spec, x0, n, count, master_seed, "forward", False, threads)
 
 
 # ---------------------------------------------------------------------------
 # backward iteration
+
+
+def _no_contraction(log_prod):
+    """A guard's advice when no live running Lipschitz product is below 1, else ''."""
+    if log_prod.min() < 0:
+        return ""
+    return (
+        "no running Lipschitz product has fallen below 1: these maps do not "
+        "contract, so no count, tol or max_depth will help"
+    )
 
 
 def _backward_block(spec, x0, tol, max_depth, rng, count):
@@ -304,9 +316,12 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
         made += len(live) * n_param
         if made > _STORAGE_CAP:
             raise CapacityError(
-                "backward draw storage guard tripped; lower [experiment] count "
-                f"below {count}, the block size, or raise tol so the chains "
-                "stop sooner"
+                "backward draw storage guard tripped; "
+                + (
+                    _no_contraction(log_prod)
+                    or f"lower [experiment] count below {count}, the block size, "
+                    "or raise tol so the chains stop sooner"
+                )
             )
         theta = models.sample_theta(spec, rng, len(live))
         lip = models.lipschitz_bound(spec, theta)
@@ -341,9 +356,10 @@ def _backward_block(spec, x0, tol, max_depth, rng, count):
     if len(live):
         with np.errstate(over="ignore"):
             worst = float(np.min(np.exp(log_prod)))
+        why = _no_contraction(log_prod)
         raise ConvergenceError(
             f"backward iteration hit max_depth={max_depth} with running "
-            f"bound still {worst:.3e} * envelope >= tol={tol}"
+            f"bound still {worst:.3e} * envelope >= tol={tol}" + (why and f"; {why}")
         )
 
     # replay innermost-first: member i uses draws 1..depth[i], that is the
@@ -379,7 +395,8 @@ def _walk_mode(walk, gap):
 
 
 def _exact_block(walk, max_depth, rng, count):
-    """Exact stationary draws for one block; returns (points, walk steps).
+    """Exact stationary draws for one block; returns (points, walk steps,
+    None), None for residual bounds that are 0 from the start.
 
     A member's terms b exp(S) are compared by their key S + log(b / b_hi),
     and its walk is kept relative to its last position. At or below its
@@ -456,81 +473,64 @@ def _exact_block(walk, max_depth, rng, count):
         top_s = at  # every position a constant b's walk lands on is its best
     np.exp(top_s, out=top_s)
     top_s *= top_b
-    return top_s, depth
+    return top_s, depth, None
 
 
-def _block_parts(count):
-    """The batch's BLOCK_SIZE blocks as slices, in block order."""
-    if count <= 0:
-        raise PreconditionError("count must be positive")
-    return [slice(s, min(s + BLOCK_SIZE, count)) for s in range(0, count, BLOCK_SIZE)]
-
-
-def exact_batch(
-    spec, count, master_seed=0, threads=1, max_depth=DEFAULT_MAX_DEPTH, keep_bounds=False
-):
-    """`count` exact draws from the stationary law, deterministically.
-
-    For a model with an `models.exact_walk` (extremal, b bounded and
-    bounded away from 0, and a ~ lognormal(mu, sigma) with mu < 0). Block
-    b uses the (master_seed, b, "exact") stream. The stop depths are each
-    member's walk steps, and the residual bounds, kept only with
-    `keep_bounds`, are exactly 0.
-    """
-    walk = models.exact_walk(spec)
-    if walk is None:
-        raise PreconditionError(f"no exact stationary draw: {models.exact_refusal(spec)}")
-    parts = _block_parts(count)
-    samples = np.empty(count)
-    depths = np.empty(count, dtype=np.int32)
-
-    def turn(part):
-        rng = stream(master_seed, part.start // BLOCK_SIZE, "exact")
-        samples[part], depths[part] = _exact_block(walk, max_depth, rng, part.stop - part.start)
-        return False
-
-    _take_turns(turn, parts, threads)
-    _trim_heap()
-    return StationaryBatch(samples, depths, np.zeros(count) if keep_bounds else None, 0.0)
+def engine_form(spec, sampler):
+    """The engine `stationary_batch` runs for `sampler`: `exact`, or for
+    `backward` `composite` (`models.composite`) or `replay`."""
+    if sampler == "exact":
+        return "exact"
+    if sampler != "backward":
+        raise PreconditionError(f"sampler must be 'backward' or 'exact', got {sampler!r}")
+    return "replay" if models.composite(spec) is None else "composite"
 
 
 def stationary_batch(
-    spec,
-    count,
-    tol=DEFAULT_TOL,
-    master_seed=0,
-    max_depth=DEFAULT_MAX_DEPTH,
-    x0=None,
-    threads=1,
-    keep_bounds=False,
+    spec, count, tol=DEFAULT_TOL, master_seed=0, max_depth=DEFAULT_MAX_DEPTH, x0=None,
+    threads=1, keep_bounds=False, sampler="backward",
 ):
     """`count` certified draws from the stationary law, deterministically.
 
-    Block b uses the (master_seed, b, "stationary") stream; merging is by
-    block index, so thread count cannot change a single output bit. The
-    residual bounds are kept only with `keep_bounds`; they do not change
-    the samples or the stop depths.
+    `backward` iterates from x0 (None: the origin) to residual bounds
+    below tol, block b on the (master_seed, b, "stationary") stream.
+    `exact`, for a model with an `models.exact_walk`, reads the
+    (master_seed, b, "exact") stream and not tol, takes no x0, and gives
+    walk steps as stop depths, residual bounds of 0 and a tol of 0.0.
+    Merging is by block index, so thread count cannot change a single
+    output bit. The residual bounds are kept only with `keep_bounds`;
+    they do not change the samples or the stop depths.
     """
-    parts = _block_parts(count)
-    if x0 is None:
-        x0 = models.zero_point(spec)
-
+    if engine_form(spec, sampler) == "exact":
+        walk = models.exact_walk(spec)
+        if walk is None:
+            raise PreconditionError(f"no exact stationary draw: {models.exact_refusal(spec)}")
+        if x0 is not None:
+            raise PreconditionError("the exact sampler has no start point; x0 must be None")
+        purpose, tol = "exact", 0.0
+        block = functools.partial(_exact_block, walk, max_depth)
+    else:
+        purpose = "stationary"
+        x0 = models.zero_point(spec) if x0 is None else x0
+        block = functools.partial(_backward_block, spec, x0, tol, max_depth)
+    if count <= 0:
+        raise PreconditionError("count must be positive")
     samples = np.empty(_points_shape(spec, count))
     depths = np.empty(count, dtype=np.int32)
-    certs = np.empty(count) if keep_bounds else None
+    # an exact draw leaves its zero bounds unwritten, on untouched pages
+    certs = np.zeros(count) if keep_bounds else None
 
     # one turn per block, which writes its slice as it finishes, so no
     # block's outputs stay alive on its worker thread's heap until a
     # final concatenation
-    def turn(part):
-        rng = stream(master_seed, part.start // BLOCK_SIZE, "stationary")
-        samples[part], depths[part], cert = _backward_block(
-            spec, x0, tol, max_depth, rng, part.stop - part.start
-        )
-        if keep_bounds:
+    def turn(start):
+        part = slice(start, min(start + BLOCK_SIZE, count))
+        rng = stream(master_seed, start // BLOCK_SIZE, purpose)
+        samples[part], depths[part], cert = block(rng, part.stop - part.start)
+        if keep_bounds and cert is not None:
             certs[part] = cert
         return False
 
-    _take_turns(turn, parts, threads)
+    _take_turns(turn, range(0, count, BLOCK_SIZE), threads)
     _trim_heap()
     return StationaryBatch(samples, depths, certs, tol)

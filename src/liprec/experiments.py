@@ -158,21 +158,14 @@ class _Stage:
         self.outputs[name] = plot(os.path.join(self.out_dir, name), *args)
 
     def backward(self, spec, draw, keep_bounds=False):
-        """The stage's stationary batch of a `_Draw`, its stop depths and
-        draws recorded: `chains.exact_batch` for sampler `exact`, which
-        reads neither tol nor x0, else `chains.stationary_batch`."""
-        if draw.sampler == "exact":
-            self.layout["backward_form"] = "exact"
-            batch = chains.exact_batch(
-                spec, draw.count, self.seed, self.threads, draw.max_depth, keep_bounds
-            )
-        else:
-            form = "replay" if models.composite(spec) is None else "composite"
-            self.layout["backward_form"] = form
-            batch = chains.stationary_batch(
-                spec, draw.count, draw.tol, self.seed, max_depth=draw.max_depth,
-                x0=draw.x0, threads=self.threads, keep_bounds=keep_bounds,
-            )
+        """The stage's `chains.stationary_batch` of a `_Draw`, whose fields are
+        its keywords; the engine form is recorded first, so a failed stage
+        keeps it, and the stop depths and draws after."""
+        self.layout["backward_form"] = chains.engine_form(spec, draw.sampler)
+        batch = chains.stationary_batch(
+            spec, master_seed=self.seed, threads=self.threads, keep_bounds=keep_bounds,
+            **draw._asdict(),
+        )
         self.extra["backward"] = batch.draw_counters()
         return batch
 
@@ -226,19 +219,21 @@ def _point_columns(points):
 _Draw = collections.namedtuple("_Draw", "sampler count tol max_depth x0")
 
 
-def _draw(cfg, spec, count):
+def _draw(cfg, spec, count, forward=False):
     """[experiment] sampler, count (default `count`), tol, max_depth and x0.
 
     The sampler is the one given, else `exact` where the model admits an
     exact stationary draw and `backward` elsewhere. `exact` on a model
     that admits none is refused, and so is an `x0` under the exact
-    sampler, which has no start point. Only `simulate` runs `forward`;
-    the other verbs read it as `backward`.
+    sampler, which has no start point; x0 stays None, the origin, unless
+    set. `forward` is refused unless the verb runs it (`simulate`).
     """
     sampler = setting(cfg, "experiment", "sampler", "")
+    if sampler == "forward" and not forward:
+        raise ConfigError("[experiment] sampler = forward runs only in simulate")
     if sampler == "exact" and (why := models.exact_refusal(spec)) is not None:
         raise ConfigError(f"[experiment] sampler = exact needs an exact stationary law: {why}")
-    sampler = sampler or ("backward" if models.exact_walk(spec) is None else "exact")
+    sampler = sampler or ("backward" if models.exact_refusal(spec) else "exact")
     x0 = setting(cfg, "experiment", "x0", length=spec.dimension)
     if x0 is not None and sampler == "exact":
         raise ConfigError(
@@ -252,7 +247,7 @@ def _draw(cfg, spec, count):
         setting(cfg, "experiment", "count", count),
         setting(cfg, "experiment", "tol", chains.DEFAULT_TOL),
         setting(cfg, "experiment", "max_depth", chains.DEFAULT_MAX_DEPTH),
-        models.zero_point(spec) if x0 is None else x0,
+        x0,
     )
 
 
@@ -393,7 +388,7 @@ def run_cramer(cfg, out_dir, seed=None, threads=1):
 
 def run_simulate(cfg, out_dir, seed=None, threads=1):
     spec, digest, seed = _prologue(cfg, out_dir, seed)
-    draw = _draw(cfg, spec, DEFAULT_COUNT)
+    draw = _draw(cfg, spec, DEFAULT_COUNT, forward=True)
     dim = spec.dimension
     with _Stage(out_dir, "simulate", digest, seed, threads) as st:
         if draw.sampler != "forward":

@@ -351,8 +351,9 @@ def composite(spec):
 # ---------------------------------------------------------------------------
 # exact stationary draws: psi(x) = max(a x, b) with b in [b_lo, b_hi],
 # 0 < b_lo <= b_hi < inf, has the stationary law of sup_{n >= 0} b_{n+1}
-# exp(S_n), S_n = log a_1 + ... + log a_n, and `chains.exact_batch` draws
-# it exactly; with a constant b it is b exp(M), M = sup_n S_n
+# exp(S_n), S_n = log a_1 + ... + log a_n, and `chains.stationary_batch`
+# with sampler "exact" draws it exactly; with a constant b it is b exp(M),
+# M = sup_n S_n
 
 
 @dataclass(frozen=True)

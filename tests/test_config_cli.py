@@ -1365,13 +1365,67 @@ def test_cli_backward_draw_starts_at_x0_with_the_configured_max_depth(
 
     def recorded(*args, **kwargs):
         bound = inspect.signature(real).bind(*args, **kwargs).arguments
-        seen.append((bound.get("x0"), bound.get("max_depth")))
+        seen.append(tuple(bound.get(k) for k in ("sampler", "x0", "max_depth")))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(chains, "stationary_batch", recorded)
-    code, _ = _draw_run(tmp_path, verb, "sampler = backward\nx0 = 0.25\nmax_depth = 3000\n")
-    assert code == 0
-    assert seen == [(0.25, 3000)]
+    runs = {"set": "sampler = backward\nx0 = 0.25\nmax_depth = 3000\n", "default": ""}
+    for name, settings in runs.items():
+        (tmp_path / name).mkdir()
+        code, _ = _draw_run(tmp_path / name, verb, settings)
+        assert code == 0
+    # by default the benchmark model is drawn exactly, and no run sets x0
+    default = "exact" if _DRAW_RUNS[verb][0] == BENCH_MODEL else "backward"
+    assert seen == [("backward", 0.25, 3000), (default, None, chains.DEFAULT_MAX_DEPTH)]
+
+
+@pytest.mark.parametrize("verb", list(_DRAW_RUNS))
+def test_cli_forward_sampler_outside_simulate_exits_2(tmp_path, capsys, verb):
+    # tail, limit, support and check ran the backward engine instead
+    code, out = _draw_run(tmp_path, verb, "sampler = forward\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"liprec {verb}: error: [experiment] sampler = forward runs only in simulate\n"
+    )
+    assert not (out / "manifest.jsonl").exists()
+
+
+# L = gamma + sqrt(lambda) |a| = 1.1 on every draw, so no count, tol or
+# max_depth lets the backward sampler stop
+_NO_CONTRACTION_ARCH1 = """\
+[model]
+family = arch1
+gamma = 0.1
+beta = 1.0
+lambda = 1.0
+
+[distributions.a]
+kind = discrete
+atoms = -1, 1
+"""
+_NO_CONTRACTION = (
+    "no running Lipschitz product has fallen below 1: these maps do not contract, "
+    "so no count, tol or max_depth will help\n"
+)
+
+
+def test_cli_backward_guards_say_when_the_maps_do_not_contract(tmp_path, capsys, monkeypatch):
+    # both guards advised more of what cannot help: a lower count or a
+    # larger tol, or (by its running bound) a larger max_depth; a smaller
+    # draw budget trips the storage guard at step 51, not 33555
+    monkeypatch.setattr(chains, "_STORAGE_CAP", 4000 * 50)
+    path = _write(tmp_path, _NO_CONTRACTION_ARCH1 + "\n[experiment]\ncount = 4000\n")
+    assert _run(["simulate", "--config", path, "--out", tmp_path / "cap"]) == 4
+    assert capsys.readouterr().err == (
+        "liprec simulate: error: backward draw storage guard tripped; " + _NO_CONTRACTION
+    )
+    text = _NO_CONTRACTION_ARCH1 + "\n[experiment]\ncount = 100\nmax_depth = 2000\n"
+    path = _write(tmp_path, text)
+    assert _run(["simulate", "--config", path, "--out", tmp_path / "depth"]) == 3
+    assert capsys.readouterr().err == (
+        "liprec simulate: error: backward iteration hit max_depth=2000 with running "
+        "bound still 6.101e+82 * envelope >= tol=1e-09; " + _NO_CONTRACTION
+    )
 
 
 def test_csv_schemas_support_and_check(tmp_path):

@@ -36,7 +36,9 @@ def _extremal(b):
 
 @pytest.fixture(scope="module")
 def exact_400k(bench_spec):
-    return chains.exact_batch(bench_spec, 400_000, master_seed=2002, threads=2)
+    return chains.stationary_batch(
+        bench_spec, 400_000, master_seed=2002, threads=2, sampler="exact"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,9 @@ def smooth_spec():
 
 @pytest.fixture(scope="module")
 def smooth_exact_400k(smooth_spec):
-    return chains.exact_batch(smooth_spec, 400_000, master_seed=2011, threads=2)
+    return chains.stationary_batch(
+        smooth_spec, 400_000, master_seed=2011, threads=2, sampler="exact"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +66,7 @@ def test_exact_walk_parameters(bench_spec):
 
 def test_exact_matches_backward_in_law(bench_spec, bench_batch_100k):
     n = 100_000
-    exact = chains.exact_batch(bench_spec, n, master_seed=2001, threads=2)
+    exact = chains.stationary_batch(bench_spec, n, master_seed=2001, threads=2, sampler="exact")
     ks = stats.ks_2samp(exact.samples, bench_batch_100k.samples).statistic
     assert ks < ks_critical_two(n, n)
 
@@ -86,23 +90,31 @@ def test_exact_goldie_constant_matches_spitzer_series(bench_spec, exact_400k):
     assert abs(est.constant - series_c) <= 3.0 * est.se
 
 
-def test_exact_batch_fields(bench_spec):
-    batch = chains.exact_batch(bench_spec, 5000, master_seed=4, keep_bounds=True)
+def test_exact_sampler_batch_fields(bench_spec):
+    batch = chains.stationary_batch(
+        bench_spec, 5000, master_seed=4, keep_bounds=True, sampler="exact"
+    )
     assert batch.stop_depths.dtype == np.int32
     assert batch.stop_depths.min() >= 1
     assert batch.residual_bounds.tobytes() == np.zeros(5000).tobytes()
     assert batch.tol == 0.0
-    assert chains.exact_batch(bench_spec, 5000, master_seed=4).residual_bounds is None
+    unkept = chains.stationary_batch(bench_spec, 5000, master_seed=4, sampler="exact")
+    assert unkept.residual_bounds is None
 
 
 def test_exact_bytes_do_not_depend_on_threads_or_batch_size(bench_spec):
     n = 2 * chains.BLOCK_SIZE + 500
-    runs = [chains.exact_batch(bench_spec, n, master_seed=6, threads=t) for t in (1, 2, 8)]
+    runs = [
+        chains.stationary_batch(bench_spec, n, master_seed=6, threads=t, sampler="exact")
+        for t in (1, 2, 8)
+    ]
     for other in runs[1:]:
         assert other.samples.tobytes() == runs[0].samples.tobytes()
         assert other.stop_depths.tobytes() == runs[0].stop_depths.tobytes()
     # a smaller batch's full block is the larger batch's leading block
-    small = chains.exact_batch(bench_spec, chains.BLOCK_SIZE + 7, master_seed=6)
+    small = chains.stationary_batch(
+        bench_spec, chains.BLOCK_SIZE + 7, master_seed=6, sampler="exact"
+    )
     lead = slice(0, chains.BLOCK_SIZE)
     assert small.samples[lead].tobytes() == runs[0].samples[lead].tobytes()
     assert small.stop_depths[lead].tobytes() == runs[0].stop_depths[lead].tobytes()
@@ -137,7 +149,7 @@ def _reference_exact_block(walk, rng, count):
 def test_exact_draw_layout_matches_member_by_member_reference(bench_spec):
     walk = models.exact_walk(bench_spec)
     for count in (1, 300):
-        batch = chains.exact_batch(bench_spec, count, master_seed=8)
+        batch = chains.stationary_batch(bench_spec, count, master_seed=8, sampler="exact")
         want, depth = _reference_exact_block(walk, stream(8, 0, "exact"), count)
         np.testing.assert_allclose(batch.samples, want, rtol=1e-15, atol=0)
         assert batch.stop_depths.tolist() == depth.tolist()
@@ -190,7 +202,7 @@ def test_exact_bounded_b_layout_matches_member_by_member_reference(b):
     walk = models.exact_walk(spec)
     assert walk == models.ExactWalk(b=2.0, drift=0.75, sigma=1.0, alpha=1.5, b_law=b)
     for count in (1, 300):
-        batch = chains.exact_batch(spec, count, master_seed=9)
+        batch = chains.stationary_batch(spec, count, master_seed=9, sampler="exact")
         want, depth = _reference_bounded_block(walk, stream(9, 0, "exact"), count)
         np.testing.assert_allclose(batch.samples, want, rtol=1e-15, atol=0)
         assert batch.stop_depths.tolist() == depth.tolist()
@@ -206,10 +218,10 @@ def test_exact_bounded_b_matches_backward_in_law(smooth_exact_400k, smooth_backw
 def test_exact_law_is_invariant_under_one_step(b):
     # X and max(a X, b) with a fresh (a, b) have the same law when X is stationary
     spec, n = _extremal(b), 100_000
-    x = chains.exact_batch(spec, n, master_seed=2021, threads=2).samples
+    x = chains.stationary_batch(spec, n, master_seed=2021, threads=2, sampler="exact").samples
     theta = models.sample_theta(spec, stream(2022, 0, "one step"), n)
     stepped = models.apply(spec, theta, x)
-    other = chains.exact_batch(spec, n, master_seed=2023, threads=2).samples
+    other = chains.stationary_batch(spec, n, master_seed=2023, threads=2, sampler="exact").samples
     assert stats.ks_2samp(stepped, other).statistic < ks_critical_two(n, n)
 
 
@@ -225,11 +237,16 @@ def test_exact_bounded_b_goldie_constant_matches_backward(
 
 def test_exact_bounded_b_bytes_do_not_depend_on_threads_or_batch_size(smooth_spec):
     n = 2 * chains.BLOCK_SIZE + 500
-    runs = [chains.exact_batch(smooth_spec, n, master_seed=6, threads=t) for t in (1, 2, 8)]
+    runs = [
+        chains.stationary_batch(smooth_spec, n, master_seed=6, threads=t, sampler="exact")
+        for t in (1, 2, 8)
+    ]
     for other in runs[1:]:
         assert other.samples.tobytes() == runs[0].samples.tobytes()
         assert other.stop_depths.tobytes() == runs[0].stop_depths.tobytes()
-    small = chains.exact_batch(smooth_spec, chains.BLOCK_SIZE + 7, master_seed=6)
+    small = chains.stationary_batch(
+        smooth_spec, chains.BLOCK_SIZE + 7, master_seed=6, sampler="exact"
+    )
     lead = slice(0, chains.BLOCK_SIZE)
     assert small.samples[lead].tobytes() == runs[0].samples[lead].tobytes()
     assert small.stop_depths[lead].tobytes() == runs[0].stop_depths[lead].tobytes()
@@ -237,8 +254,11 @@ def test_exact_bounded_b_bytes_do_not_depend_on_threads_or_batch_size(smooth_spe
 
 def test_exact_depth_guard(bench_spec):
     with pytest.raises(ConvergenceError, match=r"exact walk hit max_depth=1 with \d+ of 1000"):
-        chains.exact_batch(bench_spec, 1000, master_seed=3, max_depth=1)
-    assert chains.exact_batch(bench_spec, 1000, master_seed=3, max_depth=100).stop_depths.max() > 1
+        chains.stationary_batch(bench_spec, 1000, master_seed=3, max_depth=1, sampler="exact")
+    deeper = chains.stationary_batch(
+        bench_spec, 1000, master_seed=3, max_depth=100, sampler="exact"
+    )
+    assert deeper.stop_depths.max() > 1
 
 
 _NOT_ADMITTED = {
@@ -294,8 +314,27 @@ def test_models_without_an_exact_walk(case):
     assert models.exact_walk(spec) is None
     assert models.exact_refusal(spec) == why
     with pytest.raises(PreconditionError) as err:
-        chains.exact_batch(spec, 10)
+        chains.stationary_batch(spec, 10, sampler="exact")
     assert str(err.value) == f"no exact stationary draw: {why}"
+
+
+def test_stationary_batch_refuses_an_unknown_sampler_and_an_exact_x0(bench_spec):
+    with pytest.raises(PreconditionError) as err:
+        chains.stationary_batch(bench_spec, 10, sampler="forward")
+    assert str(err.value) == "sampler must be 'backward' or 'exact', got 'forward'"
+    with pytest.raises(PreconditionError) as err:
+        chains.stationary_batch(bench_spec, 10, x0=1.0, sampler="exact")
+    assert str(err.value) == "the exact sampler has no start point; x0 must be None"
+
+
+def test_engine_form_names_the_engine_a_sampler_runs(bench_spec):
+    arch1 = models.make_model(
+        "arch1", laws={"a": rnd.normal(0.0, 1.0)},
+        constants={"gamma": 0.3, "beta": 0.8, "lambda": 0.25},
+    )
+    assert chains.engine_form(bench_spec, "exact") == "exact"
+    assert chains.engine_form(bench_spec, "backward") == "composite"
+    assert chains.engine_form(arch1, "backward") == "replay"
 
 
 def _law_section(name, law):
@@ -363,5 +402,5 @@ def test_cli_default_sampler_is_exact_where_admitted(verb, tmp_path, bench_spec)
     assert cli.main([verb, "--config", str(path), "--out", str(out), "--seed", "4"]) == 0
     entry = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
     assert entry["stream_layout"]["backward_form"] == "exact"
-    depths = chains.exact_batch(bench_spec, 2000, master_seed=4).stop_depths
+    depths = chains.stationary_batch(bench_spec, 2000, master_seed=4, sampler="exact").stop_depths
     assert entry["backward"]["theta_used"] == int(depths.sum())
