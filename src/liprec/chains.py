@@ -73,14 +73,15 @@ Schedule of every engine: the blocks wait in one first-in, first-out
 queue, and each worker thread takes the next block, runs its turn and
 puts it back if work is left. A forward turn (`_forward_block`) is one
 chunk of steps, a backward or exact turn (`_backward_block`,
-`_exact_block`) the whole block. A block's turns thus run in order, one
-thread at a time, and read its stream in the layouts above for any
-thread count, while blocks of unequal size (1e4 chains are 4096 + 4096 +
-1808) keep every thread busy until the run ends. The run raises the
-error of the lowest-index block that raised, so errors do not depend on
-the thread count either. A forward step updates the block's states in
-place (`models.apply(..., out=)`); the states, running sums and backward
-samples are the block's slices of the run's output arrays.
+`_exact_block`) the whole block. A
+block's turns thus run in order, one thread at a time, and read its
+stream in the layouts above for any thread count, while blocks of
+unequal size (1e4 chains are 4096 + 4096 + 1808) keep every thread busy
+until the run ends. The run raises the error of the lowest-index block
+that raised, so errors do not depend on the thread count either. A
+forward step updates the block's states in place (`models.apply(...,
+out=)`); the states, running sums and backward samples are the block's
+slices of the run's output arrays.
 """
 
 from __future__ import annotations
