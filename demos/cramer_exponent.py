@@ -5,12 +5,12 @@ once the standing assumptions hold, and the normalized slope
 m_alpha = E M^alpha log M feeds every tail-constant formula later.
 This script solves the root for a discrete law and a lognormal
 family, compares the Monte Carlo solver against the closed form, and
-probes how far the finite-moment range extends.
+solves a model with no law of |M| from its theta draws.
 """
 
 import numpy as np
 
-from liprec import cramer
+from liprec import cramer, models
 from liprec import randomness as rnd
 from liprec.randomness import stream
 
@@ -42,9 +42,14 @@ print(f"and m_alpha = {m_mc:.4f} (closed 0.75), read from the same |M| sample")
 print("common random numbers keep the empirical curve convex, so")
 print("bisection is safe even though every kappa evaluation is noisy.")
 
-print("\nfinite-moment range probes (doubling ladder on E|M|^s):")
-lo = cramer.s_infinity_probe(letac_a)
-print(f"  discrete law: bound = {lo}  (all moments finite)")
-lo = cramer.s_infinity_probe(rnd.normal(0.0, 1.0), rng=stream(11, 0, "demo"))
-print(f"  normal(0,1) multiplier: reliable up to s = {lo:.1f} by sampling;")
-print("  the ladder stops where the empirical moment grows unreliable.")
+# arch1 with a ~ normal(0, 1): |M| = |0.1 + a| has no law in the
+# algebra, so the curve is one sample of |M| over theta draws
+arch1 = models.make_model(
+    "arch1", laws={"a": rnd.normal(0.0, 1.0)},
+    constants={"gamma": 0.1, "beta": 1.0, "lambda": 1.0},
+)
+theta_curve = cramer.moment_curve(None, "auto", 11, 200_000, arch1)
+a_th = cramer.solve_cramer(theta_curve, (0.5, 4.0))
+m_th, _ = theta_curve.m_alpha(a_th)
+print("\narch1 with a ~ normal(0, 1) has no law of |M| = |0.1 + a|:")
+print(f"  alpha = {a_th:.4f}, m_alpha = {m_th:.4f}, from |M| of theta draws")

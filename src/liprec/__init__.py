@@ -8,7 +8,7 @@ regimes, all from explicit, reproducible estimators.
 
 from ._version import VERSION as __version__
 from .chains import StationaryBatch, birkhoff_sums, stationary_batch
-from .cramer import Moments, cramer_report, moments, solve_cramer
+from .cramer import Moments, moments, solve_cramer
 from .errors import (
     AssertionFlagError,
     BracketError,
@@ -71,7 +71,6 @@ __all__ = [
     "c_two",
     "constant",
     "coverage_check",
-    "cramer_report",
     "direction_masses",
     "discrete",
     "enumerate_fixed_points",

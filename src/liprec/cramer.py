@@ -3,7 +3,8 @@ and the assumption checkers that gate the heavy-tail machinery.
 
 kappa is computed in closed form whenever the |M| law stays inside the
 distribution algebra; otherwise a common-random-number Monte Carlo
-estimate is used so the root bisection sees a monotone curve.
+estimate is used, of the law or, on a model without one, of |M| of theta
+draws, so the root bisection sees a monotone curve.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .errors import BracketError, MomentDivergenceError, PreconditionError
 CLOSED_FORM_TOL = 1e-6
 MONTE_CARLO_TOL = 1e-3
 MODES = ("auto", "closed_form", "monte_carlo")
-_PROBE_SAMPLES = 10**5  # |M| draws per rung of the finite-moment probe
-_PROBE_RUNGS = 24
 _CHECK_TOL = 1e-10  # slack of the cancellation and smoothness checks
 
 
@@ -29,7 +28,8 @@ _CHECK_TOL = 1e-10  # slack of the cancellation and smoothness checks
 class Moments:
     """E|M|^s and E|M|^s log|M| with their se: from the closed-form `law`,
     or from the |M| draws `x` (se 0 for the closed form). Build one with
-    `moments`; every quantity of one Cramér problem reads the same one."""
+    `moments` from an |M| law, or with `moment_curve`, which without one
+    draws |M| from theta; every quantity of one Cramér problem reads it."""
 
     law: object = None
     x: object = None
@@ -89,6 +89,18 @@ def moments(m_law, mode="auto", rng=None, n_samples=rnd.DEFAULT_MC_SAMPLES):
     return Moments(x=np.abs(rnd.sample(m_law, rng, n_samples)))
 
 
+def moment_curve(m_law, mode, master_seed, n_samples, spec=None):
+    """The moment curve of one Cramér problem, drawn (when sampled) from the
+    `(master_seed, 0, "moments")` stream: of `m_law`, or without one of |M|
+    of `spec`'s theta draws (arch1, or sqrt_quadratic where the domain
+    conditions a)."""
+    rng = rnd.stream(master_seed, 0, "moments")
+    if m_law is not None:
+        return moments(m_law, mode, rng, n_samples)
+    th = models.sample_theta(spec, rng, n_samples)
+    return Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
+
+
 def solve_cramer(curve, bracket, tol=None):
     """Root of kappa(s) = 1 on s > 0 by bisection of the Moments `curve`,
     to `tol` (the curve's own `tol` when None)."""
@@ -119,26 +131,6 @@ def solve_cramer(curve, bracket, tol=None):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def s_infinity_probe(m_law, rng=None):
-    """Lower bound for the finite-moment range sup via a geometric ladder.
-
-    Closed-form laws in the algebra have every moment finite: returns inf.
-    Monte Carlo mode climbs s = 1, 2, 4, ... until overflow or a relative
-    standard error above 50%, and reports the last reliable rung.
-    """
-    if rnd.abs_moment(m_law, 1.0) is not None:
-        return math.inf
-    last_good = 0.0
-    s = 1.0
-    for _ in range(_PROBE_RUNGS):
-        value, se = moments(m_law, "monte_carlo", rng, _PROBE_SAMPLES)(s)
-        if not math.isfinite(value) or se > 0.5 * value:
-            break
-        last_good = s
-        s *= 2.0
-    return last_good
 
 
 # ---------------------------------------------------------------------------
@@ -225,63 +217,3 @@ def nontriviality_probe(
     bounded = roots[-1] <= 1.5 * max(roots[0], 1e-300) if len(roots) > 1 else True
     return rows, bounded
 
-
-# ---------------------------------------------------------------------------
-# assembled report
-
-
-@dataclass(frozen=True)
-class CramerReport:
-    s_grid: tuple
-    kappa_values: tuple
-    kappa_se: tuple
-    alpha: float
-    m_alpha: float
-    m_alpha_se: float
-    s_infinity_lower_bound: float
-    method: str
-    solver_tolerance: float
-
-
-def moment_curve(m_law, mode, master_seed, n_samples, spec=None):
-    """The moment curve of one Cramér problem, drawn (when sampled) from the
-    `(master_seed, 0, "moments")` stream: of `m_law`, or without one of |M|
-    of `spec`'s theta draws (arch1, or sqrt_quadratic where the domain
-    conditions a)."""
-    rng = rnd.stream(master_seed, 0, "moments")
-    if m_law is not None:
-        return moments(m_law, mode, rng, n_samples)
-    th = models.sample_theta(spec, rng, n_samples)
-    return Moments(x=np.asarray(models.m_scale(spec, th), dtype=float))
-
-
-def cramer_report(
-    m_law,
-    s_grid,
-    bracket,
-    tol=None,
-    mode="auto",
-    master_seed=0,
-    n_samples=rnd.DEFAULT_MC_SAMPLES,
-):
-    """Solve the Cramér problem and bundle curve, root and diagnostics.
-
-    The grid, the root and m_alpha all read one `moment_curve`.
-    """
-    curve = moment_curve(m_law, mode, master_seed, n_samples)
-    tol = curve.tol if tol is None else tol
-    rows = [curve(float(s)) for s in s_grid]
-    alpha = solve_cramer(curve, bracket, tol)
-    ma, ma_se = curve.m_alpha(alpha)
-    s_inf = s_infinity_probe(m_law, rng=rnd.stream(master_seed, 0, "s-infinity"))
-    return CramerReport(
-        s_grid=tuple(float(s) for s in s_grid),
-        kappa_values=tuple(r[0] for r in rows),
-        kappa_se=tuple(r[1] for r in rows),
-        alpha=float(alpha),
-        m_alpha=float(ma),
-        m_alpha_se=float(ma_se),
-        s_infinity_lower_bound=float(s_inf),
-        method="closed_form" if curve.x is None else "monte_carlo",
-        solver_tolerance=float(tol),
-    )

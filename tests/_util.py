@@ -341,10 +341,10 @@ def _mean_se(p):
     return float(p.mean()), float(p.std() / math.sqrt(len(p)))
 
 
-def reference_cramer_report(law, s_grid, bracket, master_seed, n_samples, tol=1e-3):
-    """(kappa values, kappa se, alpha, m_alpha, m_alpha se, s_infinity) of the
-    sampled cramer_report: the grid, the root and m_alpha from one |M| sample
-    on the "moments" stream, with every moment finite."""
+def reference_cramer_solution(law, s_grid, bracket, master_seed, n_samples, tol=1e-3):
+    """(kappa values, kappa se, alpha, m_alpha, m_alpha se) of a sampled
+    Cramér problem: the grid, the root and m_alpha from one |M| sample on
+    the "moments" stream."""
     x = _abs_draws(law, stream(master_seed, 0, "moments"), n_samples)
     curve = [_mean_se(x**s) for s in s_grid]
     lo, hi = bracket
@@ -356,27 +356,7 @@ def reference_cramer_report(law, s_grid, bracket, master_seed, n_samples, tol=1e
             hi = mid
     alpha = 0.5 * (lo + hi)
     m_alpha, m_alpha_se = _mean_se(x**alpha * np.log(x))
-
-    if law.kind != "uniform":
-        return (
-            tuple(c[0] for c in curve), tuple(c[1] for c in curve),
-            alpha, m_alpha, m_alpha_se, math.inf,  # closed-form law: every moment finite
-        )
-    rng = stream(master_seed, 0, "s-infinity")
-    s_inf, s = 0.0, 1.0
-    for _ in range(24):
-        with np.errstate(over="ignore"):
-            p = _abs_draws(law, rng, 10**5) ** s
-            if not np.all(np.isfinite(p)):
-                break
-            value, se = _mean_se(p)
-        if not math.isfinite(value) or se > 0.5 * value:
-            break
-        s_inf, s = s, 2.0 * s
-    return (
-        tuple(c[0] for c in curve), tuple(c[1] for c in curve),
-        alpha, m_alpha, m_alpha_se, s_inf,
-    )
+    return tuple(c[0] for c in curve), tuple(c[1] for c in curve), alpha, m_alpha, m_alpha_se
 
 
 def reference_arch1_m_alpha(gamma, lam, sd, alpha, master_seed, n_samples):

@@ -680,25 +680,40 @@ def test_cli_every_numeric_key_is_checked_before_any_stage(tmp_path, capsys, key
         assert not (out / "manifest.jsonl").exists()
 
 
-@pytest.mark.parametrize("verb", ["tail", "limit"])
-def test_cli_closed_form_mode_without_a_scale_law_exits_2(tmp_path, capsys, verb):
+_CLOSED_FORM_WHY = (
+    "[experiment] mode = closed_form needs a law of |M|, and this model has none: "
+    "its |M| moments are sampled from theta draws"
+)
+
+
+@pytest.mark.parametrize(
+    "verb, model, why",
+    [
+        pytest.param(v, ARCH1_NORMAL_MODEL, _CLOSED_FORM_WHY, id=v)
+        for v in ("cramer", "tail", "limit")
+    ]
+    + [
+        pytest.param(
+            v, SAMPLED_SCALE_MODEL, "no closed-form moments for kind 'uniform'",
+            id=f"{v}-sampled-law",
+        )
+        for v in ("cramer", "tail", "limit")
+    ],
+)
+def test_cli_closed_form_mode_without_a_scale_law_exits_2(tmp_path, capsys, verb, model, why):
     # arch1 with a normal a has no |M| law, so m_alpha comes from theta
-    # draws, which closed_form forbids as it does in cramer; nothing needs
-    # to be drawn to know it, so no stage starts
-    text = ARCH1_NORMAL_MODEL + (
+    # draws, which closed_form forbids; a uniform |M| law has no closed-form
+    # moments either. Nothing needs to be drawn to know it, so no stage starts
+    text = model + (
         "\n[experiment]\nalpha = 2.0\nmode = closed_form\ncount = 2000\nn = 64\nreplicas = 256\n"
     )
     path = _write(tmp_path, text)
     out = tmp_path / "o"
     assert _run([verb, "--config", path, "--out", out]) == 2
-    assert capsys.readouterr().err == f"liprec {verb}: error: {_CLOSED_FORM_WHY}\n"
+    assert capsys.readouterr().err == f"liprec {verb}: error: {why}\n"
     assert not (out / "manifest.jsonl").exists()
 
 
-_CLOSED_FORM_WHY = (
-    "[experiment] mode = closed_form needs a law of |M|, and this model has none: "
-    "its |M| moments are sampled from theta draws"
-)
 # sqrt_quadratic whose continuous laws allow a redraw of a, so |M| = sqrt(a)
 # has no law: a itself is lognormal, whose moments have a closed form
 SQRTQUAD_CONDITIONED_MODEL = """\
@@ -730,21 +745,6 @@ def test_cli_closed_form_mode_names_the_missing_scale_law(tmp_path, capsys, verb
     assert not (out / "manifest.jsonl").exists()
 
 
-@pytest.mark.parametrize("model", ["arch1", "sqrt_quadratic"])
-@pytest.mark.parametrize("verb", ["tail", "limit"])
-def test_cli_alpha_solve_without_a_scale_law_exits_2_before_any_stage(
-    tmp_path, capsys, verb, model
-):
-    text = {"arch1": ARCH1_NORMAL_MODEL, "sqrt_quadratic": SQRTQUAD_CONDITIONED_MODEL}[model]
-    text += "\n[experiment]\ncount = 2000\nn = 64\nreplicas = 256\n"
-    out = tmp_path / "o"
-    assert _run([verb, "--config", _write(tmp_path, text), "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        f"liprec {verb}: error: no representable scale law for this model; set alpha explicitly\n"
-    )
-    assert not (out / "manifest.jsonl").exists()
-
-
 @pytest.mark.parametrize("bracket", ["0, 8.0", "-1, 8.0", "3.0, 1.0", "2.0, 2.0"])
 @pytest.mark.parametrize("verb", ["cramer", "simulate", "tail", "limit", "support", "check"])
 def test_cli_bracket_order_is_checked_before_any_stage(tmp_path, capsys, verb, bracket):
@@ -760,11 +760,20 @@ def test_cli_bracket_order_is_checked_before_any_stage(tmp_path, capsys, verb, b
     assert not (out / "manifest.jsonl").exists()
 
 
-@pytest.mark.parametrize("setting", ["", "solver_tol = 1e-5\n"], ids=["default-tol", "solver-tol"])
-def test_cli_cramer_and_tail_share_one_moment_curve(tmp_path, setting):
-    # the |M| law is sampled: both verbs draw its one sample from the same
+@pytest.mark.parametrize(
+    "model, setting",
+    [
+        pytest.param(SAMPLED_SCALE_MODEL, "", id="default-tol"),
+        pytest.param(SAMPLED_SCALE_MODEL, "solver_tol = 1e-5\n", id="solver-tol"),
+        # no |M| law: both solve the curve of |M| of theta draws
+        pytest.param(ARCH1_NORMAL_MODEL, "", id="arch1-normal"),
+        pytest.param(SQRTQUAD_CONDITIONED_MODEL, "", id="sqrt-quadratic-conditioned"),
+    ],
+)
+def test_cli_cramer_and_tail_share_one_moment_curve(tmp_path, model, setting):
+    # the |M| curve is sampled: both verbs draw its one sample from the same
     # stream and solve it to the same tolerance, so they agree to the bit
-    text = SAMPLED_SCALE_MODEL + "\n[experiment]\nmc_samples = 200000\ncount = 2000\n" + setting
+    text = model + "\n[experiment]\nmc_samples = 200000\ncount = 2000\n" + setting
     path = _write(tmp_path, text)
     assert _run(["cramer", "--config", path, "--seed", 3, "--out", tmp_path / "c"]) == 0
     assert _run(["tail", "--config", path, "--seed", 3, "--out", tmp_path / "t"]) == 0
@@ -776,6 +785,19 @@ def test_cli_cramer_and_tail_share_one_moment_curve(tmp_path, setting):
     assert (sol["method"], float(sol["solver_tolerance"])) == (
         "monte_carlo", 1e-5 if setting else 1e-3
     )
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_cramer_reads_every_moment_finite_on_a_sampled_law(tmp_path, capsys):
+    # every law kind has all moments finite, and so has |M| of a uniform a:
+    # the finite-moment range of a sampled curve never ends, and no warning
+    # is raised on the way
+    text = SAMPLED_SCALE_MODEL + "\n[experiment]\nmc_samples = 200000\n"
+    out = tmp_path / "o"
+    assert _run(["cramer", "--config", _write(tmp_path, text), "--seed", 3, "--out", out]) == 0
+    sol = _table(out / "cramer_solution.csv")[0]
+    assert (sol["method"], float(sol["s_infinity_lower_bound"])) == ("monte_carlo", math.inf)
+    assert capsys.readouterr().out.splitlines()[1] == "finite-moment range extends past s = inf"
 
 
 @pytest.mark.parametrize(
@@ -1223,15 +1245,13 @@ def test_cli_cramer_solves_the_scale_law_the_sampler_draws(tmp_path, capsys):
     assert abs(float(sol["alpha"]) - lo) <= float(sol["solver_tolerance"])
     assert round(lo, 6) == 0.508232
     # with b continuous the conditioned law of a has no closed form: cramer
-    # refuses it, and tail reads m_alpha from the conditioned sampler's draws
+    # and tail read |M| from the conditioned sampler's draws
     cont = text.replace("kind = discrete\natoms = -0.7, 0.2", "kind = uniform\nparams = -0.7, 0.2")
     cont += "\n[experiment]\nalpha = 2.0\ncount = 2000\nmc_samples = 100000\n"
     path = _write(tmp_path, cont, "c.cfg")
+    assert _run(["cramer", "--config", path, "--out", tmp_path / "c"]) == 0
+    assert _table(tmp_path / "c" / "cramer_solution.csv")[0]["method"] == "monte_carlo"
     capsys.readouterr()
-    assert _run(["cramer", "--config", path, "--out", tmp_path / "c"]) == 2
-    assert capsys.readouterr().err == (
-        "liprec cramer: error: no representable scale law; the moment curve needs one\n"
-    )
     # sqrt(a) still takes at most two values, so the nonarithmetic gate
     # holds, and check still reports the risk
     assert _run(["tail", "--config", path, "--out", tmp_path / "t"]) == 5
@@ -1426,6 +1446,25 @@ def test_cli_backward_guards_say_when_the_maps_do_not_contract(tmp_path, capsys,
         "liprec simulate: error: backward iteration hit max_depth=2000 with running "
         "bound still 6.101e+82 * envelope >= tol=1e-09; " + _NO_CONTRACTION
     )
+
+
+def test_cli_check_reports_maps_that_do_not_contract_without_drawing(
+    tmp_path, capsys, monkeypatch
+):
+    # the contraction probe fails, so no stationary law is drawn: the storage
+    # guard, which trips at step 51 here, is never reached, and the rows that
+    # need no sample are still written
+    monkeypatch.setattr(chains, "_STORAGE_CAP", 4096 * 50)
+    out = tmp_path / "o"
+    assert _run(["check", "--config", _write(tmp_path, _NO_CONTRACTION_ARCH1), "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL contraction: value ") and lines[-1] == "some checks failed"
+    rows = _table(out / "check.csv")
+    names = ["contraction", "moment_ratio_bounded", "nonarithmetic_scale"]
+    assert [r["name"] for r in rows] == names
+    assert rows[0]["passed"] == "false" and float(rows[0]["value"]) == pytest.approx(math.log(1.1))
+    record = json.loads((out / "manifest.jsonl").read_text())
+    assert record["status"] == "ok" and "backward" not in record
 
 
 def test_csv_schemas_support_and_check(tmp_path):

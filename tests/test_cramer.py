@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _util import reference_arch1_m_alpha, reference_cramer_report
+from _util import reference_arch1_m_alpha, reference_cramer_solution
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -125,42 +125,35 @@ def test_bisection_stops_at_adjacent_floats():
     assert alpha == pytest.approx(1.5, abs=1e-12)
 
 
-def test_s_infinity_probe():
-    assert cramer.s_infinity_probe(BENCH_LAW) == math.inf
-    # normal has no closed moments here; the ladder stops at a finite rung
-    # once the empirical moment turns unreliable
-    got = cramer.s_infinity_probe(rnd.normal(0.0, 1.0), rng=stream(31, 0, "probe"))
-    assert 1.0 <= got < math.inf
-
-
-@pytest.mark.filterwarnings("error")
-def test_s_infinity_probe_raises_no_warning():
-    # at s = 1024 every draw of |M| ~ uniform(0.2, 1.6) is finite but its
-    # square overflows: the se must not warn while the ladder stops
-    law = rnd.uniform(0.2, 1.6)
-    got = cramer.s_infinity_probe(law, rng=stream(3, 0, "s-infinity"))
-    assert 1.0 <= got < math.inf
+def _solved(text, seed=0):
+    """(curve, alpha, m_alpha, tol) of the config `text`'s Cramér problem."""
+    cfg = config.parse_config(text)
+    spec = config.build_model(cfg)
+    return experiments._solve(experiments._problem(cfg, spec), spec, seed)
 
 
 @pytest.mark.parametrize(
-    "law, mode",
-    [(rnd.uniform(0.2, 1.6), "auto"), (BENCH_LAW, "monte_carlo")],
+    "a_law, mode",
+    [("uniform\nparams = 0.2, 1.6", "auto"), ("lognormal\nparams = -0.75, 1.0", "monte_carlo")],
     ids=["uniform", "lognormal-monte-carlo"],
 )
-def test_sampled_report_matches_plain_numpy(law, mode):
+def test_sampled_report_matches_plain_numpy(a_law, mode):
+    # extremal: |M| is a, so its law is a's
+    text = (
+        f"[model]\nfamily = extremal\n[distributions.a]\nkind = {a_law}\n"
+        "[distributions.b]\nkind = constant\nparams = 1.0\n"
+        f"[experiment]\nmode = {mode}\nmc_samples = 200000\n"
+    )
     s_grid = (0.25, 0.5, 1.0, 1.5, 2.0)
-    rep = cramer.cramer_report(
-        law, s_grid, (0.05, 8.0), mode=mode, master_seed=3, n_samples=200_000
-    )
-    assert rep.method == "monte_carlo"
-    got = (
-        rep.kappa_values, rep.kappa_se, rep.alpha,
-        rep.m_alpha, rep.m_alpha_se, rep.s_infinity_lower_bound,
-    )
-    assert got == reference_cramer_report(law, s_grid, (0.05, 8.0), 3, 200_000)
+    curve, alpha, m_alpha, tol = _solved(text, seed=3)
+    assert curve.x is not None and tol == 1e-3
+    kappa, se = zip(*map(curve, s_grid))
+    got = (kappa, se, alpha, m_alpha, curve.m_alpha(alpha)[1])
+    law = rnd.uniform(0.2, 1.6) if mode == "auto" else BENCH_LAW
+    assert got == reference_cramer_solution(law, s_grid, (0.05, 8.0), 3, 200_000)
 
 
-def test_resolve_alpha_sampled_m_alpha_matches_plain_numpy():
+def test_solve_sampled_m_alpha_matches_plain_numpy():
     # arch1 with a ~ normal has no representable |M| law, so m_alpha is
     # sampled from theta draws
     text = (
@@ -168,10 +161,8 @@ def test_resolve_alpha_sampled_m_alpha_matches_plain_numpy():
         "[distributions.a]\nkind = normal\nparams = 0.0, 1.0\n"
         "[experiment]\nalpha = 1.5\nmc_samples = 200000\n"
     )
-    cfg = config.parse_config(text)
-    spec = config.build_model(cfg)
-    assert models.linear_scale_law(spec) is None
-    alpha, m_al = experiments._resolve_alpha(cfg, spec, 3)
+    assert models.linear_scale_law(config.build_model(config.parse_config(text))) is None
+    _, alpha, m_al, _ = _solved(text, seed=3)
     assert alpha == 1.5
     assert m_al == reference_arch1_m_alpha(0.1, 1.0, 1.0, 1.5, 3, 200_000)
 
@@ -205,13 +196,16 @@ def test_nontriviality_probe_bounded(bench_spec, rng):
         assert root == pytest.approx(ratio ** (1.0 / s_val), rel=1e-12)
 
 
-def test_cramer_report_bundle():
-    rep = cramer.cramer_report(
-        letac_scale_law(), s_grid=np.linspace(0.1, 2.0, 8), bracket=(0.5, 3.0)
+def test_solved_problem_bundle():
+    text = (
+        "[model]\nfamily = letac\n[distributions.a]\nkind = discrete\n"
+        "atoms = 0.3333333333333333, 2.0\nweights = 0.75, 0.25\n"
+        "[distributions.b]\nkind = constant\nparams = 0.5\n"
+        "[distributions.c]\nkind = constant\nparams = -1.0\n"
+        "[experiment]\nbracket = 0.5, 3.0\n"
     )
-    assert rep.method == "closed_form"
-    assert rep.alpha == pytest.approx(LETAC_ALPHA, abs=1e-5)
-    assert rep.m_alpha == pytest.approx(LETAC_M_ALPHA, abs=1e-5)
-    assert rep.s_infinity_lower_bound == math.inf
-    assert len(rep.kappa_values) == 8
-    assert all(se == 0.0 for se in rep.kappa_se)
+    curve, alpha, m_alpha, tol = _solved(text)
+    assert curve.x is None and tol == cramer.CLOSED_FORM_TOL
+    assert alpha == pytest.approx(LETAC_ALPHA, abs=1e-5)
+    assert m_alpha == pytest.approx(LETAC_M_ALPHA, abs=1e-5)
+    assert all(curve(float(s))[1] == 0.0 for s in np.linspace(0.1, 2.0, 8))
